@@ -13,6 +13,18 @@ with two corrections that exhaustive search forced on us:
     every vertex lies on an edge) is reachable only from itself, yet the
     system can still be solvable for it.
 
+The decisions never eliminate.  Column (e, v) of the balance matrix is
+2*1_v - 1_e, so for odd p the differences of columns within an edge give
+every 1_v - 1_u inside a connected component, and one column adds
+(2 - |e|)*1_r there.  A component therefore constrains the right-hand
+side only when every edge in it has |e| = 2 (mod p), and then only
+through its sum mod p; a vertex on no edge is such a component by
+itself and must match exactly.  _BalanceStructure records this in
+O(n + sum |e|), and _closed_form_solution settles solvability and
+builds a solution along a spanning edge tree in the same time.
+build_system stays as the plain matrix that synthesis eliminates and
+that the self-tests check the closed form against.
+
 decide_reachability / decide_recurrence / classify_state implement the
 corrected rules, can cross-check themselves against the exhaustive
 oracle (mode "both"), and refuse non-well-shaped inputs in algebraic
@@ -27,13 +39,8 @@ from enum import Enum
 from . import dynamics
 from .dynamics import DEFAULT_MAX_STATES, State, extract_schedule, orbit_bfs
 from .errors import MismatchError, NotGood
-from .hypergraph import Hypergraph, is_good
-from .zp_algebra import (
-    SolutionSpace,
-    ZpMatrixSystem,
-    gaussian_solve,
-    validate_modulus,
-)
+from .hypergraph import Hypergraph, is_good, vertex_edges
+from .zp_algebra import ZpMatrixSystem, mod_inverse, validate_modulus
 
 MODE_ALGEBRAIC = "algebraic"
 MODE_ORACLE = "oracle"
@@ -125,17 +132,115 @@ def _gate_algebraic(G: Hypergraph, p: int) -> None:
         )
 
 
-def _solve_pair(G: Hypergraph, p: int, w1: State, w2: State) -> SolutionSpace:
-    return gaussian_solve(build_system(G, p, w1, w2).system)
+@dataclass(frozen=True)
+class _BalanceStructure:
+    """What the balance matrix of G over Z_p (p odd) looks like.
+
+    component[v] numbers v's connected component (a vertex on no edge is
+    a component by itself).  lever[c] is None when every edge of
+    component c has |e| = 2 (mod p), so that its sum is invariant;
+    otherwise it is (column of (e, e[0]), e[0], e) for the first such e
+    met.  tree[v] is (parent u, column of (e, v), column of (e, u)) for
+    the edge e that first reached v in a breadth-first search, or None
+    for the component's smallest vertex; order lists the vertices in
+    that search's order.  rank = sum over components of |C| minus one
+    for each sum-invariant component.
+    """
+
+    component: tuple[int, ...]
+    lever: tuple[tuple[int, int, tuple[int, ...]] | None, ...]
+    tree: tuple[tuple[int, int, int] | None, ...]
+    order: tuple[int, ...]
+    ncols: int
+    rank: int
 
 
-def _unsolvability_certificate(space_sys: ZpMatrixSystem) -> Certificate:
-    plain = gaussian_solve(
-        ZpMatrixSystem(space_sys.rows, (0,) * len(space_sys.rhs), space_sys.p,
-                       space_sys.ncols)
-    )
-    rank = space_sys.ncols - plain.dimension
-    return Certificate("unsolvability", {"rank": rank, "augmented_rank": rank + 1})
+def _balance_structure(G: Hypergraph, p: int) -> _BalanceStructure:
+    incidence = vertex_edges(G)
+    offset = [0] * G.m
+    ncols = 0
+    for i, e in enumerate(G.edges):
+        offset[i] = ncols
+        ncols += len(e)
+    component = [-1] * G.n
+    tree: list[tuple[int, int, int] | None] = [None] * G.n
+    order: list[int] = []
+    levers: list[tuple[int, int, tuple[int, ...]] | None] = []
+    scanned = [False] * G.m
+    for root in range(G.n):
+        if component[root] >= 0:
+            continue
+        c = len(levers)
+        component[root] = c
+        lever = None
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for i in incidence[u]:
+                if scanned[i]:
+                    continue
+                scanned[i] = True
+                e = G.edges[i]
+                if lever is None and (len(e) - 2) % p:
+                    lever = (offset[i], e[0], e)
+                ju = offset[i] + e.index(u)
+                for k, v in enumerate(e):
+                    if component[v] < 0:
+                        component[v] = c
+                        tree[v] = (u, offset[i] + k, ju)
+                        order.append(v)
+        levers.append(lever)
+    rank = G.n - sum(lever is None for lever in levers)
+    return _BalanceStructure(tuple(component), tuple(levers), tuple(tree),
+                             tuple(order), ncols, rank)
+
+
+def _closed_form_solution(bal: _BalanceStructure, p: int, w1: State,
+                          w2: State) -> list[int] | None:
+    """A solution of build_system(G, p, w1, w2), or None if there is none.
+
+    Variables are in build_system's order.  A component with a lever
+    edge e gets its sum fixed by t * col(e, e[0]), t = s / (2 - |e|);
+    the rest of the right-hand side then sums to zero on every component
+    and is pushed from the leaves to the root of the spanning tree with
+    1_v - 1_u = (col(e, v) - col(e, u)) / 2.
+    """
+    residual = [(a - b) % p for a, b in zip(w1, w2)]
+    sums = [0] * len(bal.lever)
+    for v, c in enumerate(bal.component):
+        sums[c] += residual[v]
+    x = [0] * bal.ncols
+    for c, lever in enumerate(bal.lever):
+        s = sums[c] % p
+        if not s:
+            continue
+        if lever is None:
+            return None
+        j, v0, e = lever
+        t = s * mod_inverse(2 - len(e), p) % p
+        x[j] = t
+        for u in e:
+            residual[u] = (residual[u] + t) % p
+        residual[v0] = (residual[v0] - 2 * t) % p
+    half = mod_inverse(2, p)
+    for v in reversed(bal.order):
+        link = bal.tree[v]
+        if link is None or not residual[v]:
+            continue
+        u, jv, ju = link
+        h = residual[v] * half % p
+        x[jv] = (x[jv] + h) % p
+        x[ju] = (x[ju] - h) % p
+        residual[u] = (residual[u] + residual[v]) % p
+        residual[v] = 0
+    return x
+
+
+def _unsolvability_certificate(bal: _BalanceStructure) -> Certificate:
+    return Certificate("unsolvability",
+                       {"rank": bal.rank, "augmented_rank": bal.rank + 1})
 
 
 def _algebraic_reach(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
@@ -148,13 +253,12 @@ def _algebraic_reach(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
     if not dynamics.has_predecessor(G, p, w2):
         return Decision(False, MODE_ALGEBRAIC,
                         Certificate("garden_of_eden", {"target": list(w2)}))
-    reach = build_system(G, p, w1, w2)
-    space = gaussian_solve(reach.system)
-    if space.solvable:
+    bal = _balance_structure(G, p)
+    solution = _closed_form_solution(bal, p, w1, w2)
+    if solution is not None:
         return Decision(True, MODE_ALGEBRAIC,
-                        Certificate("solution_vector",
-                                    {"solution": list(space.particular)}))
-    return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(reach.system))
+                        Certificate("solution_vector", {"solution": solution}))
+    return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(bal))
 
 
 def _oracle_reach(G: Hypergraph, p: int, w1: State, w2: State,
@@ -203,61 +307,38 @@ def _algebraic_recur(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
                                         {"solution": [0] * sum(map(len, G.edges))}))
         return Decision(False, MODE_ALGEBRAIC,
                         Certificate("absorbing_source", {"source": list(w1)}))
-    zero_space = _solve_pair(G, p, w1, zero)
+    bal = _balance_structure(G, p)
+    to_zero = _closed_form_solution(bal, p, w1, zero)
     if w2 == zero:
         # Recurrent iff the orbit can fall into the absorbing zero state:
         # once the zero state is reachable at all, it stays reachable from
         # every intermediate state (solution differences), and it is the
         # only state reachable from itself.
-        if zero_space.solvable:
+        if to_zero is not None:
             return Decision(True, MODE_ALGEBRAIC,
-                            Certificate("solution_vector",
-                                        {"solution": list(zero_space.particular)}))
-        return Decision(False, MODE_ALGEBRAIC,
-                        _unsolvability_certificate(build_system(G, p, w1, zero).system))
+                            Certificate("solution_vector", {"solution": to_zero}))
+        return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(bal))
     if not dynamics.has_predecessor(G, p, w2):
         return Decision(False, MODE_ALGEBRAIC,
                         Certificate("garden_of_eden", {"target": list(w2)}))
-    if zero_space.solvable:
+    if to_zero is not None:
         return Decision(False, MODE_ALGEBRAIC,
-                        Certificate("zero_state_reachable",
-                                    {"solution": list(zero_space.particular)}))
-    reach = build_system(G, p, w1, w2)
-    space = gaussian_solve(reach.system)
-    if space.solvable:
+                        Certificate("zero_state_reachable", {"solution": to_zero}))
+    solution = _closed_form_solution(bal, p, w1, w2)
+    if solution is not None:
         return Decision(True, MODE_ALGEBRAIC,
-                        Certificate("solution_vector",
-                                    {"solution": list(space.particular)}))
-    return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(reach.system))
+                        Certificate("solution_vector", {"solution": solution}))
+    return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(bal))
 
 
 def _oracle_recur(G: Hypergraph, p: int, w1: State, w2: State,
                   max_states: int) -> Decision:
-    orbit = orbit_bfs(G, p, w1, max_states=max_states)
-    if w2 not in orbit:
-        return Decision(False, MODE_ORACLE,
+    orbit, escape = dynamics.oracle_escape(G, p, w1, w2, max_states=max_states)
+    if w2 not in orbit or escape is None:
+        return Decision(escape is None, MODE_ORACLE,
                         Certificate("orbit_exhausted", {"orbit_size": len(orbit)}))
-    # Reverse sweep from w2 over the orbit; any state it misses refutes.
-    moves = dynamics.all_moves(G)
-    reverse: dict[State, list[State]] = {w: [] for w in orbit.order}
-    for w in orbit.order:
-        for move in moves:
-            if w[move.vertex] != 0:
-                reverse[dynamics.apply_move(G, p, w, move)].append(w)
-    seen = {w2}
-    stack = [w2]
-    while stack:
-        t = stack.pop()
-        for s in reverse[t]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    if len(seen) == len(orbit):
-        return Decision(True, MODE_ORACLE,
-                        Certificate("orbit_exhausted", {"orbit_size": len(orbit)}))
-    witness = next(w for w in orbit.order if w not in seen)
     return Decision(False, MODE_ORACLE,
-                    Certificate("escape_state", {"state": list(witness)}))
+                    Certificate("escape_state", {"state": list(escape)}))
 
 
 def decide_recurrence(
@@ -307,7 +388,7 @@ def classify_state(
         zero = (0,) * G.n
         if w == zero or not dynamics.has_predecessor(G, p, w):
             answers[MODE_ALGEBRAIC] = StateClass.RECURRENT_OR_INACCESSIBLE
-        elif _solve_pair(G, p, w, zero).solvable:
+        elif _closed_form_solution(_balance_structure(G, p), p, w, zero) is not None:
             answers[MODE_ALGEBRAIC] = StateClass.TRANSIENT
         else:
             answers[MODE_ALGEBRAIC] = StateClass.RECURRENT_OR_INACCESSIBLE
@@ -337,10 +418,10 @@ def necessity_filter(G: Hypergraph, p: int, w1: State, w2: State) -> Decision | 
     w2 = dynamics.validate_state(p, G.n, w2)
     if w1 == w2:
         return None
-    reach = build_system(G, p, w1, w2)
-    if gaussian_solve(reach.system).solvable:
+    bal = _balance_structure(G, p)
+    if _closed_form_solution(bal, p, w1, w2) is not None:
         return None
-    return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(reach.system))
+    return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(bal))
 
 
 def _mismatch_dump(problem: str, G: Hypergraph, p: int, w1: State, w2: State,

@@ -204,21 +204,12 @@ def extract_schedule(orbit: OrbitResult, target: State) -> Schedule:
 def has_predecessor(G: Hypergraph, p: int, w: State) -> bool:
     """Is w the image of any legal move?  (False = garden-of-Eden state.)
 
-    Inverts the move relation: undoing a move at (v, e) forces the prior
-    state, and that candidate is legal exactly when its value at v is
-    nonzero; the forward application is re-checked for good measure.
+    Undoing a move at (v, e) forces the prior state: every vertex of e
+    had one unit less and v two more, so v held w[v] + 1 before moving.
+    The move was legal exactly when that is nonzero, so w has a
+    predecessor iff some vertex on an edge holds a value other than p-1.
     """
-    for i, edge in enumerate(G.edges):
-        for v in edge:
-            prior = list(w)
-            for u in edge:
-                prior[u] = (prior[u] - 1) % p
-            prior[v] = (prior[v] + 2) % p
-            if prior[v] == 0:
-                continue
-            if apply_move(G, p, tuple(prior), Move(v, i)) == w:
-                return True
-    return False
+    return any(w[v] != p - 1 for e in G.edges for v in e)
 
 
 def oracle_reachable(
@@ -240,17 +231,29 @@ def oracle_recurrent(
     w2: State,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> bool:
-    """Ground truth for: w2 is reachable from every state reachable from w1.
+    """Ground truth for: w2 is reachable from every state reachable from w1."""
+    return oracle_escape(G, p, w1, w2, max_states=max_states)[1] is None
 
-    Forward orbit once, then one reverse reachability sweep from w2 over
-    the orbit-internal transition relation; w2 must cover the whole
-    orbit.  Agrees with the naive all-pairs double-BFS definition (the
-    orbit is closed under moves, so reverse reachability restricted to
-    it is exact), at a fraction of the cost.
+
+def oracle_escape(
+    G: Hypergraph,
+    p: int,
+    w1: State,
+    w2: State,
+    max_states: int = DEFAULT_MAX_STATES,
+) -> tuple[OrbitResult, State | None]:
+    """The orbit of w1 and the first state in it that cannot reach w2.
+
+    The escape state is None exactly when w2 is recurrent from w1; when
+    w2 is outside the orbit it is w1 itself.  Forward orbit once, then
+    one reverse reachability sweep from w2 over the orbit-internal
+    transition relation.  Agrees with the naive all-pairs double-BFS
+    definition (the orbit is closed under moves, so reverse reachability
+    restricted to it is exact), at a fraction of the cost.
     """
     orbit = orbit_bfs(G, p, w1, max_states=max_states)
     if w2 not in orbit:
-        return False
+        return orbit, w1
     moves = all_moves(G)
     reverse: dict[State, list[State]] = {w: [] for w in orbit.order}
     for w in orbit.order:
@@ -267,4 +270,6 @@ def oracle_recurrent(
             if s not in seen:
                 seen.add(s)
                 queue.append(s)
-    return len(seen) == len(orbit)
+    if len(seen) == len(orbit):
+        return orbit, None
+    return orbit, next(w for w in orbit.order if w not in seen)

@@ -141,11 +141,17 @@ def is_good(G: Hypergraph) -> GoodnessReport:
     for i, e in enumerate(G.edges):
         if len(e) < 3:
             violations.append(Violation("small_edge", (i,)))
-    for i in range(G.m):
-        ei = set(G.edges[i])
-        for j in range(i + 1, G.m):
-            if len(ei.intersection(G.edges[j])) > 1:
-                violations.append(Violation("big_intersection", (i, j)))
+    # shared vertices are counted through the incidence lists, so the
+    # work is the sum of deg(v)^2 rather than m^2 pair tests
+    incidence = vertex_edges(G)
+    for i, e in enumerate(G.edges):
+        shared: dict[int, int] = {}
+        for v in e:
+            for j in incidence[v]:
+                if j > i:
+                    shared[j] = shared.get(j, 0) + 1
+        for j in sorted(j for j, k in shared.items() if k > 1):
+            violations.append(Violation("big_intersection", (i, j)))
     components = connected_components(G)
     if len(components) > 1:
         violations.append(Violation("disconnected", tuple(c[0] for c in components)))

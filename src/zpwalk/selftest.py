@@ -341,6 +341,11 @@ def _structural_sweep(
                 f"{label}: balance solvability disagrees with conserved functionals "
                 f"for {w1} -> {w2}"
             )
+        if (necessity_filter(G, p, w1, w2) is None) != solvable:
+            report.divergences.append(
+                f"{label}: the closed-form necessity filter disagrees with elimination "
+                f"for {w1} -> {w2}"
+            )
 
     # generous sampling: 54 charged-source pairs plus the special
     # sources, each compared against the enumerated reach set

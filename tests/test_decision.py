@@ -16,6 +16,8 @@ import pytest
 from zpwalk.decision import (
     Certificate,
     StateClass,
+    _balance_structure,
+    _closed_form_solution,
     build_system,
     classify_state,
     decide_reachability,
@@ -26,13 +28,14 @@ from zpwalk.dynamics import (
     all_moves,
     apply_move,
     extract_schedule,
+    oracle_escape,
     oracle_reachable,
     oracle_recurrent,
     orbit_bfs,
 )
 from zpwalk.errors import MismatchError, NotGood
 from zpwalk.generate import gen_good_hypergraph
-from zpwalk.hypergraph import make_hypergraph
+from zpwalk.hypergraph import Hypergraph, connected_components, make_hypergraph
 from zpwalk.zp_algebra import gaussian_solve
 
 E3 = make_hypergraph(3, [(0, 1, 2)])
@@ -111,6 +114,57 @@ def test_solvability_is_transitive():
             assert s13
         if s12 and not s23:
             assert not s13
+
+
+def random_shaped_hypergraph(rng, p):
+    """Any hypergraph: size-2 edges, shared pairs, isolated vertices..."""
+    n = rng.randint(1, 9)
+    edges = set()
+    for _ in range(rng.randint(0, 5) if n > 1 else 0):
+        size = rng.choice((2, 2, 3, p, p + 2, rng.randint(2, n)))
+        edges.add(tuple(sorted(rng.sample(range(n), min(size, n)))))
+    return Hypergraph(n, tuple(sorted(edges)))
+
+
+def test_closed_form_matches_elimination_on_any_hypergraph():
+    """The closed-form rule against gaussian_solve on the plain system:
+    same solvability, a solution that satisfies A x = b, and the rank."""
+    rng = random.Random(20260)
+    seen = Counter()
+    for _ in range(900):
+        p = rng.choice((3, 5, 7))
+        G = random_shaped_hypergraph(rng, p)
+        sizes = [len(e) for e in G.edges]
+        seen["size 2"] += 2 in sizes
+        seen["|e| = 2 mod p, |e| > 2"] += any(k > 2 and k % p == 2 for k in sizes)
+        seen["|e| = 0 mod p"] += any(k % p == 0 for k in sizes)
+        seen["shared pair"] += any(len(set(a) & set(b)) > 1
+                                   for a, b in itertools.combinations(G.edges, 2))
+        seen["disconnected"] += len(connected_components(G)) > 1
+        seen["isolated"] += any(not any(v in e for e in G.edges) for v in range(G.n))
+        seen[f"p = {p}"] += 1
+        bal = _balance_structure(G, p)
+        zero = (0,) * G.n
+        homogeneous = build_system(G, p, zero, zero).system
+        assert bal.rank == homogeneous.ncols - gaussian_solve(homogeneous).dimension
+        for _ in range(4):
+            w1 = tuple(rng.randrange(p) for _ in range(G.n))
+            w2 = tuple(rng.randrange(p) for _ in range(G.n))
+            system = build_system(G, p, w1, w2).system
+            x = _closed_form_solution(bal, p, w1, w2)
+            assert (x is not None) == gaussian_solve(system).solvable, (G, p, w1, w2)
+            seen["solvable" if x is not None else "unsolvable"] += 1
+            if x is not None:
+                assert len(x) == system.ncols
+                for row, b in zip(system.rows, system.rhs):
+                    assert sum(a * xi for a, xi in zip(row, x)) % p == b
+            verdict = necessity_filter(G, p, w1, w2)
+            assert (verdict is None) == (w1 == w2 or x is not None)
+            if verdict is not None:
+                assert verdict.certificate.data == {"rank": bal.rank,
+                                                    "augmented_rank": bal.rank + 1}
+    assert min(seen.values()) >= 20, seen
+    assert len(seen) == 11, seen
 
 
 # ---------------------------------------------------------- reachability
@@ -242,6 +296,23 @@ def test_recurrence_sampled_both_mode():
         hits += d.answer
         misses += not d.answer
     assert hits and misses
+
+
+def test_oracle_recurrence_certificates():
+    kinds = Counter()
+    for w1 in states(3, 3):
+        for w2 in states(3, 3):
+            d = decide_recurrence(E3, 3, w1, w2, mode="oracle")
+            orbit, escape = oracle_escape(E3, 3, w1, w2)
+            if d.certificate.kind == "escape_state":
+                assert not d.answer and w2 in orbit
+                assert d.certificate.data == {"state": list(escape)}
+            else:
+                assert d.certificate.kind == "orbit_exhausted"
+                assert d.answer == (escape is None)
+                assert d.certificate.data == {"orbit_size": len(orbit)}
+            kinds[d.certificate.kind, d.answer] += 1
+    assert len(kinds) == 3
 
 
 # -------------------------------------------------------- classification

@@ -24,6 +24,7 @@ from zpwalk.dynamics import (
     format_schedule,
     format_state,
     has_predecessor,
+    oracle_escape,
     oracle_reachable,
     oracle_recurrent,
     orbit_bfs,
@@ -226,6 +227,34 @@ def test_has_predecessor_matches_brute_force():
         assert has_predecessor(G, 3, w) == bool(brute_predecessors(G, 3, w))
 
 
+def trial_unmove_predecessor(G, p, w):
+    """The definition by trial: undo every move and check the undo was legal."""
+    for i, edge in enumerate(G.edges):
+        for v in edge:
+            prior = list(w)
+            for u in edge:
+                prior[u] = (prior[u] - 1) % p
+            prior[v] = (prior[v] + 2) % p
+            if prior[v] != 0 and apply_move(G, p, tuple(prior), Move(v, i)) == w:
+                return True
+    return False
+
+
+def test_has_predecessor_matches_trial_unmove_everywhere():
+    irregular = [
+        make_hypergraph(3, [(0, 1), (0, 2), (1, 2)]),   # size-2 edges
+        make_hypergraph(4, [(0, 1, 2), (1, 2, 3)]),     # shared pair
+        make_hypergraph(5, [(0, 1, 2), (3, 4)]),        # disconnected
+        make_hypergraph(4, [(1, 2, 3)]),                # isolated vertex
+        make_hypergraph(2, []),                         # no edges at all
+    ]
+    for G in irregular + [E3, TWO_EDGES, make_hypergraph(4, [(0, 1, 2, 3)])]:
+        for p in (2, 3, 5):
+            for w in itertools.product(range(p), repeat=G.n):
+                assert has_predecessor(G, p, w) == trial_unmove_predecessor(G, p, w), (
+                    G, p, w)
+
+
 def test_zero_state_has_a_predecessor():
     # [1,2,2] --move at vertex 0--> [0,0,0] on the single 3-edge at p=3
     assert apply_move(E3, 3, (1, 2, 2), Move(0, 0)) == (0, 0, 0)
@@ -266,6 +295,24 @@ def test_oracle_recurrent_matches_naive_definition():
             agree_true += got
             agree_false += not got
     assert agree_true and agree_false  # both outcomes exercised
+
+
+def test_oracle_escape_is_the_first_state_that_cannot_return():
+    rng = random.Random(78)
+    escapes = 0
+    for G, p in [(E3, 3), (E3, 5), (TWO_EDGES, 3),
+                 (make_hypergraph(3, [(0, 1), (0, 2), (1, 2)]), 3)]:
+        for _ in range(25):
+            w1 = tuple(rng.randrange(p) for _ in range(G.n))
+            w2 = tuple(rng.randrange(p) for _ in range(G.n))
+            orbit, escape = oracle_escape(G, p, w1, w2)
+            assert orbit.order == orbit_bfs(G, p, w1).order
+            expected = next((w for w in orbit.order
+                             if not oracle_reachable(G, p, w, w2)), None)
+            assert escape == expected, (G, p, w1, w2)
+            assert (escape is None) == oracle_recurrent(G, p, w1, w2)
+            escapes += escape is not None and w2 in orbit
+    assert escapes
 
 
 def test_oracle_recurrent_known_cases():

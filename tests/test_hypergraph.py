@@ -125,6 +125,22 @@ def test_is_good_flags_big_intersections():
     assert report.violations[0].detail == (0, 1)
 
 
+def test_is_good_big_intersections_match_all_pairs():
+    rng = random.Random(138)
+    flagged = 0
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        edges = [rng.sample(range(n), rng.randint(2, min(n, 6)))
+                 for _ in range(rng.randint(0, 8))]
+        G = make_hypergraph(n, sorted({tuple(sorted(e)) for e in edges}))
+        expected = [(i, j) for i in range(G.m) for j in range(i + 1, G.m)
+                    if len(set(G.edges[i]) & set(G.edges[j])) > 1]
+        got = [v.detail for v in is_good(G).violations if v.kind == "big_intersection"]
+        assert got == expected, G
+        flagged += bool(expected)
+    assert flagged > 50
+
+
 def test_is_good_flags_disconnection():
     G = make_hypergraph(7, [(0, 1, 2), (4, 5, 6)])  # vertex 3 isolated too
     report = is_good(G)
