@@ -90,7 +90,7 @@ class NonzeroRequired(ZpwalkError):
 
 
 class SynthesisIncomplete(ZpwalkError):
-    """Constructive synthesis gave up and the fallback search hit its cap."""
+    """Constructive synthesis gave up: a search cap or the recursion limit."""
 
 
 class InternalSynthesisFailure(ZpwalkError):

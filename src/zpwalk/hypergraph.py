@@ -158,16 +158,12 @@ def is_good(G: Hypergraph) -> GoodnessReport:
     return GoodnessReport(not violations, tuple(violations))
 
 
-def connected_components(
-    G: Hypergraph, removed_edge: int | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Vertex partition induced by the edges (optionally ignoring one edge).
+def connected_components(G: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex partition induced by the edges.
 
     Isolated vertices come back as singleton components.  Components are
     sorted by their smallest vertex; each is a sorted tuple.
     """
-    if removed_edge is not None and not 0 <= removed_edge < G.m:
-        raise ValueError(f"removed_edge {removed_edge} outside [0, {G.m})")
     parent = list(range(G.n))
 
     def find(a: int) -> int:
@@ -176,9 +172,7 @@ def connected_components(
             a = parent[a]
         return a
 
-    for i, e in enumerate(G.edges):
-        if i == removed_edge:
-            continue
+    for e in G.edges:
         root = find(e[0])
         for v in e[1:]:
             parent[find(v)] = root

@@ -20,12 +20,15 @@ space except as a last-resort fallback.  The toolbox, bottom up:
     edges; the backward variant then re-solves each edge of the chain so
     that everything except the endpoints is restored.
   * synthesize_schedule -- on multi-edge hypergraphs, picks a bridging
-    edge whose removal splits the instance into components the solver
+    edge l whose removal splits the instance into components the solver
     can recurse on, borrows charge across that edge for components that
-    start empty, and rebalances the edge with trick rounds.  When no
-    bridging edge qualifies, a descent on the counted moves runs as far
-    as it can and a bounded breadth-first search bridges the remainder
-    (SynthesisIncomplete if that search exceeds its cap).
+    start empty, and rebalances the edge with trick rounds.  The guard
+    is decision's closed-form rule (necessity_filter) on G minus l; only
+    the single-edge and bridge descents eliminate, for their
+    minimum-norm move counts.  When no bridging edge qualifies, a
+    descent on the counted moves runs as far as it can and a bounded
+    breadth-first search bridges the remainder (SynthesisIncomplete if
+    that search exceeds its cap).
 
 Everything returned here is replay-verified before it escapes.
 """
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .decision import ReachSystem, build_system
+from .decision import ReachSystem, build_system, necessity_filter
 from .dynamics import (
     DEFAULT_MAX_STATES,
     EMPTY_SCHEDULE,
@@ -71,7 +74,6 @@ from .hypergraph import (
 )
 from .zp_algebra import (
     DEFAULT_ENUMERATION_CAP,
-    ZpMatrixSystem,
     gaussian_solve,
     system_norm,
     validate_modulus,
@@ -475,8 +477,9 @@ def synthesize_schedule(
 
     Raises UnreachableTarget / Unsolvable when no schedule exists,
     NotGood off the well-shaped family, and SynthesisIncomplete when the
-    constructive machinery gave up and the bounded fallback search blew
-    its state budget.  The returned schedule is replay-verified.
+    constructive machinery gave up (the bounded fallback search blew its
+    state budget, or the recursion hit Python's recursion limit).  The
+    returned schedule is replay-verified.
     """
     validate_modulus(p)
     report = is_good(G)
@@ -485,7 +488,13 @@ def synthesize_schedule(
         raise NotGood(f"schedule synthesis needs a well-shaped hypergraph ({', '.join(kinds)})")
     w1 = validate_state(p, G.n, w1)
     w2 = validate_state(p, G.n, w2)
-    schedule = _synthesize(G, p, w1, w2, max_states, cap)
+    # caught here only, so that it unwinds the whole recursion
+    try:
+        schedule = _synthesize(G, p, w1, w2, max_states, cap)
+    except RecursionError:
+        raise SynthesisIncomplete(
+            f"the recursion over {G.m} edges hit Python's recursion limit"
+        ) from None
     if replay_schedule(G, p, w1, schedule) != w2:
         raise InternalSynthesisFailure("synthesized schedule fails replay")
     return schedule
@@ -501,9 +510,7 @@ def _synthesize(
         raise UnreachableTarget("the all-zero state admits no moves")
     if not has_predecessor(G, p, w2):
         raise UnreachableTarget("the target state has no predecessor")
-    reach = build_system(G, p, w1, w2)
-    space = gaussian_solve(reach.system)
-    if not space.solvable:
+    if necessity_filter(G, p, w1, w2) is not None:
         raise Unsolvable("the move-counting system has no solution")
     if G.m == 1:
         return single_edge_schedule(G, p, w1, w2)
@@ -512,7 +519,7 @@ def _synthesize(
             return _attempt_split(G, p, w1, w2, l, max_states, cap)
         except _GuardFailure:
             continue
-    return _bridge_descent(G, p, w1, w2, reach, space, max_states, cap)
+    return _bridge_descent(G, p, w1, w2, max_states, cap)
 
 
 def _component_env(
@@ -585,17 +592,10 @@ def _attempt_split(
     Keeps no partial work on failure: raises _GuardFailure and the
     caller tries the next edge.
     """
-    reach = build_system(G, p, w1, w2)
-    keep = [j for j, (ei, _) in enumerate(reach.variables) if ei != l]
-    dropped = ZpMatrixSystem(
-        tuple(tuple(row[j] for j in keep) for row in reach.system.rows),
-        reach.system.rhs,
-        p,
-        len(keep),
-    )
-    if not gaussian_solve(dropped).solvable:
+    without_l = Hypergraph(G.n, G.edges[:l] + G.edges[l + 1:])
+    if necessity_filter(without_l, p, w1, w2) is not None:
         raise _GuardFailure(f"the difference needs moves on edge {l}")
-    comps = connected_components(G, removed_edge=l)
+    comps = connected_components(without_l)
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     kind = {}
     for ci, comp in enumerate(comps):
@@ -812,8 +812,6 @@ def _bridge_descent(
     p: int,
     w1: State,
     w2: State,
-    reach: ReachSystem,
-    space,
     max_states: int,
     cap: int,
 ) -> Schedule:
@@ -826,6 +824,8 @@ def _bridge_descent(
     gap is closed by bounded breadth-first search from the state
     actually reached -- progress made by the descent is kept.
     """
+    reach = build_system(G, p, w1, w2)
+    space = gaussian_solve(reach.system)
     try:
         _, solution = system_norm(space, cap=cap)
     except EnumerationTooLarge:

@@ -158,6 +158,19 @@ def test_schedule_then_verify_round_trip(chain, tmp_path, capsys):
     assert "endpoint mismatch" in capsys.readouterr().out
 
 
+def test_schedule_too_deep_chain_is_exit_3(tmp_path, capsys):
+    m = 400
+    f = tmp_path / "long_chain.hg"
+    f.write_text(format_hypergraph(
+        3, make_hypergraph(2 * m + 1, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(m)])))
+    w1 = ",".join(["1"] + ["0"] * (2 * m))
+    code = main(["--json", "schedule", str(f), "--from", w1, "--to", w1[::-1]])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["type"] == "SynthesisIncomplete"
+    assert "recursion limit" in report["error"]["message"]
+
+
 def test_schedule_unreachable_exits_negative(e5, capsys):
     code = main(["schedule", e5, "--from", "1,0,0,0,0", "--to", "0,1,0,0,1"])
     assert code == 1

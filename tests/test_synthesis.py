@@ -25,6 +25,7 @@ from zpwalk.errors import (
     NonzeroRequired,
     NotGood,
     PairNotGood,
+    SynthesisIncomplete,
     UnreachableTarget,
     Unsolvable,
 )
@@ -338,6 +339,31 @@ def test_synthesize_larger_instances_no_give_up():
             continue  # w2 happened to be the saturated state
         assert replay_schedule(G, p, w1, sched) == w2
         done += 1
+
+
+def unit_chain(m: int):
+    """m 3-edges in a row, and one unit moving from one end to the other."""
+    G = make_hypergraph(2 * m + 1, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(m)])
+    w1 = (1,) + (0,) * (2 * m)
+    return G, w1, w1[::-1]
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_synthesize_long_chain(p):
+    G, w1, w2 = unit_chain(200)
+    sched = synthesize_schedule(G, p, w1, w2)
+    assert replay_schedule(G, p, w1, sched) == w2
+    if p == 3:
+        # schedule length must not regress: 12m - 9 moves on a unit chain
+        assert len(sched) <= 12 * 200 - 9
+
+
+def test_synthesize_too_deep_chain_is_incomplete():
+    # the component recursion nests about three frames per edge, so 400
+    # edges pass the default recursion limit of 1000
+    G, w1, w2 = unit_chain(400)
+    with pytest.raises(SynthesisIncomplete, match="recursion limit"):
+        synthesize_schedule(G, 3, w1, w2)
 
 
 @st.composite
