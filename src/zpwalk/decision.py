@@ -22,9 +22,10 @@ through its sum mod p; a vertex on no edge is such a component by
 itself and must match exactly.  _BalanceStructure records this in
 O(n + sum |e|), and _closed_form_solution settles solvability and
 builds a solution along a spanning edge tree in the same time.
-Synthesis asks the same rule through necessity_filter.  build_system
-stays as the plain matrix that synthesis eliminates only for its
-minimum-norm move counts, and that the self-tests check the closed form
+Synthesis asks the same rule through necessity_filter, and counts
+single-edge moves in closed form too.  build_system stays as the plain
+matrix that synthesis eliminates only for the bridge descent's
+minimum-norm move counts, and that the self-tests check the closed forms
 against.
 
 decide_reachability / decide_recurrence / classify_state implement the

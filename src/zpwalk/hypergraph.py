@@ -195,12 +195,7 @@ class EdgePath:
     connectors: tuple[int, ...]
 
 
-def shortest_edge_path(
-    G: Hypergraph,
-    from_vertex: int,
-    to_edge: int,
-    avoid_edge: int | None = None,
-) -> EdgePath:
+def shortest_edge_path(G: Hypergraph, from_vertex: int, to_edge: int) -> EdgePath:
     """Fewest-edges path from an edge containing from_vertex to to_edge.
 
     BFS over the edge-intersection graph; ties break toward lower edge
@@ -211,13 +206,11 @@ def shortest_edge_path(
         raise ValueError(f"from_vertex {from_vertex} outside [0, {G.n})")
     if not 0 <= to_edge < G.m:
         raise ValueError(f"to_edge {to_edge} outside [0, {G.m})")
-    if avoid_edge == to_edge:
-        raise NoPath(f"target edge {to_edge} is the avoided edge")
     edge_sets = [set(e) for e in G.edges]
     prev: dict[int, int | None] = {}
     queue: deque[int] = deque()
     for i in range(G.m):
-        if i != avoid_edge and from_vertex in edge_sets[i]:
+        if from_vertex in edge_sets[i]:
             prev[i] = None
             queue.append(i)
     found = None
@@ -227,15 +220,12 @@ def shortest_edge_path(
             found = cur
             break
         for j in range(G.m):
-            if j == avoid_edge or j in prev or not edge_sets[cur] & edge_sets[j]:
+            if j in prev or not edge_sets[cur] & edge_sets[j]:
                 continue
             prev[j] = cur
             queue.append(j)
     if found is None:
-        raise NoPath(
-            f"no edge path from vertex {from_vertex} to edge {to_edge}"
-            + (f" avoiding edge {avoid_edge}" if avoid_edge is not None else "")
-        )
+        raise NoPath(f"no edge path from vertex {from_vertex} to edge {to_edge}")
     chain = [found]
     while prev[chain[-1]] is not None:
         chain.append(prev[chain[-1]])

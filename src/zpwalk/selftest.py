@@ -40,14 +40,21 @@ from .dynamics import (
     orbit_bfs,
     replay_schedule,
 )
-from .errors import MismatchError, NotGood, SynthesisIncomplete
+from .errors import MismatchError, NotGood, SynthesisIncomplete, Unsolvable
 from .generate import gen_good_hypergraph
 from .hypergraph import Hypergraph, is_good
-from .synthesis import synthesize_schedule
-from .zp_algebra import gaussian_solve, make_system
+from .synthesis import _single_edge_counts, synthesize_schedule
+from .zp_algebra import gaussian_solve, make_system, system_norm
 
 #: instances whose whole state digraph we enumerate and verify structurally
 EXHAUSTIVE_STATE_BUDGET = 3**7
+#: sampled orbit comparison: charged sources per instance, targets per source
+ORBIT_SOURCES = 3
+ORBIT_TARGETS_PER_SOURCE = 17
+#: schedule sweep: instances with at most this many states get every pair
+EXHAUSTIVE_PAIR_LIMIT = 30
+#: sampled decisions witnessed or certified per generated instance
+WITNESS_PAIRS = 4
 
 
 @dataclass
@@ -332,9 +339,11 @@ def _structural_sweep(
         if gi in members and core and not any(j in set(core) for j in succ[gi]):
             report.divergences.append(f"{label}: the saturated state cannot rejoin class {key}")
 
+    single_edge = G.edges == (tuple(range(n)),)
     for _ in range(25):
         w1, w2 = rng.choice(states), rng.choice(states)
-        solvable = gaussian_solve(build_system(G, p, w1, w2).system).solvable
+        space = gaussian_solve(build_system(G, p, w1, w2).system)
+        solvable = space.solvable
         same_class = _functional_values(basis, w1, p) == _functional_values(basis, w2, p)
         if solvable != same_class:
             report.divergences.append(
@@ -346,6 +355,16 @@ def _structural_sweep(
                 f"{label}: the closed-form necessity filter disagrees with elimination "
                 f"for {w1} -> {w2}"
             )
+        if single_edge:
+            try:
+                counts = _single_edge_counts(p, w1, w2)
+            except Unsolvable:
+                counts = None
+            if counts != (list(system_norm(space)[1]) if solvable else None):
+                report.divergences.append(
+                    f"{label}: closed-form single-edge counts {counts} disagree with the "
+                    f"minimum-norm solution for {w1} -> {w2}"
+                )
 
     # generous sampling: 54 charged-source pairs plus the special
     # sources, each compared against the enumerated reach set
@@ -410,8 +429,6 @@ def _orbit_pair_sweep(
     p: int,
     rng: random.Random,
     report: SelftestReport,
-    sources: int = 3,
-    targets_per_source: int = 17,
 ) -> None:
     """Sampled algebra-vs-search comparison for instances too large to
     enumerate exhaustively: one breadth-first orbit per charged source,
@@ -419,11 +436,11 @@ def _orbit_pair_sweep(
     label = f"{G.n}v/{G.m}e p={p}"
     zero = (0,) * G.n
     ge = (p - 1,) * G.n
-    for _ in range(sources):
+    for _ in range(ORBIT_SOURCES):
         w1 = _random_state(G, p, rng, nonzero=True)
         orbit = orbit_bfs(G, p, w1)
         targets = [zero, ge, w1]
-        while len(targets) < targets_per_source:
+        while len(targets) < ORBIT_TARGETS_PER_SOURCE:
             if rng.random() < 0.5:
                 targets.append(_random_reachable_target(G, p, w1, rng))
             else:
@@ -445,7 +462,6 @@ def _synthesis_sweep(
     rng: random.Random,
     report: SelftestReport,
     targets: int,
-    exhaustive_limit: int = 30,
 ) -> None:
     """Synthesize and replay schedules for reachable pairs.
 
@@ -453,7 +469,7 @@ def _synthesis_sweep(
     until `targets` positive pairs were witnessed.
     """
     small = p**G.n <= EXHAUSTIVE_STATE_BUDGET
-    if p ** G.n <= exhaustive_limit:
+    if p ** G.n <= EXHAUSTIVE_PAIR_LIMIT:
         states = list(itertools.product(range(p), repeat=G.n))
         pairs = ((a, b) for a in states for b in states)
     else:
@@ -480,7 +496,7 @@ def _synthesis_sweep(
             )
         report.schedules_replayed += 1
         done += 1
-        if p ** G.n > exhaustive_limit and done >= targets:
+        if p ** G.n > EXHAUSTIVE_PAIR_LIMIT and done >= targets:
             break
 
 
@@ -489,7 +505,6 @@ def _witness_checks(
     p: int,
     rng: random.Random,
     report: SelftestReport,
-    pairs: int = 4,
 ) -> None:
     """Witness or certify sampled decisions on one generated instance."""
     n = G.n
@@ -506,7 +521,7 @@ def _witness_checks(
             )
         else:
             _verify_negative(G, p, w1, w2, decision, basis, report)
-    for k in range(pairs):
+    for k in range(WITNESS_PAIRS):
         w1 = _random_state(G, p, rng, nonzero=True)
         if k % 2 == 0:
             w2 = _random_reachable_target(G, p, w1, rng)

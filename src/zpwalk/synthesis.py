@@ -24,11 +24,10 @@ space except as a last-resort fallback.  The toolbox, bottom up:
     can recurse on, borrows charge across that edge for components that
     start empty, and rebalances the edge with trick rounds.  The guard
     is decision's closed-form rule (necessity_filter) on G minus l; only
-    the single-edge and bridge descents eliminate, for their
-    minimum-norm move counts.  When no bridging edge qualifies, a
-    descent on the counted moves runs as far as it can and a bounded
-    breadth-first search bridges the remainder (SynthesisIncomplete if
-    that search exceeds its cap).
+    the bridge descent eliminates, for its minimum-norm move counts.
+    When no bridging edge qualifies, that descent on the counted moves
+    runs as far as it can and a bounded breadth-first search bridges the
+    remainder (SynthesisIncomplete if that search exceeds its cap).
 
 Everything returned here is replay-verified before it escapes.
 """
@@ -75,6 +74,7 @@ from .hypergraph import (
 from .zp_algebra import (
     DEFAULT_ENUMERATION_CAP,
     gaussian_solve,
+    mod_inverse,
     system_norm,
     validate_modulus,
 )
@@ -185,11 +185,7 @@ def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedul
         )
     if e != tuple(range(G.n)):
         # Work on the canonical restriction and map the moves back.
-        sub = Hypergraph(len(e), (tuple(range(len(e))),))
-        inner = single_edge_schedule(
-            sub, p, tuple(w1[v] for v in e), tuple(w2[v] for v in e)
-        )
-        return Schedule(tuple(Move(e[m.vertex], 0) for m in inner.moves))
+        return _on_edge(G, p, w1, 0, w2)
     if all(x == 0 for x in w1):
         raise UnreachableTarget("the all-zero state admits no moves")
     if not has_predecessor(G, p, w2):
@@ -197,16 +193,26 @@ def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedul
     return _descend_single_edge(G, p, w1, w2)
 
 
+def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
+    """Minimum-norm move counts on one edge over all k vertices.
+
+    Row v reads 2*x_v - S = d_v (S = sum x, d = w1 - w2), so (2 - k)*S =
+    sum d fixes S unless p divides k - 2; then every S solves or none
+    does.  Ties break as in system_norm: lifted sum, then the tuple.
+    """
+    k, d = len(w1), [(a - b) % p for a, b in zip(w1, w2)]
+    if (k - 2) % p == 0 and sum(d) % p:
+        raise Unsolvable("the move-counting system has no solution")
+    totals = [sum(d) * mod_inverse(2 - k, p) % p] if (k - 2) % p else range(p)
+    half = mod_inverse(2, p)
+    candidates = [tuple((dv + s) * half % p for dv in d) for s in totals]
+    return list(min(candidates, key=lambda c: (sum(c), c)))
+
+
 def _descend_single_edge(G: Hypergraph, p: int, w1: State, w2: State) -> Schedule:
     """Core single-edge descent; G is canonical (one edge over all vertices)."""
     k = G.n
-    reach = build_system(G, p, w1, w2)
-    space = gaussian_solve(reach.system)
-    if not space.solvable:
-        raise Unsolvable("the move-counting system has no solution")
-    # Kernel dimension is at most 1 on a single edge, so this is cheap.
-    _, solution = system_norm(space)
-    counts = list(solution)  # variables are (edge 0, vertex v) in vertex order
+    counts = _single_edge_counts(p, w1, w2)
     b = _Builder(G, p, w1)
     while True:
         total = sum(counts)
@@ -585,7 +591,6 @@ def _attempt_split(
     l: int,
     max_states: int,
     cap: int,
-    allow_transfer: bool = True,
 ) -> Schedule:
     """One decomposition attempt across bridging edge l.
 
@@ -597,14 +602,7 @@ def _attempt_split(
         raise _GuardFailure(f"the difference needs moves on edge {l}")
     comps = connected_components(without_l)
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    kind = {}
-    for ci, comp in enumerate(comps):
-        if all(w1[v] == w2[v] for v in comp):
-            kind[ci] = "settled"
-        elif all(w1[v] == 0 for v in comp):
-            kind[ci] = "seedless"
-        else:
-            kind[ci] = "live"
+    kind = {ci: _component_kind(comp, w1, w2) for ci, comp in enumerate(comps)}
     b = _Builder(G, p, w1)
     if "seedless" not in kind.values():
         # Every component either already matches the target or carries
@@ -619,13 +617,11 @@ def _attempt_split(
     z1 = next((z for z in e_l if w1[z] != 0), None)
     if z1 is None:
         # No charge anywhere on l: walk one unit over from the nearest
-        # charged vertex, then retry this same edge once.
-        if not allow_transfer:
-            raise _GuardFailure("no charge reaches the bridging edge")
-        prefix, shifted = _transfer_into_edge(G, p, w1, l)
-        inner = _attempt_split(G, p, shifted, w2, l, max_states, cap, allow_transfer=False)
-        return Schedule(tuple(prefix.moves) + tuple(inner.moves))
-    t = w1[z1]
+        # charged vertex, whose component may turn settled or live.
+        b.emit_all(_transfer_into_edge(G, p, w1, l))
+        kind = {ci: _component_kind(comp, b.state, w2) for ci, comp in enumerate(comps)}
+        z1 = next(z for z in e_l if b.state[z] != 0)
+    t = b.state[z1]
     in_l = set(e_l)
     # Stage 1: drain z1, handing t units of charge to every other vertex
     # of l -- in particular into each seedless component.
@@ -679,6 +675,13 @@ def _attempt_split(
     if b.state != w2:
         raise InternalSynthesisFailure("draining left a residue off the target")
     return Schedule(tuple(b.moves))
+
+
+def _component_kind(comp: tuple[int, ...], w: State, w2: State) -> str:
+    """settled (on target at w), live (holds charge) or seedless."""
+    if all(w[v] == w2[v] for v in comp):
+        return "settled"
+    return "live" if any(w[v] for v in comp) else "seedless"
 
 
 def _nudge_for_anchors(
@@ -737,26 +740,19 @@ def _nudge_for_anchors(
     raise _GuardFailure("no legal nudge frees an anchor pair on the bridging edge")
 
 
-def _transfer_into_edge(
-    G: Hypergraph, p: int, w1: State, l: int
-) -> tuple[Schedule, State]:
+def _transfer_into_edge(G: Hypergraph, p: int, w1: State, l: int) -> Schedule:
     """Move one unit of charge from the nearest charged vertex onto edge l.
 
     Uses backward path propagation over the shortest edge path, which
     requires the corridor to be otherwise empty (_GuardFailure when some
     intermediate vertex already holds charge).
     """
-    best = None
-    for v in range(G.n):
-        if w1[v] == 0:
-            continue
-        path = shortest_edge_path(G, v, l)
-        key = (len(path.edges), v)
-        if best is None or key < best[0]:
-            best = (key, v, path)
-    if best is None:
+    paths = [shortest_edge_path(G, v, l) for v in range(G.n) if w1[v] != 0]
+    if not paths:
         raise _GuardFailure("no vertex carries charge")
-    _, vstar, path = best
+    # min keeps the first of equally short paths: the lowest start vertex
+    path = min(paths, key=lambda q: len(q.edges))
+    vstar = path.start_vertex
     if len(path.edges) < 2:
         raise InternalSynthesisFailure("transfer requested although the edge holds charge")
     corridor = EdgePath(vstar, path.edges[:-1], path.connectors[:-1])
@@ -765,10 +761,9 @@ def _transfer_into_edge(
     if any(w1[u] != 0 for u in union if u != vstar):
         raise _GuardFailure("the corridor toward the bridging edge is not clear")
     try:
-        schedule = propagate_path(G, p, w1, corridor, BACKWARD, end_vertex=entry)
+        return propagate_path(G, p, w1, corridor, BACKWARD, end_vertex=entry)
     except (HypothesisViolated, NoPath, Unsolvable, UnreachableTarget) as err:
         raise _GuardFailure(str(err)) from None
-    return schedule, replay_schedule(G, p, w1, schedule)
 
 
 def _unblock_counted(b: _Builder, reach: ReachSystem, counts: list[int]) -> bool:

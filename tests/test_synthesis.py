@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zpwalk.decision import build_system
 from zpwalk.dynamics import (
     Move,
     all_moves,
@@ -34,6 +35,7 @@ from zpwalk.hypergraph import EdgePath, make_hypergraph
 from zpwalk.synthesis import (
     BACKWARD,
     FORWARD,
+    _single_edge_counts,
     double_move_trick,
     is_good_pair,
     propagate_path,
@@ -41,6 +43,7 @@ from zpwalk.synthesis import (
     synthesize_schedule,
     undo_on_edge,
 )
+from zpwalk.zp_algebra import gaussian_solve, system_norm
 
 E4 = make_hypergraph(4, [(0, 1, 2, 3)])
 CHAIN2 = make_hypergraph(5, [(0, 1, 2), (2, 3, 4)])
@@ -261,6 +264,38 @@ def test_single_edge_p5_sampled():
         assert replay_schedule(G, 5, w1, sched) == w2
 
 
+def _counts_both_ways(p: int, d: tuple[int, ...]):
+    """Closed-form and eliminated minimum-norm counts for w1 - w2 = d
+    (None where the move-counting system has no solution)."""
+    zero = (0,) * len(d)
+    try:
+        closed = _single_edge_counts(p, d, zero)
+    except Unsolvable:
+        closed = None
+    space = gaussian_solve(build_system(single_edge(len(d)), p, d, zero).system)
+    return closed, list(system_norm(space)[1]) if space.solvable else None
+
+
+def test_single_edge_counts_match_elimination():
+    """Every difference vector with p^k <= 3125, then seeded samples where
+    p divides k - 2 and the minimum is taken over all p totals."""
+    for p in (3, 5, 7, 11, 13):
+        for k in range(3, 8):
+            if p**k > 3125:
+                break
+            for d in itertools.product(range(p), repeat=k):
+                closed, eliminated = _counts_both_ways(p, d)
+                assert closed == eliminated, (p, d)
+    rng = random.Random(4242)
+    for p, k in ((3, 8), (5, 7), (7, 9)):
+        for i in range(300):
+            d = [rng.randrange(p) for _ in range(k)]
+            if i % 2 == 0:
+                d[-1] = (d[-1] - sum(d)) % p  # solvable: the sum must vanish
+            closed, eliminated = _counts_both_ways(p, tuple(d))
+            assert closed == eliminated, (p, d)
+
+
 def test_single_edge_rejects_wrong_shapes():
     with pytest.raises(ValueError):
         single_edge_schedule(CHAIN2, 3, (1,) * 5, (1,) * 5)
@@ -364,6 +399,17 @@ def test_synthesize_too_deep_chain_is_incomplete():
     G, w1, w2 = unit_chain(400)
     with pytest.raises(SynthesisIncomplete, match="recursion limit"):
         synthesize_schedule(G, 3, w1, w2)
+
+
+def test_synthesize_transfer_from_settled_component():
+    # Edge 0 holds no charge, so one unit walks over from vertex 3.  Its
+    # component of G minus edge 0 starts settled and is live afterwards.
+    G = make_hypergraph(8, [(0, 1, 2), (1, 5, 7), (3, 4, 5, 6)])
+    w1 = (0, 0, 0, 2, 0, 0, 0, 0)
+    w2 = (2, 0, 0, 2, 0, 0, 0, 0)
+    sched = synthesize_schedule(G, 3, w1, w2)
+    assert replay_schedule(G, 3, w1, sched) == w2
+    assert len(sched) == 29
 
 
 @st.composite
