@@ -46,6 +46,8 @@ from .hypergraph import Hypergraph, is_good
 from .synthesis import _single_edge_counts, synthesize_schedule
 from .zp_algebra import gaussian_solve, make_system, system_norm
 
+#: primes the small well-shaped family is checked at
+PRIMES = (3, 5)
 #: instances whose whole state digraph we enumerate and verify structurally
 EXHAUSTIVE_STATE_BUDGET = 3**7
 #: sampled orbit comparison: charged sources per instance, targets per source
@@ -468,7 +470,6 @@ def _synthesis_sweep(
     Exhausts every ordered pair on tiny instances; elsewhere samples
     until `targets` positive pairs were witnessed.
     """
-    small = p**G.n <= EXHAUSTIVE_STATE_BUDGET
     if p ** G.n <= EXHAUSTIVE_PAIR_LIMIT:
         states = list(itertools.product(range(p), repeat=G.n))
         pairs = ((a, b) for a in states for b in states)
@@ -483,21 +484,29 @@ def _synthesis_sweep(
     for w1, w2 in pairs:
         if not decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC).answer:
             continue
-        try:
-            schedule = synthesize_schedule(G, p, w1, w2)
-        except SynthesisIncomplete:
-            report.synthesis_incomplete += 1
-            if small:
-                report.synthesis_incomplete_small += 1
-            continue
-        if replay_schedule(G, p, w1, schedule) != w2:
-            report.divergences.append(
-                f"{G.n}v/{G.m}e p={p}: schedule for {w1} -> {w2} fails replay"
-            )
-        report.schedules_replayed += 1
-        done += 1
-        if p ** G.n > EXHAUSTIVE_PAIR_LIMIT and done >= targets:
-            break
+        if _witness_schedule(G, p, w1, w2, report):
+            done += 1
+            if p ** G.n > EXHAUSTIVE_PAIR_LIMIT and done >= targets:
+                break
+
+
+def _witness_schedule(
+    G: Hypergraph, p: int, w1: State, w2: State, report: SelftestReport
+) -> bool:
+    """Synthesize and replay one schedule; False when synthesis gave up."""
+    try:
+        schedule = synthesize_schedule(G, p, w1, w2)
+    except SynthesisIncomplete:
+        report.synthesis_incomplete += 1
+        if p**G.n <= EXHAUSTIVE_STATE_BUDGET:
+            report.synthesis_incomplete_small += 1
+        return False
+    if replay_schedule(G, p, w1, schedule) != w2:
+        report.divergences.append(
+            f"{G.n}v/{G.m}e p={p}: schedule for {w1} -> {w2} fails replay"
+        )
+    report.schedules_replayed += 1
+    return True
 
 
 def _witness_checks(
@@ -512,7 +521,6 @@ def _witness_checks(
     zero = (0,) * n
     saturated = (p - 1,) * n
     charged = (1,) + tuple(rng.randrange(1, p) for _ in range(n - 1))
-    small = p**n <= EXHAUSTIVE_STATE_BUDGET
     for w1, w2 in ((zero, charged), (charged, saturated)):
         decision = decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC)
         if decision.answer:
@@ -529,19 +537,8 @@ def _witness_checks(
             w2 = _random_state(G, p, rng)
         decision = decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC)
         if decision.answer:
-            try:
-                schedule = synthesize_schedule(G, p, w1, w2)
-            except SynthesisIncomplete:
-                report.synthesis_incomplete += 1
-                if small:
-                    report.synthesis_incomplete_small += 1
-                continue
-            if replay_schedule(G, p, w1, schedule) != w2:
-                report.divergences.append(
-                    f"{n}v/{G.m}e p={p}: schedule for {w1} -> {w2} fails replay"
-                )
-            report.schedules_replayed += 1
-            report.witness_positive += 1
+            if _witness_schedule(G, p, w1, w2, report):
+                report.witness_positive += 1
         else:
             _verify_negative(G, p, w1, w2, decision, basis, report)
 
@@ -630,7 +627,6 @@ def run_selftest(
     *,
     seed: int = 20260819,
     max_small_n: int = 6,
-    primes: tuple[int, ...] = (3, 5),
     structural_budget: int = 16000,
     schedule_targets: int = 50,
     generated_count: int = 200,
@@ -653,7 +649,7 @@ def run_selftest(
     start = time.monotonic()
 
     for G in iter_small_good_hypergraphs(max_small_n):
-        for p in primes:
+        for p in PRIMES:
             if p**G.n <= structural_budget:
                 _structural_sweep(G, p, rng, report)
             else:

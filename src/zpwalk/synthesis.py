@@ -56,7 +56,6 @@ from .errors import (
     HypothesisViolated,
     InternalSynthesisFailure,
     NonzeroRequired,
-    NoPath,
     NotGood,
     PairNotGood,
     StateSpaceTooLarge,
@@ -135,11 +134,11 @@ def double_move_trick(
 
 @dataclass
 class _Builder:
-    """Simulate-as-you-emit schedule accumulator.
+    """Simulate-as-you-emit accumulator for the moves a construction creates.
 
     emit applies the move to the tracked state before recording it, so
-    an illegal move in a construction surfaces at the exact step that
-    produced it instead of at final replay.
+    an illegal move surfaces at the exact step that produced it instead
+    of at final replay; sub-schedules arrive already checked.
     """
 
     G: Hypergraph
@@ -519,7 +518,8 @@ def _synthesize(
     if necessity_filter(G, p, w1, w2) is not None:
         raise Unsolvable("the move-counting system has no solution")
     if G.m == 1:
-        return single_edge_schedule(G, p, w1, w2)
+        # well-shaped means canonical, and single_edge_schedule's checks ran above
+        return _descend_single_edge(G, p, w1, w2)
     for l in range(G.m):
         try:
             return _attempt_split(G, p, w1, w2, l, max_states, cap)
@@ -560,7 +560,7 @@ def _recurse_into(
     max_states: int,
     cap: int,
 ) -> None:
-    """Recursively schedule one component and emit the mapped-back moves.
+    """Recursively schedule one component and splice its moves into b.
 
     A sub-instance that turns out unreachable or over budget aborts the
     whole decomposition attempt (_GuardFailure), not the synthesis.
@@ -574,7 +574,13 @@ def _recurse_into(
         inner = _synthesize(sub, p, s, t, max_states, cap)
     except (Unsolvable, UnreachableTarget, SynthesisIncomplete) as err:
         raise _GuardFailure(str(err)) from None
-    b.emit_all(Move(comp[m.vertex], emap[m.edge]) for m in inner.moves)
+    # Splicing is exact without a replay: the sub-moves use only edges
+    # inside comp, b.state equals s on comp, and they lead from s to t.
+    b.moves.extend(Move(comp[m.vertex], emap[m.edge]) for m in inner.moves)
+    state = list(b.state)
+    for v, x in zip(comp, t):
+        state[v] = x
+    b.state = tuple(state)
 
 
 def _anchors_ok(p: int, va: int, vb: int, t: int) -> bool:
@@ -752,17 +758,12 @@ def _transfer_into_edge(G: Hypergraph, p: int, w1: State, l: int) -> Schedule:
         raise _GuardFailure("no vertex carries charge")
     # min keeps the first of equally short paths: the lowest start vertex
     path = min(paths, key=lambda q: len(q.edges))
-    vstar = path.start_vertex
     if len(path.edges) < 2:
         raise InternalSynthesisFailure("transfer requested although the edge holds charge")
-    corridor = EdgePath(vstar, path.edges[:-1], path.connectors[:-1])
-    entry = path.connectors[-1]
-    union = {u for ei in corridor.edges for u in G.edges[ei]}
-    if any(w1[u] != 0 for u in union if u != vstar):
-        raise _GuardFailure("the corridor toward the bridging edge is not clear")
+    corridor = EdgePath(path.start_vertex, path.edges[:-1], path.connectors[:-1])
     try:
-        return propagate_path(G, p, w1, corridor, BACKWARD, end_vertex=entry)
-    except (HypothesisViolated, NoPath, Unsolvable, UnreachableTarget) as err:
+        return propagate_path(G, p, w1, corridor, BACKWARD, end_vertex=path.connectors[-1])
+    except (HypothesisViolated, Unsolvable, UnreachableTarget) as err:
         raise _GuardFailure(str(err)) from None
 
 

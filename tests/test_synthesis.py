@@ -384,13 +384,24 @@ def unit_chain(m: int):
 
 
 @pytest.mark.parametrize("p", (3, 5))
-def test_synthesize_long_chain(p):
+def test_synthesize_long_chain(p, monkeypatch):
+    calls = 0
+
+    def counting_apply_move(*args):
+        nonlocal calls
+        calls += 1
+        return apply_move(*args)
+
+    monkeypatch.setattr("zpwalk.synthesis.apply_move", counting_apply_move)
     G, w1, w2 = unit_chain(200)
     sched = synthesize_schedule(G, p, w1, w2)
     assert replay_schedule(G, p, w1, sched) == w2
     if p == 3:
         # schedule length must not regress: 12m - 9 moves on a unit chain
         assert len(sched) <= 12 * 200 - 9
+    # each move is simulated once where it is built, not again at every
+    # recursion level above it (the final replay goes through dynamics)
+    assert calls <= 2 * len(sched)
 
 
 def test_synthesize_too_deep_chain_is_incomplete():
