@@ -21,7 +21,7 @@ side only when every edge in it has |e| = 2 (mod p), and then only
 through its sum mod p; a vertex on no edge is such a component by
 itself and must match exactly.  _BalanceStructure records this in
 O(n + sum |e|), and _closed_form_solution settles solvability and
-builds a solution along a spanning edge tree in the same time.
+builds a solution along G.structure's spanning edge tree in that time.
 Synthesis asks the same rule through necessity_filter, and counts
 single-edge moves in closed form too.  build_system stays as the plain
 matrix that synthesis eliminates only for the bridge descent's
@@ -42,7 +42,7 @@ from enum import Enum
 from . import dynamics
 from .dynamics import DEFAULT_MAX_STATES, State, extract_schedule, orbit_bfs
 from .errors import MismatchError, NotGood
-from .hypergraph import Hypergraph, is_good, vertex_edges
+from .hypergraph import Hypergraph, Structure, is_good
 from .zp_algebra import ZpMatrixSystem, mod_inverse, validate_modulus
 
 MODE_ALGEBRAIC = "algebraic"
@@ -73,15 +73,11 @@ def build_system(G: Hypergraph, p: int, w1: State, w2: State) -> ReachSystem:
     w1 = dynamics.validate_state(p, G.n, w1)
     w2 = dynamics.validate_state(p, G.n, w2)
     variables = tuple((i, v) for i, e in enumerate(G.edges) for v in e)
-    col = {pair: j for j, pair in enumerate(variables)}
     rows = [[0] * len(variables) for _ in range(G.n)]
-    for i, e in enumerate(G.edges):
-        for v in e:
-            j = col[(i, v)]
-            rows[v][j] = 1
-            for u in e:
-                if u != v:
-                    rows[u][j] = p - 1
+    for j, (i, v) in enumerate(variables):
+        for u in G.edges[i]:
+            rows[u][j] = p - 1
+        rows[v][j] = 1
     rhs = tuple((a - b) % p for a, b in zip(w1, w2))
     system = ZpMatrixSystem(
         tuple(tuple(r) for r in rows), rhs, p, len(variables)
@@ -139,65 +135,25 @@ def _gate_algebraic(G: Hypergraph, p: int) -> None:
 class _BalanceStructure:
     """What the balance matrix of G over Z_p (p odd) looks like.
 
-    component[v] numbers v's connected component (a vertex on no edge is
-    a component by itself).  lever[c] is None when every edge of
-    component c has |e| = 2 (mod p), so that its sum is invariant;
-    otherwise it is (column of (e, e[0]), e[0], e) for the first such e
-    met.  tree[v] is (parent u, column of (e, v), column of (e, u)) for
-    the edge e that first reached v in a breadth-first search, or None
-    for the component's smallest vertex; order lists the vertices in
-    that search's order.  rank = sum over components of |C| minus one
-    for each sum-invariant component.
+    structure is G's search: components, spanning edge tree, columns.
+    lever[c] is None when every edge of component c has |e| = 2 (mod p),
+    so that its sum is invariant; otherwise it is (column of (e, e[0]),
+    e[0], e) for the first such e the search scanned.  rank = n minus
+    the number of sum-invariant components.
     """
 
-    component: tuple[int, ...]
+    structure: Structure
     lever: tuple[tuple[int, int, tuple[int, ...]] | None, ...]
-    tree: tuple[tuple[int, int, int] | None, ...]
-    order: tuple[int, ...]
-    ncols: int
     rank: int
 
 
 def _balance_structure(G: Hypergraph, p: int) -> _BalanceStructure:
-    incidence = vertex_edges(G)
-    offset = [0] * G.m
-    ncols = 0
-    for i, e in enumerate(G.edges):
-        offset[i] = ncols
-        ncols += len(e)
-    component = [-1] * G.n
-    tree: list[tuple[int, int, int] | None] = [None] * G.n
-    order: list[int] = []
-    levers: list[tuple[int, int, tuple[int, ...]] | None] = []
-    scanned = [False] * G.m
-    for root in range(G.n):
-        if component[root] >= 0:
-            continue
-        c = len(levers)
-        component[root] = c
-        lever = None
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for i in incidence[u]:
-                if scanned[i]:
-                    continue
-                scanned[i] = True
-                e = G.edges[i]
-                if lever is None and (len(e) - 2) % p:
-                    lever = (offset[i], e[0], e)
-                ju = offset[i] + e.index(u)
-                for k, v in enumerate(e):
-                    if component[v] < 0:
-                        component[v] = c
-                        tree[v] = (u, offset[i] + k, ju)
-                        order.append(v)
-        levers.append(lever)
-    rank = G.n - sum(lever is None for lever in levers)
-    return _BalanceStructure(tuple(component), tuple(levers), tuple(tree),
-                             tuple(order), ncols, rank)
+    st = G.structure
+    levers = []
+    for scan in st.scan:
+        i = next((i for i in scan if (len(G.edges[i]) - 2) % p), None)
+        levers.append(None if i is None else (st.offset[i], G.edges[i][0], G.edges[i]))
+    return _BalanceStructure(st, tuple(levers), G.n - levers.count(None))
 
 
 def _closed_form_solution(bal: _BalanceStructure, p: int, w1: State,
@@ -210,11 +166,12 @@ def _closed_form_solution(bal: _BalanceStructure, p: int, w1: State,
     and is pushed from the leaves to the root of the spanning tree with
     1_v - 1_u = (col(e, v) - col(e, u)) / 2.
     """
+    st = bal.structure
     residual = [(a - b) % p for a, b in zip(w1, w2)]
     sums = [0] * len(bal.lever)
-    for v, c in enumerate(bal.component):
+    for v, c in enumerate(st.component):
         sums[c] += residual[v]
-    x = [0] * bal.ncols
+    x = [0] * st.ncols
     for c, lever in enumerate(bal.lever):
         s = sums[c] % p
         if not s:
@@ -228,8 +185,8 @@ def _closed_form_solution(bal: _BalanceStructure, p: int, w1: State,
             residual[u] = (residual[u] + t) % p
         residual[v0] = (residual[v0] - 2 * t) % p
     half = mod_inverse(2, p)
-    for v in reversed(bal.order):
-        link = bal.tree[v]
+    for v in reversed(st.order):
+        link = st.tree[v]
         if link is None or not residual[v]:
             continue
         u, jv, ju = link
@@ -248,7 +205,7 @@ def _unsolvability_certificate(bal: _BalanceStructure) -> Certificate:
 
 def _algebraic_reach(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
     if w1 == w2:
-        cert = Certificate("solution_vector", {"solution": [0] * sum(map(len, G.edges))})
+        cert = Certificate("solution_vector", {"solution": [0] * G.structure.ncols})
         return Decision(True, MODE_ALGEBRAIC, cert)
     if all(x == 0 for x in w1):
         return Decision(False, MODE_ALGEBRAIC,
@@ -307,7 +264,7 @@ def _algebraic_recur(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
         if w2 == zero:
             return Decision(True, MODE_ALGEBRAIC,
                             Certificate("solution_vector",
-                                        {"solution": [0] * sum(map(len, G.edges))}))
+                                        {"solution": [0] * G.structure.ncols}))
         return Decision(False, MODE_ALGEBRAIC,
                         Certificate("absorbing_source", {"source": list(w1)}))
     bal = _balance_structure(G, p)

@@ -10,7 +10,7 @@ class ZpwalkError(Exception):
 
 
 class InvalidModulus(ZpwalkError):
-    """Modulus is not an odd prime >= 3."""
+    """Modulus is not an odd prime in [3, MAX_MODULUS]."""
 
 
 class NoInverse(ZpwalkError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .errors import Infeasible
-from .hypergraph import Hypergraph, is_good
+from .hypergraph import MAX_VERTICES, Hypergraph, is_good
 
 _EXTRA_EDGE_ATTEMPTS = 200
 
@@ -35,10 +35,10 @@ def gen_good_hypergraph(n: int, m: int, seed: int | None = None) -> Hypergraph:
     placed extra 3-edges among existing vertices when the dice asked for
     fewer tree edges.  If the extras cannot be placed within a bounded
     number of attempts, falls back to a pure tree, which always exists.
-    Raises Infeasible when no well-shaped hypergraph has this shape.
+    Raises Infeasible when no such hypergraph exists or n > MAX_VERTICES.
     """
-    if n < 1 or m < 0:
-        raise Infeasible(f"need n >= 1 and m >= 0, got n={n}, m={m}")
+    if not 1 <= n <= MAX_VERTICES or m < 0:
+        raise Infeasible(f"need 1 <= n <= {MAX_VERTICES} and m >= 0, got n={n}, m={m}")
     if not feasible(n, m):
         if m == 0:
             raise Infeasible(f"{n} vertices with no edges cannot be connected")

@@ -1,4 +1,4 @@
-"""Hypergraph model: parsing, structural checks, connectivity, edge paths.
+"""Hypergraph model: parsing, structure, well-shapedness, edge paths.
 
 Vertices are 0-indexed ints; edges are addressed by their position in the
 edge list, which is the position schedules and solver variables use.  The
@@ -6,15 +6,24 @@ edge list, which is the position schedules and solver variables use.  The
 at least 3, pairwise edge intersections of size at most 1) is what the
 fast algebraic decision layer requires; parsing and the exhaustive oracle
 accept anything.
+
+One breadth-first search, cached on the immutable Hypergraph as
+G.structure, gives every layer its incidence lists, components,
+spanning edge tree and edge scan order; is_good's report is cached too.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import NoPath, ParseError
-from .zp_algebra import is_odd_prime
+from .zp_algebra import MAX_MODULUS, is_odd_prime
+
+#: more vertices are refused by the parser and the generator
+MAX_VERTICES = 10**6
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,92 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def structure(self) -> Structure:
+        return _build_structure(self)
+
+    @cached_property
+    def goodness(self) -> GoodnessReport:
+        violations: list[Violation] = []
+        for i, e in enumerate(self.edges):
+            if len(e) < 3:
+                violations.append(Violation("small_edge", (i,)))
+        # shared vertices are counted through the incidence lists, so the
+        # work is the sum of deg(v)^2 rather than m^2 pair tests
+        incidence = self.structure.incidence
+        for i, e in enumerate(self.edges):
+            shared: dict[int, int] = {}
+            for v in e:
+                for j in incidence[v]:
+                    if j > i:
+                        shared[j] = shared.get(j, 0) + 1
+            for j in sorted(j for j, k in shared.items() if k > 1):
+                violations.append(Violation("big_intersection", (i, j)))
+        components = self.structure.components
+        if len(components) > 1:
+            violations.append(Violation("disconnected", tuple(c[0] for c in components)))
+        return GoodnessReport(not violations, tuple(violations))
+
+
+@dataclass(frozen=True)
+class Structure:
+    """The breadth-first search: roots ascending, then incidence[u] ascending.
+
+    component[v] numbers v's component and components[c] is its sorted
+    vertex tuple, numbered by smallest vertex (a vertex on no edge is a
+    component by itself).  order lists the vertices in search order;
+    tree[v] is (parent u, column of (e, v), column of (e, u)) for the
+    edge e that first reached v, or None for a root.  Column offset[i]
+    is (e_i, e_i[0]); offset[m] = ncols = sum |e|.  scan[c] lists
+    component c's edges in the order the search met them.
+    """
+
+    incidence: tuple[tuple[int, ...], ...]
+    component: tuple[int, ...]
+    components: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    tree: tuple[tuple[int, int, int] | None, ...]
+    scan: tuple[tuple[int, ...], ...]
+    offset: tuple[int, ...]
+    ncols: int
+
+
+def _build_structure(G: Hypergraph) -> Structure:
+    incidence: list[list[int]] = [[] for _ in range(G.n)]
+    for i, e in enumerate(G.edges):
+        for v in e:
+            incidence[v].append(i)
+    offset = tuple(accumulate(map(len, G.edges), initial=0))
+    component = [-1] * G.n
+    tree: list[tuple[int, int, int] | None] = [None] * G.n
+    order: list[int] = []
+    components: list[tuple[int, ...]] = []
+    scan: list[tuple[int, ...]] = []
+    scanned = [False] * G.m
+    for root in range(G.n):
+        if component[root] >= 0:
+            continue
+        c = component[root] = len(scan)
+        queue, met = [root], []
+        for u in queue:  # the queue grows while it is read
+            for i in incidence[u]:
+                if scanned[i]:
+                    continue
+                scanned[i] = True
+                met.append(i)
+                e = G.edges[i]
+                ju = offset[i] + e.index(u)
+                for k, v in enumerate(e):
+                    if component[v] < 0:
+                        component[v] = c
+                        tree[v] = (u, offset[i] + k, ju)
+                        queue.append(v)
+        order += queue
+        components.append(tuple(sorted(queue)))
+        scan.append(tuple(met))
+    return Structure(tuple(map(tuple, incidence)), tuple(component), tuple(components),
+                     tuple(order), tuple(tree), tuple(scan), offset, offset[-1])
+
 
 def make_hypergraph(n: int, edges) -> Hypergraph:
     """Canonicalize edges (sort, dedupe vertices) and build a Hypergraph."""
@@ -45,11 +140,7 @@ def make_hypergraph(n: int, edges) -> Hypergraph:
 
 def vertex_edges(G: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """For each vertex, the (sorted) indices of edges containing it."""
-    incidence: list[list[int]] = [[] for _ in range(G.n)]
-    for i, e in enumerate(G.edges):
-        for v in e:
-            incidence[v].append(i)
-    return tuple(tuple(ix) for ix in incidence)
+    return G.structure.incidence
 
 
 def parse_hypergraph(text: str) -> tuple[int, Hypergraph]:
@@ -72,14 +163,15 @@ def parse_hypergraph(text: str) -> tuple[int, Hypergraph]:
             if p is not None:
                 raise ParseError("duplicate 'p' directive", lineno)
             p = _parse_int(args, 1, "p", lineno)[0]
-            if p < 2 or not (p == 2 or is_odd_prime(p)):
-                raise ParseError(f"modulus must be a prime >= 2, got {p}", lineno)
+            if p < 2 or p > MAX_MODULUS or not (p == 2 or is_odd_prime(p)):
+                raise ParseError(f"modulus must be a prime in [2, {MAX_MODULUS}], got {p}", lineno)
         elif keyword == "vertices":
             if n is not None:
                 raise ParseError("duplicate 'vertices' directive", lineno)
             n = _parse_int(args, 1, "vertices", lineno)[0]
-            if n < 1:
-                raise ParseError(f"need at least one vertex, got {n}", lineno)
+            if not 1 <= n <= MAX_VERTICES:
+                raise ParseError(f"need at least one vertex and at most {MAX_VERTICES}, "
+                                 f"got {n}", lineno)
         elif keyword == "edge":
             if n is None:
                 raise ParseError("'edge' before 'vertices'", lineno)
@@ -137,25 +229,7 @@ class GoodnessReport:
 
 def is_good(G: Hypergraph) -> GoodnessReport:
     """Connected, every edge of size >= 3, pairwise intersections <= 1."""
-    violations: list[Violation] = []
-    for i, e in enumerate(G.edges):
-        if len(e) < 3:
-            violations.append(Violation("small_edge", (i,)))
-    # shared vertices are counted through the incidence lists, so the
-    # work is the sum of deg(v)^2 rather than m^2 pair tests
-    incidence = vertex_edges(G)
-    for i, e in enumerate(G.edges):
-        shared: dict[int, int] = {}
-        for v in e:
-            for j in incidence[v]:
-                if j > i:
-                    shared[j] = shared.get(j, 0) + 1
-        for j in sorted(j for j, k in shared.items() if k > 1):
-            violations.append(Violation("big_intersection", (i, j)))
-    components = connected_components(G)
-    if len(components) > 1:
-        violations.append(Violation("disconnected", tuple(c[0] for c in components)))
-    return GoodnessReport(not violations, tuple(violations))
+    return G.goodness
 
 
 def connected_components(G: Hypergraph) -> tuple[tuple[int, ...], ...]:
@@ -164,22 +238,7 @@ def connected_components(G: Hypergraph) -> tuple[tuple[int, ...], ...]:
     Isolated vertices come back as singleton components.  Components are
     sorted by their smallest vertex; each is a sorted tuple.
     """
-    parent = list(range(G.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in G.edges:
-        root = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = root
-    groups: dict[int, list[int]] = {}
-    for v in range(G.n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
+    return G.structure.components
 
 
 @dataclass(frozen=True)
@@ -198,39 +257,31 @@ class EdgePath:
 def shortest_edge_path(G: Hypergraph, from_vertex: int, to_edge: int) -> EdgePath:
     """Fewest-edges path from an edge containing from_vertex to to_edge.
 
-    BFS over the edge-intersection graph; ties break toward lower edge
-    indices, and multi-vertex intersections (possible off the well-shaped
-    family) use the lowest shared vertex as connector.
+    BFS over the edge-intersection graph, neighbours read off the
+    incidence lists; ties break toward lower edge indices, and
+    multi-vertex intersections (possible off the well-shaped family) use
+    the lowest shared vertex as connector.
     """
     if not 0 <= from_vertex < G.n:
         raise ValueError(f"from_vertex {from_vertex} outside [0, {G.n})")
     if not 0 <= to_edge < G.m:
         raise ValueError(f"to_edge {to_edge} outside [0, {G.m})")
-    edge_sets = [set(e) for e in G.edges]
-    prev: dict[int, int | None] = {}
-    queue: deque[int] = deque()
-    for i in range(G.m):
-        if from_vertex in edge_sets[i]:
-            prev[i] = None
-            queue.append(i)
-    found = None
-    while queue:
+    incidence = G.structure.incidence
+    prev: dict[int, int | None] = dict.fromkeys(incidence[from_vertex])
+    queue: deque[int] = deque(prev)
+    while queue and to_edge not in prev:
         cur = queue.popleft()
-        if cur == to_edge:
-            found = cur
-            break
-        for j in range(G.m):
-            if j in prev or not edge_sets[cur] & edge_sets[j]:
-                continue
-            prev[j] = cur
-            queue.append(j)
-    if found is None:
+        for j in sorted({j for v in G.edges[cur] for j in incidence[v]}):
+            if j not in prev:
+                prev[j] = cur
+                queue.append(j)
+    if to_edge not in prev:
         raise NoPath(f"no edge path from vertex {from_vertex} to edge {to_edge}")
-    chain = [found]
+    chain = [to_edge]
     while prev[chain[-1]] is not None:
         chain.append(prev[chain[-1]])
     chain.reverse()
     connectors = tuple(
-        min(edge_sets[a] & edge_sets[b]) for a, b in zip(chain, chain[1:])
+        min(set(G.edges[a]) & set(G.edges[b])) for a, b in zip(chain, chain[1:])
     )
     return EdgePath(from_vertex, tuple(chain), connectors)

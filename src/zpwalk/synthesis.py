@@ -23,8 +23,9 @@ space except as a last-resort fallback.  The toolbox, bottom up:
     edge l whose removal splits the instance into components the solver
     can recurse on, borrows charge across that edge for components that
     start empty, and rebalances the edge with trick rounds.  The guard
-    is decision's closed-form rule (necessity_filter) on G minus l; only
-    the bridge descent eliminates, for its minimum-norm move counts.
+    is decision's closed-form rule (necessity_filter) on G minus l, whose
+    cached search also yields the split's components; only the bridge
+    descent eliminates, for its minimum-norm move counts.
     When no bridging edge qualifies, that descent on the counted moves
     runs as far as it can and a bounded breadth-first search bridges the
     remainder (SynthesisIncomplete if that search exceeds its cap).
@@ -66,7 +67,6 @@ from .errors import (
 from .hypergraph import (
     EdgePath,
     Hypergraph,
-    connected_components,
     is_good,
     shortest_edge_path,
 )
@@ -528,48 +528,36 @@ def _synthesize(
     return _bridge_descent(G, p, w1, w2, max_states, cap)
 
 
-def _component_env(
-    G: Hypergraph, removed_edge: int, comp: tuple[int, ...]
-) -> tuple[Hypergraph, list[int]]:
-    """Component of G minus one edge as its own hypergraph.
-
-    Returns (sub, emap) where comp[i] is the original id of sub-vertex i
-    and emap[j] the original index of sub-edge j.  Every surviving edge
-    lies entirely inside one component, so membership of its first
-    vertex decides.
-    """
-    vmap = {v: i for i, v in enumerate(comp)}
-    sub_edges = []
-    emap = []
-    for ei, e in enumerate(G.edges):
-        if ei == removed_edge or e[0] not in vmap:
-            continue
-        sub_edges.append(tuple(vmap[v] for v in e))
-        emap.append(ei)
-    return Hypergraph(len(comp), tuple(sub_edges)), emap
-
-
 def _recurse_into(
     b: _Builder,
     G: Hypergraph,
     p: int,
-    removed_edge: int,
-    comp: tuple[int, ...],
+    l: int,
+    without_l: Hypergraph,
+    ci: int,
     source,
     target,
     max_states: int,
     cap: int,
 ) -> None:
-    """Recursively schedule one component and splice its moves into b.
+    """Recursively schedule component ci of G minus l into b's moves.
 
     A sub-instance that turns out unreachable or over budget aborts the
     whole decomposition attempt (_GuardFailure), not the synthesis.
     """
+    comp = without_l.structure.components[ci]
     s = tuple(source[v] for v in comp)
     t = tuple(target[v] for v in comp)
     if s == t:
         return
-    sub, emap = _component_env(G, removed_edge, comp)
+    # sub-vertex i is comp[i], sub-edge j is G's edge emap[j] (e[0] places e)
+    vmap = {v: i for i, v in enumerate(comp)}
+    sub_edges, emap = [], []
+    for ei, e in enumerate(G.edges):
+        if ei != l and e[0] in vmap:
+            sub_edges.append(tuple(vmap[v] for v in e))
+            emap.append(ei)
+    sub = Hypergraph(len(comp), tuple(sub_edges))
     try:
         inner = _synthesize(sub, p, s, t, max_states, cap)
     except (Unsolvable, UnreachableTarget, SynthesisIncomplete) as err:
@@ -606,8 +594,8 @@ def _attempt_split(
     without_l = Hypergraph(G.n, G.edges[:l] + G.edges[l + 1:])
     if necessity_filter(without_l, p, w1, w2) is not None:
         raise _GuardFailure(f"the difference needs moves on edge {l}")
-    comps = connected_components(without_l)
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    comps = without_l.structure.components
+    comp_of = without_l.structure.component
     kind = {ci: _component_kind(comp, w1, w2) for ci, comp in enumerate(comps)}
     b = _Builder(G, p, w1)
     if "seedless" not in kind.values():
@@ -615,7 +603,7 @@ def _attempt_split(
         # its own charge; no moves on l are needed at all.
         for ci, comp in enumerate(comps):
             if kind[ci] == "live":
-                _recurse_into(b, G, p, l, comp, w1, w2, max_states, cap)
+                _recurse_into(b, G, p, l, without_l, ci, w1, w2, max_states, cap)
         if b.state != w2:
             raise InternalSynthesisFailure("component recursion finished off target")
         return Schedule(tuple(b.moves))
@@ -640,7 +628,7 @@ def _attempt_split(
         if kind[ci] != "seedless":
             continue
         target = {v: (w2[v] + t) % p if v in in_l else w2[v] for v in comp}
-        _recurse_into(b, G, p, l, comp, b.state, target, max_states, cap)
+        _recurse_into(b, G, p, l, without_l, ci, b.state, target, max_states, cap)
     # Values now sitting on l's other vertices; two of them must anchor
     # the trick rounds around the refill.
     vals = {z: b.state[z] for z in e_l if z != z1}
@@ -677,7 +665,7 @@ def _attempt_split(
     # Stage 4: components that had their own charge all along.
     for ci, comp in enumerate(comps):
         if kind[ci] == "live":
-            _recurse_into(b, G, p, l, comp, b.state, w2, max_states, cap)
+            _recurse_into(b, G, p, l, without_l, ci, b.state, w2, max_states, cap)
     if b.state != w2:
         raise InternalSynthesisFailure("draining left a residue off the target")
     return Schedule(tuple(b.moves))
@@ -698,7 +686,7 @@ def _nudge_for_anchors(
     l: int,
     z1: int,
     t: int,
-    comp_of: dict[int, int],
+    comp_of: tuple[int, ...],
     kind: dict[int, str],
     vals: dict[int, int],
 ) -> tuple[tuple[int, int], int | None]:
@@ -712,9 +700,8 @@ def _nudge_for_anchors(
     """
     e_l = G.edges[l]
     in_l = set(e_l)
-    for ep in range(G.m):
-        if ep == l:
-            continue
+    touching = {j for z in e_l for j in G.structure.incidence[z]} - {l}
+    for ep in sorted(touching):
         shared = [v for v in G.edges[ep] if v in in_l]
         if len(shared) != 1 or shared[0] == z1:
             continue
@@ -783,9 +770,8 @@ def _unblock_counted(b: _Builder, reach: ReachSystem, counts: list[int]) -> bool
         if counts[j] == 0 or b.state[v] != 0:
             continue
         bumped = set(G.edges[ei])
-        for hi, helper in enumerate(G.edges):
-            if v not in helper:
-                continue
+        for hi in G.structure.incidence[v]:
+            helper = G.edges[hi]
             for va, vb in itertools.combinations((u for u in helper if u != v), 2):
                 now_a, now_b = b.state[va], b.state[vb]
                 # anchor values when the descending trick starts: the

@@ -22,6 +22,9 @@ from .errors import (
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
+#: the largest modulus accepted: is_odd_prime divides by trial (ms here)
+MAX_MODULUS = 2**31 - 1
+
 
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
@@ -35,9 +38,10 @@ def is_odd_prime(p: int) -> bool:
 
 
 def validate_modulus(p: int) -> None:
-    """Raise InvalidModulus unless p is an odd prime >= 3."""
-    if not isinstance(p, int) or isinstance(p, bool) or not is_odd_prime(p):
-        raise InvalidModulus(f"modulus must be an odd prime >= 3, got {p!r}")
+    """Raise InvalidModulus unless p is an odd prime in [3, MAX_MODULUS]."""
+    if (not isinstance(p, int) or isinstance(p, bool) or p > MAX_MODULUS
+            or not is_odd_prime(p)):
+        raise InvalidModulus(f"modulus must be an odd prime in [3, {MAX_MODULUS}], got {p!r}")
 
 
 def mod_inverse(a: int, p: int) -> int:

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from zpwalk import generate, hypergraph
 from zpwalk.cli import main
 from zpwalk.dynamics import parse_schedule, parse_state, replay_schedule
 from zpwalk.hypergraph import format_hypergraph, make_hypergraph, parse_hypergraph
@@ -202,6 +203,33 @@ def test_gen_deterministic_and_valid(tmp_path, capsys):
 def test_gen_infeasible_is_usage_error(capsys):
     assert main(["gen", "-n", "3", "-m", "2"]) == 2
     assert "need n >=" in capsys.readouterr().err
+
+
+def test_huge_inputs_are_usage_errors(tmp_path, monkeypatch, capsys):
+    """Refused by the input ceilings, before anything is allocated or a
+    huge modulus is trial-divided."""
+
+    def no_build(*args):
+        raise AssertionError("got past a ceiling and started building")
+
+    prime = hypergraph.is_odd_prime
+
+    def small_primes_only(p):
+        assert p < 2**32, "a huge modulus reached trial division"
+        return prime(p)
+
+    monkeypatch.setattr(generate, "_try_build", no_build)
+    monkeypatch.setattr(hypergraph, "_build_structure", no_build)
+    monkeypatch.setattr(hypergraph, "is_odd_prime", small_primes_only)
+    assert main(["gen", "-n", str(10**12), "-m", "3"]) == 2
+    for text in (f"p 3\nvertices {10**12}\nedge 0 1 2\n",
+                 f"p {10**18 + 9}\nvertices 3\nedge 0 1 2\n"):
+        f = tmp_path / "huge.hg"
+        f.write_text(text)
+        assert main(["check-good", str(f)]) == 2
+        assert main(["reach", str(f), "--from", "1,0,0", "--to", "0,0,1"]) == 2
+    err = capsys.readouterr().err
+    assert str(hypergraph.MAX_VERTICES) in err and str(hypergraph.MAX_MODULUS) in err
 
 
 def test_gen_stdout_parses(capsys):

@@ -13,7 +13,9 @@ from collections import Counter
 
 import pytest
 
+from zpwalk import hypergraph
 from zpwalk.decision import (
+    MODE_ALGEBRAIC,
     Certificate,
     StateClass,
     _balance_structure,
@@ -35,7 +37,14 @@ from zpwalk.dynamics import (
 )
 from zpwalk.errors import MismatchError, NotGood
 from zpwalk.generate import gen_good_hypergraph
-from zpwalk.hypergraph import Hypergraph, connected_components, make_hypergraph
+from zpwalk.hypergraph import (
+    Hypergraph,
+    connected_components,
+    is_good,
+    make_hypergraph,
+    vertex_edges,
+)
+from zpwalk.synthesis import synthesize_schedule
 from zpwalk.zp_algebra import gaussian_solve
 
 E3 = make_hypergraph(3, [(0, 1, 2)])
@@ -165,6 +174,46 @@ def test_closed_form_matches_elimination_on_any_hypergraph():
                                                     "augmented_rank": bal.rank + 1}
     assert min(seen.values()) >= 20, seen
     assert len(seen) == 11, seen
+
+
+def count_structure_builds(monkeypatch) -> list:
+    """Record every hypergraph whose breadth-first search gets built."""
+    built = []
+    build = hypergraph._build_structure
+
+    def counting(G):
+        built.append(G)
+        return build(G)
+
+    monkeypatch.setattr(hypergraph, "_build_structure", counting)
+    return built
+
+
+def test_one_structural_search_per_hypergraph(monkeypatch):
+    built = count_structure_builds(monkeypatch)
+    G = make_hypergraph(13, [(0, 1, 2), (2, 3, 4), (4, 5, 6, 7, 8), (8, 9, 10), (0, 11, 12)])
+    rng = random.Random(11)
+    for p in (3, 5):
+        for _ in range(6):
+            w1 = tuple(rng.randrange(p) for _ in range(G.n))
+            w2 = tuple(rng.randrange(p) for _ in range(G.n))
+            decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC)
+            decide_recurrence(G, p, w1, w2, mode=MODE_ALGEBRAIC)
+            classify_state(G, p, w1, mode=MODE_ALGEBRAIC)
+            necessity_filter(G, p, w1, w2)
+    assert is_good(G).good
+    assert connected_components(G) == (tuple(range(13)),)
+    assert vertex_edges(G)[0] == (0, 4)
+    assert len(built) == 1 and built[0] is G
+
+
+def test_synthesis_searches_each_hypergraph_once(monkeypatch):
+    """The split guard and the split itself share without_l's search."""
+    built = count_structure_builds(monkeypatch)
+    G = make_hypergraph(9, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)])
+    synthesize_schedule(G, 3, (1,) + (0,) * 8, (0,) * 8 + (1,))
+    assert len(built) > 1 and built[0] is G
+    assert len({id(H) for H in built}) == len(built)
 
 
 # ---------------------------------------------------------- reachability

@@ -95,6 +95,39 @@ def test_schedule_text_round_trip():
         parse_schedule("v 2 e x\n")
 
 
+STATE_TEXT = st.one_of(
+    st.lists(st.one_of(st.integers(-2, 8).map(str), st.text(max_size=2)), max_size=6)
+    .map(",".join),
+    st.text(),
+)
+SCHEDULE_LINE = st.one_of(
+    st.tuples(st.sampled_from(["v", "e", "x"]), st.integers(-2, 9), st.sampled_from(["e", "v"]),
+              st.one_of(st.integers(-2, 9), st.text(max_size=2)))
+    .map(lambda t: " ".join(map(str, t))),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(STATE_TEXT, st.sampled_from([3, 5, 7]), st.integers(1, 5))
+def test_parse_state_parses_or_raises_parse_error(text, p, n):
+    try:
+        w = parse_state(text, p, n)
+    except ParseError:
+        return
+    assert len(w) == n and all(0 <= x < p for x in w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.lists(SCHEDULE_LINE, max_size=6).map("\n".join), st.text()))
+def test_parse_schedule_parses_or_raises_parse_error(text):
+    try:
+        schedule = parse_schedule(text)
+    except ParseError:
+        return
+    assert all(isinstance(m.vertex, int) and isinstance(m.edge, int) for m in schedule)
+
+
 def test_all_moves_order():
     assert all_moves(TWO_EDGES) == (
         Move(0, 0), Move(1, 0), Move(2, 0),

@@ -1,12 +1,16 @@
 """Hypergraph model: parsing, well-shapedness, connectivity, edge paths."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zpwalk.errors import NoPath, ParseError
+from zpwalk import generate, hypergraph
+from zpwalk.errors import Infeasible, NoPath, ParseError
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import (
+    MAX_VERTICES,
     EdgePath,
     Hypergraph,
     connected_components,
@@ -175,6 +179,51 @@ def test_isolated_vertices_are_singletons():
     assert connected_components(G) == ((0, 1, 2), (3,), (4,))
 
 
+def arbitrary_hypergraph(rng):
+    """Any hypergraph: size-2 edges, shared pairs, isolated vertices..."""
+    n = rng.randint(1, 14)
+    edges = set()
+    for _ in range(rng.randint(0, 7) if n > 1 else 0):
+        edges.add(tuple(sorted(rng.sample(range(n), rng.randint(2, min(n, 5))))))
+    return Hypergraph(n, tuple(sorted(edges)))
+
+
+def union_find_components(G):
+    """Reference partition: union the vertices of every edge."""
+    parent = list(range(G.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in G.edges:
+        for v in e[1:]:
+            parent[find(v)] = find(e[0])
+    groups = {}
+    for v in range(G.n):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def test_connected_components_match_union_find():
+    rng = random.Random(4242)
+    for _ in range(400):
+        G = arbitrary_hypergraph(rng)
+        comps = connected_components(G)
+        assert comps == union_find_components(G), G
+        structure = G.structure
+        assert all(structure.component[v] == c for c, comp in enumerate(comps) for v in comp)
+        assert sorted(i for scan in structure.scan for i in scan) == list(range(G.m))
+
+
+def test_structure_is_cached_and_keeps_equality():
+    G, H = CHAIN3, make_hypergraph(CHAIN3.n, CHAIN3.edges)
+    assert G.structure is G.structure and is_good(G) is is_good(G)
+    assert G == H and hash(G) == hash(H) and repr(G) == repr(H)
+
+
 # ------------------------------------------------------------ edge paths
 
 
@@ -206,8 +255,105 @@ def test_shortest_edge_path_no_route():
         shortest_edge_path(G, 3, 0)  # vertex 3 touches no edge
 
 
+def reference_edge_path(G, from_vertex, to_edge):
+    """The plain BFS: every dequeued edge tests all m edges for overlap."""
+    sets = [set(e) for e in G.edges]
+    prev = {i: None for i in range(G.m) if from_vertex in sets[i]}
+    queue = deque(prev)
+    while queue:
+        cur = queue.popleft()
+        if cur == to_edge:
+            chain = [cur]
+            while prev[chain[-1]] is not None:
+                chain.append(prev[chain[-1]])
+            chain.reverse()
+            connectors = tuple(min(sets[a] & sets[b]) for a, b in zip(chain, chain[1:]))
+            return EdgePath(from_vertex, tuple(chain), connectors)
+        for j in range(G.m):
+            if j not in prev and sets[cur] & sets[j]:
+                prev[j] = cur
+                queue.append(j)
+    return None
+
+
+def test_shortest_edge_path_matches_plain_bfs():
+    rng = random.Random(99)
+    for _ in range(200):
+        G = arbitrary_hypergraph(rng)
+        for v in range(G.n):
+            for l in range(G.m):
+                want = reference_edge_path(G, v, l)
+                if want is None:
+                    with pytest.raises(NoPath):
+                        shortest_edge_path(G, v, l)
+                else:
+                    assert shortest_edge_path(G, v, l) == want
+
+
 def test_shortest_edge_path_bounds():
     with pytest.raises(ValueError):
         shortest_edge_path(CHAIN3, -1, 0)
     with pytest.raises(ValueError):
         shortest_edge_path(CHAIN3, 0, 9)
+
+
+# ------------------------------------------------------- input ceilings
+
+HUGE = 10**12
+
+
+def test_vertex_ceiling_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph(f"p 3\nvertices {HUGE}\nedge 0 1 2\n")
+    assert err.value.line == 2
+    p, G = parse_hypergraph(f"p 3\nvertices {MAX_VERTICES}\n")
+    assert G.n == MAX_VERTICES  # nothing per-vertex is built while parsing
+
+
+def test_generator_refuses_huge_vertex_counts(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the generator started building")
+
+    monkeypatch.setattr(generate, "_try_build", no_build)
+    with pytest.raises(Infeasible):
+        gen_good_hypergraph(HUGE, 3, seed=1)
+    with pytest.raises(Infeasible):
+        gen_good_hypergraph(MAX_VERTICES + 1, 3, seed=1)
+
+
+def test_huge_modulus_is_refused_before_trial_division(monkeypatch):
+    def no_trial(p):
+        raise AssertionError("trial division started")
+
+    monkeypatch.setattr(hypergraph, "is_odd_prime", no_trial)
+    for p in (10**18 + 9, 10**4000):
+        with pytest.raises(ParseError):
+            parse_hypergraph(f"p {p}\nvertices 3\n")
+
+
+# ----------------------------------------------------------- parser fuzz
+
+TOKENS = st.one_of(
+    st.sampled_from(["p", "vertices", "edge", "#", "3", "5", "0", "1", "2", "-1"]),
+    st.integers().map(str),
+    st.text(max_size=3),
+)
+DIRECTIVES = st.lists(st.lists(TOKENS, max_size=6).map(" ".join), max_size=8).map("\n".join)
+NEARLY_VALID = st.builds(
+    lambda p, n, edges: "\n".join(
+        [f"p {p}", f"vertices {n}"] + ["edge " + " ".join(map(str, e)) for e in edges]
+    ),
+    st.sampled_from([2, 3, 4, 7, 10**20]),
+    st.integers(-1, 8),
+    st.lists(st.lists(st.integers(-1, 8), max_size=5), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(NEARLY_VALID, DIRECTIVES, st.text()))
+def test_parse_hypergraph_parses_or_raises_parse_error(text):
+    try:
+        p, G = parse_hypergraph(text)
+    except ParseError:
+        return
+    assert p >= 2 and 1 <= G.n <= MAX_VERTICES

@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from zpwalk import zp_algebra
 from zpwalk.errors import (
     EnumerationTooLarge,
     InvalidModulus,
@@ -20,6 +21,7 @@ from zpwalk.errors import (
     ShapeError,
 )
 from zpwalk.zp_algebra import (
+    MAX_MODULUS,
     ZpMatrixSystem,
     enumerate_solutions,
     gaussian_solve,
@@ -93,6 +95,17 @@ def test_validate_modulus_rejects(bad):
 def test_validate_modulus_accepts_odd_primes():
     for p in SMALL_PRIMES:
         validate_modulus(p)
+    validate_modulus(MAX_MODULUS)
+
+
+def test_validate_modulus_refuses_huge_p_before_trial_division(monkeypatch):
+    def no_trial(p):
+        raise AssertionError("trial division started")
+
+    monkeypatch.setattr(zp_algebra, "is_odd_prime", no_trial)
+    for p in (MAX_MODULUS + 2, 10**18 + 9, 10**4000):
+        with pytest.raises(InvalidModulus, match="odd prime in"):
+            validate_modulus(p)
 
 
 def test_make_system_canonicalizes_entries():
