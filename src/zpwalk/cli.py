@@ -327,6 +327,7 @@ def _cmd_verify(rep: _Reporter, args) -> int:
 def _cmd_gen(rep: _Reporter, args) -> int:
     G = gen_good_hypergraph(args.vertices, args.edges, seed=args.seed)
     text = format_hypergraph(args.modulus, G)
+    parse_hypergraph(text)  # refuse what the file format would refuse
     rep.input.update({"n": args.vertices, "m": args.edges, "seed": args.seed})
     rep.answer = True
     rep.method = "generator"

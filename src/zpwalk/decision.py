@@ -241,18 +241,25 @@ def decide_reachability(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Decision:
     """Is w2 reachable from w1 by legal moves?"""
+    return _decide("reachability", _algebraic_reach, _oracle_reach,
+                   G, p, w1, w2, mode, max_states)
+
+
+def _decide(problem: str, algebraic_rule, oracle_rule, G: Hypergraph, p: int,
+            w1: State, w2: State, mode: str, max_states: int) -> Decision:
+    """Mode dispatch shared by the pair questions: one side, or both diffed."""
     _require_mode(mode)
     w1 = dynamics.validate_state(p, G.n, w1)
     w2 = dynamics.validate_state(p, G.n, w2)
     if mode == MODE_ORACLE:
-        return _oracle_reach(G, p, w1, w2, max_states)
+        return oracle_rule(G, p, w1, w2, max_states)
     _gate_algebraic(G, p)
-    algebraic = _algebraic_reach(G, p, w1, w2)
+    algebraic = algebraic_rule(G, p, w1, w2)
     if mode == MODE_ALGEBRAIC:
         return algebraic
-    oracle = _oracle_reach(G, p, w1, w2, max_states)
+    oracle = oracle_rule(G, p, w1, w2, max_states)
     if algebraic.answer != oracle.answer:
-        raise MismatchError(_mismatch_dump("reachability", G, p, w1, w2,
+        raise MismatchError(_mismatch_dump(problem, G, p, w1, w2,
                                            algebraic.answer, oracle.answer))
     return Decision(algebraic.answer, MODE_BOTH, algebraic.certificate,
                     oracle.certificate)
@@ -310,21 +317,8 @@ def decide_recurrence(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Decision:
     """Is w2 reachable from every state reachable from w1?"""
-    _require_mode(mode)
-    w1 = dynamics.validate_state(p, G.n, w1)
-    w2 = dynamics.validate_state(p, G.n, w2)
-    if mode == MODE_ORACLE:
-        return _oracle_recur(G, p, w1, w2, max_states)
-    _gate_algebraic(G, p)
-    algebraic = _algebraic_recur(G, p, w1, w2)
-    if mode == MODE_ALGEBRAIC:
-        return algebraic
-    oracle = _oracle_recur(G, p, w1, w2, max_states)
-    if algebraic.answer != oracle.answer:
-        raise MismatchError(_mismatch_dump("recurrence", G, p, w1, w2,
-                                           algebraic.answer, oracle.answer))
-    return Decision(algebraic.answer, MODE_BOTH, algebraic.certificate,
-                    oracle.certificate)
+    return _decide("recurrence", _algebraic_recur, _oracle_recur,
+                   G, p, w1, w2, mode, max_states)
 
 
 def classify_state(

@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import lt
 
 from .errors import NoPath, ParseError
 from .zp_algebra import MAX_MODULUS, is_odd_prime
@@ -37,7 +38,7 @@ class Hypergraph:
         for i, e in enumerate(self.edges):
             if len(e) < 2:
                 raise ValueError(f"edge {i} has {len(e)} vertices, need at least 2")
-            if list(e) != sorted(set(e)):
+            if not all(map(lt, e, e[1:])):  # strictly increasing
                 raise ValueError(f"edge {i} must be a sorted tuple of distinct vertices")
             if e[0] < 0 or e[-1] >= self.n:
                 raise ValueError(f"edge {i} has vertices outside [0, {self.n})")

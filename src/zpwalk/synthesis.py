@@ -30,18 +30,25 @@ space except as a last-resort fallback.  The toolbox, bottom up:
     runs as far as it can and a bounded breadth-first search bridges the
     remainder (SynthesisIncomplete if that search exceeds its cap).
 
-Everything returned here is replay-verified before it escapes.
+Every construction writes into one _Builder, which simulates each move
+once, as it is added, and checks each construction's net effect on the
+state it tracks.  A piece of the instance -- a component of G minus the
+bridging edge, or one edge's canonical restriction -- is solved on a
+child builder that works in the piece's own ids but appends its moves,
+mapped to G's ids, to the one shared move list; a failed split attempt
+is dropped by truncating that list.  synthesize_schedule replays the
+finished schedule once as the end-to-end check.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .decision import ReachSystem, build_system, necessity_filter
 from .dynamics import (
     DEFAULT_MAX_STATES,
-    EMPTY_SCHEDULE,
     Move,
     Schedule,
     State,
@@ -113,49 +120,73 @@ def double_move_trick(
         raise ValueError(f"anchors ({a}, {b}) must be two distinct vertices of edge {edge}")
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    if not is_good_pair(p, w[a], w[b]):
-        raise PairNotGood(
-            f"anchor values ({w[a]}, {w[b]}) at vertices ({a}, {b}) admit no alternating rounds"
-        )
-    rounds = (p + 1) // 2 if direction == 1 else (p - 1) // 2
-    # Within a round the first mover needs charge and hands one unit to
-    # the second; this order works for every good pair.
-    first, second = (a, b) if w[a] != 0 and w[b] != p - 1 else (b, a)
-    schedule = Schedule((Move(first, edge), Move(second, edge)) * rounds)
-    final = replay_schedule(G, p, w, schedule)
-    expected = list(w)
-    for u in members:
-        if u != a and u != b:
-            expected[u] = (expected[u] + direction) % p
-    if final != tuple(expected):
-        raise InternalSynthesisFailure("alternating rounds missed their advertised net effect")
-    return schedule
+    builder = _Builder(G, p, w)
+    builder.trick(edge, a, b, direction)
+    return Schedule(tuple(builder.moves))
 
 
 @dataclass
 class _Builder:
-    """Simulate-as-you-emit accumulator for the moves a construction creates.
+    """The one way synthesis adds a move: simulate it, then record it.
 
     emit applies the move to the tracked state before recording it, so
-    an illegal move surfaces at the exact step that produced it instead
-    of at final replay; sub-schedules arrive already checked.
+    an illegal move surfaces at the exact step that produced it.  A piece
+    of G (a component of G minus the bridging edge, or one edge's
+    canonical restriction) is solved on a child builder: it tracks the
+    piece's state in the piece's own ids, and vmap / emap send each of
+    its moves to the root's ids as it appends them to the root's single
+    move list.  The parent then settles the child's final values onto
+    the piece.  The root has no maps.
     """
 
     G: Hypergraph
     p: int
     state: State
     moves: list[Move] = field(default_factory=list)
+    vmap: Sequence[int] | None = None
+    emap: Sequence[int] | None = None
 
     def emit(self, move: Move) -> None:
         self.state = apply_move(self.G, self.p, self.state, move)
+        if self.vmap is not None:
+            move = Move(self.vmap[move.vertex], self.emap[move.edge])
         self.moves.append(move)
 
     def emit_all(self, moves) -> None:
         for move in moves:
             self.emit(move)
 
+    def child(self, piece: Hypergraph, vertices: Sequence[int], edges: Sequence[int]) -> _Builder:
+        """A builder on piece, whose vertex i is vertices[i] and edge j is edges[j] here."""
+        state = tuple(self.state[v] for v in vertices)
+        if self.vmap is not None:
+            vertices = [self.vmap[v] for v in vertices]
+            edges = [self.emap[e] for e in edges]
+        return _Builder(piece, self.p, state, self.moves, vertices, edges)
+
+    def settle(self, vertices: Sequence[int], values: State) -> None:
+        """Write a finished child's values back onto its piece."""
+        state = list(self.state)
+        for v, x in zip(vertices, values):
+            state[v] = x
+        self.state = tuple(state)
+
     def trick(self, edge: int, a: int, b: int, direction: int) -> None:
-        self.emit_all(double_move_trick(self.G, self.p, self.state, edge, a, b, direction))
+        """double_move_trick's rounds, checked against their net effect."""
+        p, w = self.p, self.state
+        if not is_good_pair(p, w[a], w[b]):
+            raise PairNotGood(
+                f"anchor values ({w[a]}, {w[b]}) at vertices ({a}, {b}) admit no alternating rounds"
+            )
+        rounds = (p + 1) // 2 if direction == 1 else (p - 1) // 2
+        # Within a round the first mover needs charge and hands one unit to
+        # the second; this order works for every good pair.
+        first, second = (a, b) if w[a] != 0 and w[b] != p - 1 else (b, a)
+        for move in (Move(first, edge), Move(second, edge)) * rounds:
+            self.emit(move)
+        if any(self.state[u] != (w[u] if u == a or u == b else (w[u] + direction) % p)
+               for u in self.G.edges[edge]):
+            raise InternalSynthesisFailure("alternating rounds missed their advertised net effect")
 
 
 def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedule:
@@ -174,22 +205,15 @@ def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedul
         raise ValueError("need an edge with at least 3 vertices")
     w1 = validate_state(p, G.n, w1)
     w2 = validate_state(p, G.n, w2)
-    if w1 == w2:
-        return EMPTY_SCHEDULE
     eset = set(e)
     mismatched = [v for v in range(G.n) if v not in eset and w1[v] != w2[v]]
     if mismatched:
         raise Unsolvable(
             f"states differ at vertex {mismatched[0]}, which the edge cannot touch"
         )
-    if e != tuple(range(G.n)):
-        # Work on the canonical restriction and map the moves back.
-        return _on_edge(G, p, w1, 0, w2)
-    if all(x == 0 for x in w1):
-        raise UnreachableTarget("the all-zero state admits no moves")
-    if not has_predecessor(G, p, w2):
-        raise UnreachableTarget("the target state has no predecessor")
-    return _descend_single_edge(G, p, w1, w2)
+    b = _Builder(G, p, w1)
+    _on_edge(b, 0, w2)
+    return Schedule(tuple(b.moves))
 
 
 def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
@@ -208,11 +232,10 @@ def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
     return list(min(candidates, key=lambda c: (sum(c), c)))
 
 
-def _descend_single_edge(G: Hypergraph, p: int, w1: State, w2: State) -> Schedule:
-    """Core single-edge descent; G is canonical (one edge over all vertices)."""
-    k = G.n
-    counts = _single_edge_counts(p, w1, w2)
-    b = _Builder(G, p, w1)
+def _descend_single_edge(b: _Builder, w2: State) -> None:
+    """Core single-edge descent to w2; b.G is canonical (one edge over all vertices)."""
+    G, p, k = b.G, b.p, b.G.n
+    counts = _single_edge_counts(p, b.state, w2)
     while True:
         total = sum(counts)
         if total == 0:
@@ -318,21 +341,28 @@ def _descend_single_edge(G: Hypergraph, p: int, w1: State, w2: State) -> Schedul
         counts[i0] -= 1
     if b.state != w2:
         raise InternalSynthesisFailure("single-edge descent finished off target")
-    return Schedule(tuple(b.moves))
 
 
-def _on_edge(G: Hypergraph, p: int, current: State, edge: int, target) -> Schedule:
-    """Schedule moving only on one edge, from current to target values.
+def _on_edge(b: _Builder, edge: int, target) -> None:
+    """Move only on one edge of b.G until it holds target's values.
 
-    target is anything indexable by original vertex id (full state tuple
-    or a dict covering the edge's vertices).
+    target is anything indexable by b's vertex ids (a full state tuple or
+    a dict covering the edge's vertices).  The edge's canonical
+    restriction is solved on a child builder.
     """
-    e = G.edges[edge]
-    sub = Hypergraph(len(e), (tuple(range(len(e))),))
-    inner = single_edge_schedule(
-        sub, p, tuple(current[v] for v in e), tuple(target[v] for v in e)
-    )
-    return Schedule(tuple(Move(e[m.vertex], edge) for m in inner.moves))
+    e = b.G.edges[edge]
+    if len(e) < 3:
+        raise ValueError("need an edge with at least 3 vertices")
+    piece = b.child(Hypergraph(len(e), (tuple(range(len(e))),)), e, (edge,))
+    goal = tuple(target[v] for v in e)
+    if piece.state == goal:
+        return
+    if all(x == 0 for x in piece.state):
+        raise UnreachableTarget("the all-zero state admits no moves")
+    if not has_predecessor(piece.G, b.p, goal):
+        raise UnreachableTarget("the target state has no predecessor")
+    _descend_single_edge(piece, goal)
+    b.settle(e, piece.state)
 
 
 def undo_on_edge(G: Hypergraph, p: int, w1: State, w2: State, edge: int) -> Schedule:
@@ -353,11 +383,11 @@ def undo_on_edge(G: Hypergraph, p: int, w1: State, w2: State, edge: int) -> Sche
         raise ValueError(
             f"states differ at vertex {mismatched[0]}, which edge {edge} cannot touch"
         )
-    if w1 == w2:
-        return EMPTY_SCHEDULE
-    if all(w2[v] == 0 for v in G.edges[edge]):
+    if w1 != w2 and all(w2[v] == 0 for v in G.edges[edge]):
         raise NonzeroRequired("the edge carries no charge in the state to undo from")
-    return _on_edge(G, p, w2, edge, w1)
+    b = _Builder(G, p, w2)
+    _on_edge(b, edge, w1)
+    return Schedule(tuple(b.moves))
 
 
 def _validate_path(G: Hypergraph, path: EdgePath) -> None:
@@ -413,7 +443,14 @@ def propagate_path(
     start vertex and +1 at end_vertex, everything else restored.
     """
     validate_modulus(p)
-    w = validate_state(p, G.n, w)
+    b = _Builder(G, p, validate_state(p, G.n, w))
+    _propagate(b, path, direction, end_vertex)
+    return Schedule(tuple(b.moves))
+
+
+def _propagate(b: _Builder, path: EdgePath, direction: str, end_vertex: int | None) -> None:
+    """propagate_path's core, from b's state."""
+    G, p, w = b.G, b.p, b.state
     _validate_path(G, path)
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
@@ -427,43 +464,35 @@ def propagate_path(
     if dirty:
         raise HypothesisViolated(f"path vertex {dirty[0]} must be zero before propagation")
     movers = [v1] + list(path.connectors)
-    forward = [Move(movers[i], edges[i]) for i in range(k)]
+    if direction == FORWARD and end_vertex is not None:
+        raise ValueError("end_vertex only applies to backward propagation")
+    if direction == BACKWARD:
+        if end_vertex is None:
+            raise ValueError("backward propagation needs end_vertex")
+        if end_vertex not in G.edges[edges[-1]] or end_vertex == movers[-1]:
+            raise ValueError(
+                f"end_vertex must lie on edge {edges[-1]} and differ from vertex {movers[-1]}"
+            )
+    for i in range(k):
+        b.emit(Move(movers[i], edges[i]))
+    expected = list(w)
+    expected[v1] = (expected[v1] - 1) % p
     if direction == FORWARD:
-        if end_vertex is not None:
-            raise ValueError("end_vertex only applies to backward propagation")
-        b = _Builder(G, p, w)
-        b.emit_all(forward)
-        expected = list(w)
-        expected[v1] = (expected[v1] - 1) % p
         connectors = set(path.connectors)
         for u in union:
             if u != v1 and u not in connectors:
                 expected[u] = (expected[u] + 1) % p
-        if b.state != tuple(expected):
-            raise InternalSynthesisFailure("forward propagation missed its net effect")
-        return Schedule(tuple(b.moves))
-    entry = movers[-1]
-    if end_vertex is None:
-        raise ValueError("backward propagation needs end_vertex")
-    if end_vertex not in G.edges[edges[-1]] or end_vertex == entry:
-        raise ValueError(
-            f"end_vertex must lie on edge {edges[-1]} and differ from vertex {entry}"
-        )
-    b = _Builder(G, p, w)
-    b.emit_all(forward)
-    for i in range(k - 1, -1, -1):
-        target = {u: 0 for u in G.edges[edges[i]]}
-        if i == k - 1:
-            target[end_vertex] = 1
-        if i == 0:
-            target[v1] = (w[v1] - 1) % p
-        b.emit_all(_on_edge(G, p, b.state, edges[i], target))
-    expected = list(w)
-    expected[v1] = (expected[v1] - 1) % p
-    expected[end_vertex] = (expected[end_vertex] + 1) % p
+    else:
+        for i in range(k - 1, -1, -1):
+            target = {u: 0 for u in G.edges[edges[i]]}
+            if i == k - 1:
+                target[end_vertex] = 1
+            if i == 0:
+                target[v1] = (w[v1] - 1) % p
+            _on_edge(b, edges[i], target)
+        expected[end_vertex] = (expected[end_vertex] + 1) % p
     if b.state != tuple(expected):
-        raise InternalSynthesisFailure("backward propagation missed its net effect")
-    return Schedule(tuple(b.moves))
+        raise InternalSynthesisFailure(f"{direction} propagation missed its net effect")
 
 
 class _GuardFailure(Exception):
@@ -493,24 +522,25 @@ def synthesize_schedule(
         raise NotGood(f"schedule synthesis needs a well-shaped hypergraph ({', '.join(kinds)})")
     w1 = validate_state(p, G.n, w1)
     w2 = validate_state(p, G.n, w2)
+    b = _Builder(G, p, w1)
     # caught here only, so that it unwinds the whole recursion
     try:
-        schedule = _synthesize(G, p, w1, w2, max_states, cap)
+        _synthesize(b, w2, max_states, cap)
     except RecursionError:
         raise SynthesisIncomplete(
             f"the recursion over {G.m} edges hit Python's recursion limit"
         ) from None
+    schedule = Schedule(tuple(b.moves))
     if replay_schedule(G, p, w1, schedule) != w2:
         raise InternalSynthesisFailure("synthesized schedule fails replay")
     return schedule
 
 
-def _synthesize(
-    G: Hypergraph, p: int, w1: State, w2: State, max_states: int, cap: int
-) -> Schedule:
-    """Synthesis core; assumes a well-shaped G and validated states."""
+def _synthesize(b: _Builder, w2: State, max_states: int, cap: int) -> None:
+    """Synthesis core, from b's state to w2; assumes a well-shaped b.G."""
+    G, p, w1 = b.G, b.p, b.state
     if w1 == w2:
-        return EMPTY_SCHEDULE
+        return
     if all(x == 0 for x in w1):
         raise UnreachableTarget("the all-zero state admits no moves")
     if not has_predecessor(G, p, w2):
@@ -518,57 +548,52 @@ def _synthesize(
     if necessity_filter(G, p, w1, w2) is not None:
         raise Unsolvable("the move-counting system has no solution")
     if G.m == 1:
-        # well-shaped means canonical, and single_edge_schedule's checks ran above
-        return _descend_single_edge(G, p, w1, w2)
+        # well-shaped means canonical, and _on_edge's checks ran above
+        _descend_single_edge(b, w2)
+        return
+    mark = len(b.moves)
     for l in range(G.m):
         try:
-            return _attempt_split(G, p, w1, w2, l, max_states, cap)
+            _attempt_split(b, w2, l, max_states, cap)
+            return
         except _GuardFailure:
-            continue
-    return _bridge_descent(G, p, w1, w2, max_states, cap)
+            # drop the attempt's moves, which the shared list already holds
+            del b.moves[mark:]
+            b.state = w1
+    _bridge_descent(b, w2, max_states, cap)
 
 
 def _recurse_into(
     b: _Builder,
-    G: Hypergraph,
-    p: int,
     l: int,
     without_l: Hypergraph,
     ci: int,
-    source,
     target,
     max_states: int,
     cap: int,
 ) -> None:
-    """Recursively schedule component ci of G minus l into b's moves.
+    """Recursively schedule component ci of b.G minus l to target, on a child of b.
 
     A sub-instance that turns out unreachable or over budget aborts the
     whole decomposition attempt (_GuardFailure), not the synthesis.
     """
     comp = without_l.structure.components[ci]
-    s = tuple(source[v] for v in comp)
     t = tuple(target[v] for v in comp)
-    if s == t:
+    if all(b.state[v] == x for v, x in zip(comp, t)):
         return
-    # sub-vertex i is comp[i], sub-edge j is G's edge emap[j] (e[0] places e)
+    # sub-vertex i is comp[i], sub-edge j is b.G's edge emap[j] (e[0] places e)
     vmap = {v: i for i, v in enumerate(comp)}
     sub_edges, emap = [], []
-    for ei, e in enumerate(G.edges):
+    for ei, e in enumerate(b.G.edges):
         if ei != l and e[0] in vmap:
             sub_edges.append(tuple(vmap[v] for v in e))
             emap.append(ei)
-    sub = Hypergraph(len(comp), tuple(sub_edges))
+    piece = b.child(Hypergraph(len(comp), tuple(sub_edges)), comp, emap)
     try:
-        inner = _synthesize(sub, p, s, t, max_states, cap)
+        _synthesize(piece, t, max_states, cap)
     except (Unsolvable, UnreachableTarget, SynthesisIncomplete) as err:
         raise _GuardFailure(str(err)) from None
-    # Splicing is exact without a replay: the sub-moves use only edges
-    # inside comp, b.state equals s on comp, and they lead from s to t.
-    b.moves.extend(Move(comp[m.vertex], emap[m.edge]) for m in inner.moves)
-    state = list(b.state)
-    for v, x in zip(comp, t):
-        state[v] = x
-    b.state = tuple(state)
+    b.settle(comp, piece.state)
 
 
 def _anchors_ok(p: int, va: int, vb: int, t: int) -> bool:
@@ -577,98 +602,78 @@ def _anchors_ok(p: int, va: int, vb: int, t: int) -> bool:
     return is_good_pair(p, va, vb) and is_good_pair(p, (va - t) % p, (vb - t) % p)
 
 
-def _attempt_split(
-    G: Hypergraph,
-    p: int,
-    w1: State,
-    w2: State,
-    l: int,
-    max_states: int,
-    cap: int,
-) -> Schedule:
+def _attempt_split(b: _Builder, w2: State, l: int, max_states: int, cap: int) -> None:
     """One decomposition attempt across bridging edge l.
 
-    Keeps no partial work on failure: raises _GuardFailure and the
-    caller tries the next edge.
+    On failure it raises _GuardFailure; the caller drops the moves it
+    emitted and tries the next edge.
     """
+    G, p, w1 = b.G, b.p, b.state
     without_l = Hypergraph(G.n, G.edges[:l] + G.edges[l + 1:])
     if necessity_filter(without_l, p, w1, w2) is not None:
         raise _GuardFailure(f"the difference needs moves on edge {l}")
     comps = without_l.structure.components
     comp_of = without_l.structure.component
     kind = {ci: _component_kind(comp, w1, w2) for ci, comp in enumerate(comps)}
-    b = _Builder(G, p, w1)
-    if "seedless" not in kind.values():
-        # Every component either already matches the target or carries
-        # its own charge; no moves on l are needed at all.
+    # With no seedless component, no moves on l are needed at all: every
+    # component either already matches the target or carries its own charge.
+    if "seedless" in kind.values():
+        e_l = G.edges[l]
+        z1 = next((z for z in e_l if w1[z] != 0), None)
+        if z1 is None:
+            # No charge anywhere on l: walk one unit over from the nearest
+            # charged vertex, whose component may turn settled or live.
+            _transfer_into_edge(b, l)
+            kind = {ci: _component_kind(comp, b.state, w2) for ci, comp in enumerate(comps)}
+            z1 = next(z for z in e_l if b.state[z] != 0)
+        t = b.state[z1]
+        in_l = set(e_l)
+        # Stage 1: drain z1, handing t units of charge to every other vertex
+        # of l -- in particular into each seedless component.
+        for _ in range(t):
+            b.emit(Move(z1, l))
+        # Stage 2: solve each seedless component while it holds the borrowed
+        # charge, aiming t above the target on its l-vertices (the refill
+        # below takes those t units back).
         for ci, comp in enumerate(comps):
-            if kind[ci] == "live":
-                _recurse_into(b, G, p, l, without_l, ci, w1, w2, max_states, cap)
-        if b.state != w2:
-            raise InternalSynthesisFailure("component recursion finished off target")
-        return Schedule(tuple(b.moves))
-    e_l = G.edges[l]
-    z1 = next((z for z in e_l if w1[z] != 0), None)
-    if z1 is None:
-        # No charge anywhere on l: walk one unit over from the nearest
-        # charged vertex, whose component may turn settled or live.
-        b.emit_all(_transfer_into_edge(G, p, w1, l))
-        kind = {ci: _component_kind(comp, b.state, w2) for ci, comp in enumerate(comps)}
-        z1 = next(z for z in e_l if b.state[z] != 0)
-    t = b.state[z1]
-    in_l = set(e_l)
-    # Stage 1: drain z1, handing t units of charge to every other vertex
-    # of l -- in particular into each seedless component.
-    for _ in range(t):
-        b.emit(Move(z1, l))
-    # Stage 2: solve each seedless component while it holds the borrowed
-    # charge, aiming t above the target on its l-vertices (the refill
-    # below takes those t units back).
-    for ci, comp in enumerate(comps):
-        if kind[ci] != "seedless":
-            continue
-        target = {v: (w2[v] + t) % p if v in in_l else w2[v] for v in comp}
-        _recurse_into(b, G, p, l, without_l, ci, b.state, target, max_states, cap)
-    # Values now sitting on l's other vertices; two of them must anchor
-    # the trick rounds around the refill.
-    vals = {z: b.state[z] for z in e_l if z != z1}
-    rest = [z for z in e_l if z != z1]
-    pair = None
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            if _anchors_ok(p, vals[rest[i]], vals[rest[j]], t):
-                pair = (rest[i], rest[j])
+            if kind[ci] != "seedless":
+                continue
+            target = {v: (w2[v] + t) % p if v in in_l else w2[v] for v in comp}
+            _recurse_into(b, l, without_l, ci, target, max_states, cap)
+        # Values now sitting on l's other vertices; two of them must anchor
+        # the trick rounds around the refill.
+        vals = {z: b.state[z] for z in e_l if z != z1}
+        rest = [z for z in e_l if z != z1]
+        pair = None
+        for i in range(len(rest)):
+            for j in range(i + 1, len(rest)):
+                if _anchors_ok(p, vals[rest[i]], vals[rest[j]], t):
+                    pair = (rest[i], rest[j])
+                    break
+            if pair:
                 break
-        if pair:
-            break
-    cleanup_edge = None
-    if pair is None:
-        pair, cleanup_edge = _nudge_for_anchors(
-            b, G, p, w2, l, z1, t, comp_of, kind, vals
-        )
-    z2, z3 = pair
-    # Stage 3: refill z1.  A -1 round gives z1 the charge to move,
-    # p - t moves at z1 pull the borrowed units back (z1 passes from
-    # p-1 down to t-1), and a +1 round restores the anchors; every
-    # other vertex of l nets exactly -t across the three steps.
-    b.trick(l, z2, z3, -1)
-    for _ in range(p - t):
-        b.emit(Move(z1, l))
-    b.trick(l, z2, z3, +1)
-    # Undo the anchor nudge when it landed in a component nothing will
-    # touch again.
-    if cleanup_edge is not None:
-        patched = list(b.state)
-        for v in G.edges[cleanup_edge]:
-            patched[v] = w2[v]
-        b.emit_all(undo_on_edge(G, p, tuple(patched), b.state, cleanup_edge))
+        cleanup_edge = None
+        if pair is None:
+            pair, cleanup_edge = _nudge_for_anchors(b, w2, l, z1, t, comp_of, kind, vals)
+        z2, z3 = pair
+        # Stage 3: refill z1.  A -1 round gives z1 the charge to move,
+        # p - t moves at z1 pull the borrowed units back (z1 passes from
+        # p-1 down to t-1), and a +1 round restores the anchors; every
+        # other vertex of l nets exactly -t across the three steps.
+        b.trick(l, z2, z3, -1)
+        for _ in range(p - t):
+            b.emit(Move(z1, l))
+        b.trick(l, z2, z3, +1)
+        # Undo the anchor nudge when it landed in a component nothing will
+        # touch again.
+        if cleanup_edge is not None:
+            _on_edge(b, cleanup_edge, w2)
     # Stage 4: components that had their own charge all along.
     for ci, comp in enumerate(comps):
         if kind[ci] == "live":
-            _recurse_into(b, G, p, l, without_l, ci, b.state, w2, max_states, cap)
+            _recurse_into(b, l, without_l, ci, w2, max_states, cap)
     if b.state != w2:
         raise InternalSynthesisFailure("draining left a residue off the target")
-    return Schedule(tuple(b.moves))
 
 
 def _component_kind(comp: tuple[int, ...], w: State, w2: State) -> str:
@@ -680,8 +685,6 @@ def _component_kind(comp: tuple[int, ...], w: State, w2: State) -> str:
 
 def _nudge_for_anchors(
     b: _Builder,
-    G: Hypergraph,
-    p: int,
     w2: State,
     l: int,
     z1: int,
@@ -698,6 +701,7 @@ def _nudge_for_anchors(
     synthesis will not revisit, the edge to undo explicitly at the end
     (a live component instead absorbs the nudge into its own recursion).
     """
+    G, p = b.G, b.p
     e_l = G.edges[l]
     in_l = set(e_l)
     touching = {j for z in e_l for j in G.structure.incidence[z]} - {l}
@@ -733,14 +737,15 @@ def _nudge_for_anchors(
     raise _GuardFailure("no legal nudge frees an anchor pair on the bridging edge")
 
 
-def _transfer_into_edge(G: Hypergraph, p: int, w1: State, l: int) -> Schedule:
+def _transfer_into_edge(b: _Builder, l: int) -> None:
     """Move one unit of charge from the nearest charged vertex onto edge l.
 
     Uses backward path propagation over the shortest edge path, which
     requires the corridor to be otherwise empty (_GuardFailure when some
     intermediate vertex already holds charge).
     """
-    paths = [shortest_edge_path(G, v, l) for v in range(G.n) if w1[v] != 0]
+    G = b.G
+    paths = [shortest_edge_path(G, v, l) for v in range(G.n) if b.state[v] != 0]
     if not paths:
         raise _GuardFailure("no vertex carries charge")
     # min keeps the first of equally short paths: the lowest start vertex
@@ -749,7 +754,7 @@ def _transfer_into_edge(G: Hypergraph, p: int, w1: State, l: int) -> Schedule:
         raise InternalSynthesisFailure("transfer requested although the edge holds charge")
     corridor = EdgePath(path.start_vertex, path.edges[:-1], path.connectors[:-1])
     try:
-        return propagate_path(G, p, w1, corridor, BACKWARD, end_vertex=path.connectors[-1])
+        _propagate(b, corridor, BACKWARD, path.connectors[-1])
     except (HypothesisViolated, Unsolvable, UnreachableTarget) as err:
         raise _GuardFailure(str(err)) from None
 
@@ -789,14 +794,7 @@ def _unblock_counted(b: _Builder, reach: ReachSystem, counts: list[int]) -> bool
     return False
 
 
-def _bridge_descent(
-    G: Hypergraph,
-    p: int,
-    w1: State,
-    w2: State,
-    max_states: int,
-    cap: int,
-) -> Schedule:
+def _bridge_descent(b: _Builder, w2: State, max_states: int, cap: int) -> None:
     """Last resort: walk the counted moves greedily, search the gap.
 
     Executes moves from a (preferably minimum-norm) solution of the
@@ -806,14 +804,14 @@ def _bridge_descent(
     gap is closed by bounded breadth-first search from the state
     actually reached -- progress made by the descent is kept.
     """
-    reach = build_system(G, p, w1, w2)
+    G, p = b.G, b.p
+    reach = build_system(G, p, b.state, w2)
     space = gaussian_solve(reach.system)
     try:
         _, solution = system_norm(space, cap=cap)
     except EnumerationTooLarge:
         solution = space.particular
     counts = list(solution)
-    b = _Builder(G, p, w1)
     while sum(counts) > 0:
         progressed = False
         for j, (ei, v) in enumerate(reach.variables):
@@ -822,7 +820,7 @@ def _bridge_descent(
             nxt = apply_move(G, p, b.state, Move(v, ei))
             if nxt == w2:
                 b.emit(Move(v, ei))
-                return Schedule(tuple(b.moves))
+                return
             if any(nxt):
                 b.emit(Move(v, ei))
                 counts[j] -= 1
@@ -831,7 +829,7 @@ def _bridge_descent(
         if not progressed and not _unblock_counted(b, reach, counts):
             break
     if b.state == w2:
-        return Schedule(tuple(b.moves))
+        return
     try:
         orbit = orbit_bfs(G, p, b.state, max_states=max_states, stop_at=w2)
     except StateSpaceTooLarge:
@@ -844,4 +842,3 @@ def _bridge_descent(
             "bridging search exhausted an orbit that should contain the target"
         )
     b.emit_all(extract_schedule(orbit, w2))
-    return Schedule(tuple(b.moves))

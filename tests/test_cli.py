@@ -205,6 +205,17 @@ def test_gen_infeasible_is_usage_error(capsys):
     assert "need n >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modulus, code", (("4", 2), ("0", 2), ("2", 0)))
+def test_gen_refuses_a_modulus_its_file_format_refuses(tmp_path, capsys, modulus, code):
+    out = tmp_path / "g.hg"
+    assert main(["gen", "-n", "7", "-m", "3", "-p", modulus, "-o", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "modulus must be a prime" in capsys.readouterr().err
+    else:
+        assert main(["check-good", str(out)]) == 0
+
+
 def test_huge_inputs_are_usage_errors(tmp_path, monkeypatch, capsys):
     """Refused by the input ceilings, before anything is allocated or a
     huge modulus is trial-divided."""

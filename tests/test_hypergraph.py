@@ -34,6 +34,8 @@ def test_constructor_validation():
         Hypergraph(3, ((0,),))  # edge too small
     with pytest.raises(ValueError):
         Hypergraph(3, ((1, 0, 2),))  # not sorted
+    with pytest.raises(ValueError, match="sorted tuple of distinct vertices"):
+        Hypergraph(3, ((0, 0, 1),))  # repeated vertex
     with pytest.raises(ValueError):
         Hypergraph(3, ((0, 1, 3),))  # vertex out of range
 

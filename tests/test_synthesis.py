@@ -404,6 +404,29 @@ def test_synthesize_long_chain(p, monkeypatch):
     assert calls <= 2 * len(sched)
 
 
+def test_synthesize_simulates_each_move_once(monkeypatch):
+    calls = {"apply_move": 0, "replay_schedule": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr("zpwalk.synthesis.apply_move", counted("apply_move", apply_move))
+    monkeypatch.setattr("zpwalk.synthesis.replay_schedule",
+                        counted("replay_schedule", replay_schedule))
+    m = 200
+    G, w1, w2 = unit_chain(m)
+    sched = synthesize_schedule(G, 3, w1, w2)
+    # one replay, the final end-to-end check: no construction replays
+    # its own moves to check them
+    assert calls["replay_schedule"] == 1
+    # one simulation per scheduled move, plus the one-move look-aheads
+    # of the single-edge descent and the anchor nudge (3m + 1 here)
+    assert calls["apply_move"] <= len(sched) + 3 * m + 1
+
+
 def test_synthesize_too_deep_chain_is_incomplete():
     # the component recursion nests about three frames per edge, so 400
     # edges pass the default recursion limit of 1000
