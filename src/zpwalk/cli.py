@@ -21,6 +21,7 @@ runs carry an extra "error" field and a null answer).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -356,30 +357,23 @@ def _cmd_selftest(rep: _Reporter, args) -> int:
     )
     rep.answer = report.ok
     rep.method = MODE_BOTH
-    rep.stats.update(
-        {
-            "structural_instances": report.structural_instances,
-            "structural_states": report.structural_states,
-            "sampled_instances": report.sampled_instances,
-            "reach_pairs": report.reach_pairs,
-            "recur_pairs": report.recur_pairs,
-            "classify_checks": report.classify_checks,
-            "oracle_cross_checks": report.oracle_cross_checks,
-            "schedules_replayed": report.schedules_replayed,
-            "generated_instances": report.generated_instances,
-            "witness_positive": report.witness_positive,
-            "certified_negative": report.certified_negative,
-            "synthesis_incomplete": report.synthesis_incomplete,
-            "nongood_pairs_checked": report.nongood_pairs_checked,
-            "nongood_solvable_unreachable": report.nongood_solvable_unreachable,
-            "divergences": report.divergences,
-            "sweep_seconds": round(report.elapsed_seconds, 1),
-        }
-    )
+    stats = dataclasses.asdict(report)
+    stats["sweep_seconds"] = round(stats.pop("elapsed_seconds"), 1)
+    rep.stats.update(stats)
     rep.say(report.summary())
     if progress is not None and report.ok:
         rep.say("selftest passed")
     return EXIT_YES if report.ok else EXIT_MISMATCH
+
+
+def _at_least(lowest: int):
+    """argparse type for an integer budget: a smaller value is a usage error."""
+    def budget(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return budget
 
 
 def _add_decision_flags(sub, with_witness: bool = False) -> None:
@@ -391,7 +385,7 @@ def _add_decision_flags(sub, with_witness: bool = False) -> None:
     )
     sub.add_argument(
         "--max-states",
-        type=int,
+        type=_at_least(1),
         default=DEFAULT_MAX_STATES,
         help=f"state cap for search (default {DEFAULT_MAX_STATES})",
     )
@@ -404,7 +398,7 @@ def _add_decision_flags(sub, with_witness: bool = False) -> None:
         sub.add_argument("--witness", action="store_true", help="also print a move schedule")
         sub.add_argument(
             "--cap",
-            type=int,
+            type=_at_least(0),
             default=DEFAULT_ENUMERATION_CAP,
             help=f"enumeration cap for witness optimization (default {DEFAULT_ENUMERATION_CAP})",
         )
@@ -450,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("orbit", help="breadth-first search of everything reachable")
     sub.add_argument("hypergraph")
     sub.add_argument("--from", dest="from_state", required=True, metavar="STATE")
-    sub.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    sub.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     sub.add_argument(
         "--list-limit",
         type=int,
@@ -464,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--from", dest="from_state", required=True, metavar="STATE")
     sub.add_argument("--to", dest="to_state", required=True, metavar="STATE")
     sub.add_argument("--witness", action="store_true", help=argparse.SUPPRESS)
-    sub.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
-    sub.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    sub.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
+    sub.add_argument("--cap", type=_at_least(0), default=DEFAULT_ENUMERATION_CAP)
     sub.set_defaults(handler=_cmd_schedule)
 
     sub = commands.add_parser("verify", help="replay a schedule file and check its endpoint")
@@ -485,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("selftest", help="cross-validate algebra, search, and synthesis")
     sub.add_argument("--seed", type=int, default=20260819)
-    sub.add_argument("--max-n", type=int, default=6, help="vertex bound for the enumerated family")
-    sub.add_argument("--generated", type=int, default=200, help="number of random instances")
-    sub.add_argument("--schedule-targets", type=int, default=50, help="witness pairs per instance")
+    sub.add_argument("--max-n", type=_at_least(0), default=6, help="vertex bound for the enumerated family")
+    sub.add_argument("--generated", type=_at_least(0), default=200, help="number of random instances")
+    sub.add_argument("--schedule-targets", type=_at_least(0), default=50, help="witness pairs per instance")
     sub.add_argument(
         "--allow-nongood",
         action="store_true",

@@ -368,8 +368,12 @@ def necessity_filter(G: Hypergraph, p: int, w1: State, w2: State) -> Decision | 
     Returns a negative Decision, or None when inconclusive.
     """
     validate_modulus(p)
-    w1 = dynamics.validate_state(p, G.n, w1)
-    w2 = dynamics.validate_state(p, G.n, w2)
+    return _necessity(G, p, dynamics.validate_state(p, G.n, w1),
+                      dynamics.validate_state(p, G.n, w2))
+
+
+def _necessity(G: Hypergraph, p: int, w1: State, w2: State) -> Decision | None:
+    """necessity_filter on states already validated against G and p."""
     if w1 == w2:
         return None
     bal = _balance_structure(G, p)

@@ -9,7 +9,8 @@ decision layer is pickier.
 The oracles in this module are the ground truth the rest of the package
 is judged against, so they are deliberately plain: exact visited sets,
 deterministic expansion order (moves sorted by (edge, vertex)), hard
-caps instead of truncation.
+caps instead of truncation.  Each oracle expands an orbit once: the
+recurrence oracle walks back from its target by un-moves inside it.
 """
 
 from __future__ import annotations
@@ -245,29 +246,30 @@ def oracle_escape(
     """The orbit of w1 and the first state in it that cannot reach w2.
 
     The escape state is None exactly when w2 is recurrent from w1; when
-    w2 is outside the orbit it is w1 itself.  Forward orbit once, then
-    one reverse reachability sweep from w2 over the orbit-internal
-    transition relation.  Agrees with the naive all-pairs double-BFS
-    definition (the orbit is closed under moves, so reverse reachability
-    restricted to it is exact), at a fraction of the cost.
+    w2 is outside the orbit it is w1 itself.  One forward orbit, then a
+    breadth-first sweep backwards from w2 by un-moves kept inside the
+    orbit: undoing (v, e) takes one unit from every vertex of e and
+    gives v two, and is legal iff v holds a value other than p-1 (see
+    has_predecessor).  The orbit is closed under moves, so the sweep
+    finds exactly the orbit states that can reach w2.
     """
     orbit = orbit_bfs(G, p, w1, max_states=max_states)
     if w2 not in orbit:
         return orbit, w1
-    moves = all_moves(G)
-    reverse: dict[State, list[State]] = {w: [] for w in orbit.order}
-    for w in orbit.order:
-        for move in moves:
-            if w[move.vertex] == 0:
-                continue
-            t = apply_move(G, p, w, move)
-            reverse[t].append(w)
+    moves = [(v, e) for e in G.edges for v in e]
     seen = {w2}
     queue = deque([w2])
     while queue:
         t = queue.popleft()
-        for s in reverse[t]:
-            if s not in seen:
+        for v, edge in moves:
+            if t[v] == p - 1:
+                continue
+            prior = list(t)
+            for u in edge:
+                prior[u] = (prior[u] - 1) % p
+            prior[v] = (prior[v] + 2) % p
+            s = tuple(prior)
+            if s in orbit.predecessor and s not in seen:
                 seen.add(s)
                 queue.append(s)
     if len(seen) == len(orbit):

@@ -138,12 +138,11 @@ def iter_small_good_hypergraphs(max_n: int = 6):
 
 
 def _enumerate_digraph(G: Hypergraph, p: int):
-    """All p^n states with legal-move successor and predecessor lists."""
+    """All p^n states with their legal-move successor lists."""
     states = list(itertools.product(range(p), repeat=G.n))
     index = {s: i for i, s in enumerate(states)}
     moves = [(m.vertex, G.edges[m.edge]) for m in all_moves(G)]
     succ: list[list[int]] = [[] for _ in states]
-    pred: list[list[int]] = [[] for _ in states]
     for i, w in enumerate(states):
         for v, e in moves:
             if w[v] == 0:
@@ -152,60 +151,63 @@ def _enumerate_digraph(G: Hypergraph, p: int):
             for u in e:
                 nxt[u] = (nxt[u] + 1) % p
             nxt[v] = (nxt[v] - 2) % p
-            j = index[tuple(nxt)]
-            succ[i].append(j)
-            pred[j].append(i)
-    return states, index, succ, pred
+            succ[i].append(index[tuple(nxt)])
+    return states, index, succ
 
 
-def _scc_ids(succ: list[list[int]], pred: list[list[int]]) -> list[int]:
-    """Strongly connected component id per node (iterative Kosaraju)."""
-    n = len(succ)
-    order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
+def _condense(succ: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Strongly connected components and what each one reaches (iterative Tarjan).
+
+    Returns comp, the component id of every node, and reach, per
+    component a bitmask of the components it reaches, itself included.
+    Tarjan closes a component only after every component it reaches,
+    so one pass completes each mask from its successors' masks.  A
+    node's position on the stack serves as its Tarjan index: the stack
+    holds the open nodes in the order they were found.
+    """
+    comp = [-1] * len(succ)
+    pos = [-1] * len(succ)
+    low = [0] * len(succ)
+    reach: list[int] = []
+    stack: list[int] = []
+    for root in range(len(succ)):
+        if pos[root] != -1:
             continue
-        seen[root] = True
-        stack = [(root, 0)]
-        while stack:
-            node, ptr = stack[-1]
+        work = [(root, 0)]
+        while work:
+            node, ptr = work.pop()
+            if ptr == 0:
+                pos[node] = low[node] = len(stack)
+                stack.append(node)
             if ptr < len(succ[node]):
-                stack[-1] = (node, ptr + 1)
+                work.append((node, ptr + 1))
                 nxt = succ[node][ptr]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-                stack.pop()
-    comp = [-1] * n
-    next_id = 0
-    for root in reversed(order):
-        if comp[root] != -1:
-            continue
-        comp[root] = next_id
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for nxt in pred[node]:
-                if comp[nxt] == -1:
-                    comp[nxt] = next_id
-                    stack.append(nxt)
-        next_id += 1
-    return comp
+                if pos[nxt] == -1:
+                    work.append((nxt, 0))
+                elif comp[nxt] == -1:
+                    low[node] = min(low[node], pos[nxt])
+                continue
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == pos[node]:
+                members = stack[pos[node]:]
+                del stack[pos[node]:]
+                for x in members:
+                    comp[x] = len(reach)
+                mask = 1 << len(reach)
+                for x in members:
+                    for y in succ[x]:
+                        if comp[y] != comp[x]:
+                            mask |= reach[comp[y]]
+                reach.append(mask)
+    return comp, reach
 
 
-def _reach_set(adjacency: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def _recurrent(comp: list[int], reach: list[int], i: int, j: int) -> bool:
+    """Does every node that i reaches reach j?  Every component i reaches must."""
+    mask, target = reach[comp[i]], 1 << comp[j]
+    return all(reach[c] & target for c in range(mask.bit_length()) if mask >> c & 1)
 
 
 def _conserved_functionals(G: Hypergraph, p: int):
@@ -305,12 +307,13 @@ def _structural_sweep(
     class.  Together these imply the algebraic reachability and
     recurrence rules are exact on the instance.  On top of the
     structural proof, the decision functions are compared directly
-    against enumerated reach sets on 50+ sampled charged-source pairs,
+    against the condensed digraph on 50+ sampled charged-source pairs,
     and the production search oracle is spot-checked the same way.
     """
     label = f"{G.n}v/{G.m}e p={p} edges={G.edges}"
-    states, index, succ, pred = _enumerate_digraph(G, p)
-    comp = _scc_ids(succ, pred)
+    states, index, succ = _enumerate_digraph(G, p)
+    comp, reach = _condense(succ)
+    produced = {j for outs in succ for j in outs}
     n = G.n
     zero = (0,) * n
     ge = (p - 1,) * n
@@ -322,7 +325,7 @@ def _structural_sweep(
 
     if succ[zi]:
         report.divergences.append(f"{label}: the zero state has outgoing moves")
-    producerless = [i for i in range(len(states)) if not pred[i]]
+    producerless = [i for i in range(len(states)) if i not in produced]
     if G.m and producerless != [gi]:
         report.divergences.append(
             f"{label}: producer-free states are {len(producerless)}, expected exactly "
@@ -369,13 +372,12 @@ def _structural_sweep(
                 )
 
     # generous sampling: 54 charged-source pairs plus the special
-    # sources, each compared against the enumerated reach set
+    # sources, each compared against the enumerated digraph
     sources = [_random_state(G, p, rng, nonzero=True) for _ in range(9)]
     for w1 in sources + [zero, ge]:
-        forward = _reach_set(succ, index[w1])
         targets = [zero, ge, w1] + [rng.choice(states) for _ in range(3)]
         for w2 in targets:
-            truth = index[w2] in forward
+            truth = bool(reach[comp[index[w1]]] >> comp[index[w2]] & 1)
             got = decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC).answer
             if got != truth:
                 report.divergences.append(
@@ -386,9 +388,7 @@ def _structural_sweep(
     for k in range(max(recur_oracle_pairs, 4)):
         w1 = _random_state(G, p, rng, nonzero=True)
         w2 = rng.choice([zero, ge, rng.choice(states), rng.choice(states)])
-        forward = _reach_set(succ, index[w1])
-        coreach = _reach_set(pred, index[w2])
-        truth = forward <= coreach
+        truth = _recurrent(comp, reach, index[w1], index[w2])
         got = decide_recurrence(G, p, w1, w2, mode=MODE_ALGEBRAIC).answer
         if got != truth:
             report.divergences.append(
@@ -401,9 +401,9 @@ def _structural_sweep(
         report.recur_pairs += 1
 
     for w in [zero, ge] + [rng.choice(states) for _ in range(5)]:
-        forward = _reach_set(succ, index[w])
-        coreach = _reach_set(pred, index[w])
-        truth = not (forward <= coreach) and bool(pred[index[w]])
+        i = index[w]
+        # transient: something produces w and its component reaches others
+        truth = i in produced and reach[comp[i]] != 1 << comp[i]
         got = classify_state(G, p, w, mode=MODE_ALGEBRAIC) is StateClass.TRANSIENT
         if got != truth:
             report.divergences.append(

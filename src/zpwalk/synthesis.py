@@ -46,7 +46,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .decision import ReachSystem, build_system, necessity_filter
+from .decision import ReachSystem, _necessity, build_system
 from .dynamics import (
     DEFAULT_MAX_STATES,
     Move,
@@ -545,7 +545,7 @@ def _synthesize(b: _Builder, w2: State, max_states: int, cap: int) -> None:
         raise UnreachableTarget("the all-zero state admits no moves")
     if not has_predecessor(G, p, w2):
         raise UnreachableTarget("the target state has no predecessor")
-    if necessity_filter(G, p, w1, w2) is not None:
+    if _necessity(G, p, w1, w2) is not None:
         raise Unsolvable("the move-counting system has no solution")
     if G.m == 1:
         # well-shaped means canonical, and _on_edge's checks ran above
@@ -610,7 +610,7 @@ def _attempt_split(b: _Builder, w2: State, l: int, max_states: int, cap: int) ->
     """
     G, p, w1 = b.G, b.p, b.state
     without_l = Hypergraph(G.n, G.edges[:l] + G.edges[l + 1:])
-    if necessity_filter(without_l, p, w1, w2) is not None:
+    if _necessity(without_l, p, w1, w2) is not None:
         raise _GuardFailure(f"the difference needs moves on edge {l}")
     comps = without_l.structure.components
     comp_of = without_l.structure.component

@@ -4,9 +4,12 @@ Exit code map under test: 0 decided-positive, 1 decided-negative,
 2 usage error, 3 resource bound, 4 internal mismatch.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zpwalk import generate, hypergraph
 from zpwalk.cli import main
@@ -268,6 +271,33 @@ def test_argparse_rejects_unknown_mode(e3):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["reach", "E5", "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--mode", "oracle",
+     "--max-states", "-5"],
+    ["recur", "E5", "--from", "1,0,0,0,0", "--to", "0,0,0,0,0", "--max-states", "0"],
+    ["classify", "E5", "--state", "1,0,0,0,0", "--max-states", "0"],
+    ["orbit", "E5", "--from", "1,0,0,0,0", "--max-states", "0"],
+    ["reach", "E5", "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--witness", "--cap", "-1"],
+    ["schedule", "E5", "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--cap", "-1"],
+    ["schedule", "E5", "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--max-states", "-1"],
+    ["selftest", "--generated", "-1"],
+    ["selftest", "--schedule-targets", "-1"],
+    ["selftest", "--max-n", "-1"],
+])
+def test_malformed_budgets_are_usage_errors(e5, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([e5 if arg == "E5" else arg for arg in argv])
+    assert err.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_smallest_budgets_are_accepted(e5, capsys):
+    assert main(["orbit", e5, "--from", "1,0,0,0,0", "--max-states", "1"]) == 3
+    assert main(["selftest", "--max-n", "0", "--generated", "0",
+                 "--schedule-targets", "0", "--quiet"]) == 0
+    assert "divergences: none" in capsys.readouterr().out
+
+
 def test_resource_bound_is_exit_3(e5, capsys):
     code = main(["orbit", e5, "--from", "1,1,1,1,1", "--max-states", "5"])
     assert code == 3
@@ -328,3 +358,108 @@ def test_selftest_json(capsys):
     assert report["answer"] is True
     assert report["stats"]["divergences"] == []
     assert report["stats"]["reach_pairs"] > 0
+
+
+# ------------------------------------------------------------------ fuzz
+
+#: fixture files for the fuzzed command lines, with their vertex counts
+FUZZ_FILES = {
+    "e3.hg": (E3_TEXT, 3),
+    "chain.hg": (CHAIN_TEXT, 5),
+    "garbage.hg": ("p 3\nvertices two\nedge 0 1\n", 3),
+    "ok.sched": ("v 0 e 0\nv 1 e 0\n", None),
+    "bad.sched": ("v 0 e\n", None),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, (text, _) in FUZZ_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+def _state(n: int):
+    """Mostly a state of n residues, now and then junk text."""
+    junk = st.text(alphabet="0123,- x", max_size=8)
+    good = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+        lambda xs: ",".join(map(str, xs)))
+    return st.integers(0, 4).flatmap(lambda k: junk if k == 0 else good)
+
+
+#: mostly a small budget, now and then one that argparse or the CLI refuses
+_budget = st.integers(0, 4).flatmap(
+    lambda k: st.sampled_from(["-3", "-1", "0", "", "x", "1e3"]) if k == 0
+    else st.integers(1, 40).map(str))
+
+#: per command: the flags it requires and the flags it may take
+_COMMANDS = {
+    "check-good": ((), ()),
+    "reach": (("--from", "--to"), ("--mode", "--max-states", "--cap", "--allow-nongood",
+                                   "--witness", "--necessary-only")),
+    "recur": (("--from", "--to"), ("--mode", "--max-states", "--allow-nongood")),
+    "classify": (("--state",), ("--mode", "--max-states", "--allow-nongood")),
+    "orbit": (("--from",), ("--max-states", "--list-limit")),
+    "schedule": (("--from", "--to"), ("--max-states", "--cap")),
+    "verify": (("--from",), ("--to",)),
+}
+
+
+@st.composite
+def _argvs(draw, root):
+    """A bounded command line: mostly well formed, with junk values and a
+    dropped or stray token now and then."""
+    argv = ["--json"] if draw(st.booleans()) else []
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["gen", "selftest"]))
+    argv.append(command)
+    if command == "gen":
+        argv += ["-n", draw(_budget), "-m", str(draw(st.integers(-1, 6))),
+                 "-p", draw(st.sampled_from(["2", "3", "4", "5", "x"]))]
+    elif command == "selftest":
+        argv += ["--max-n", str(draw(st.integers(-1, 3))),
+                 "--generated", draw(st.sampled_from(["-1", "0"])),
+                 "--schedule-targets", str(draw(st.integers(-1, 2))), "--quiet"]
+    else:
+        name = draw(st.sampled_from(["e3.hg", "chain.hg", "garbage.hg", "missing.hg",
+                                     "triangle"]))
+        n = FUZZ_FILES.get(name, ("", 3))[1]
+        argv.append(TRIANGLE_FILE if name == "triangle" else str(root / name))
+        if command == "verify":
+            argv.append(str(root / draw(st.sampled_from(["ok.sched", "bad.sched", "none"]))))
+        required, optional = _COMMANDS[command]
+        if optional:
+            required += tuple(draw(st.lists(st.sampled_from(optional), max_size=3,
+                                            unique=True)))
+        values = {"--mode": st.sampled_from(["algebraic", "oracle", "both", "psychic"]),
+                  "--max-states": _budget, "--cap": _budget, "--list-limit": _budget,
+                  "--from": _state(n), "--to": _state(n), "--state": _state(n)}
+        for flag in required:
+            argv.append(flag)
+            if flag in values:
+                argv.append(draw(values[flag]))
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_command_lines_end_in_an_exit_code(fuzz_dir, data):
+    """Any bounded command line exits 0-3 without a traceback; argparse's
+    refusals are SystemExit(2), and --json prints one JSON line."""
+    argv = data.draw(_argvs(fuzz_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, err.getvalue()
+            return
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    if argv[:1] == ["--json"]:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        json.loads(lines[0])

@@ -1,9 +1,16 @@
 """Plumbing of the self-verification module (the sweeps themselves are
 exercised for real by the acceptance suite)."""
 
-from zpwalk.hypergraph import is_good
+import random
+
+import pytest
+
+from zpwalk.hypergraph import Hypergraph, is_good
 from zpwalk.selftest import (
     SelftestReport,
+    _condense,
+    _enumerate_digraph,
+    _recurrent,
     iter_small_good_hypergraphs,
     run_selftest,
 )
@@ -40,3 +47,74 @@ def test_tiny_run_is_deterministic():
     assert (a.reach_pairs, a.recur_pairs, a.schedules_replayed) == \
            (b.reach_pairs, b.recur_pairs, b.schedules_replayed)
     assert a.generated_instances == 2
+
+
+def _dfs_reach(succ, start):
+    """Reference: every node reachable from start, by a plain depth-first search."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in succ[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def _check_condensation(succ, pairs):
+    """The condensation's reach, recurrence and closed-component answers
+    against per-node searches, on every node and the given node pairs."""
+    comp, reach = _condense(succ)
+    forward = [_dfs_reach(succ, i) for i in range(len(succ))]
+    for i, j in pairs:
+        assert bool(reach[comp[i]] >> comp[j] & 1) == (j in forward[i]), (i, j)
+        recurrent = all(j in forward[k] for k in forward[i])
+        assert _recurrent(comp, reach, i, j) == recurrent, (i, j)
+    for i in range(len(succ)):
+        closed = all(i in forward[k] for k in forward[i])
+        assert (reach[comp[i]] == 1 << comp[i]) == closed, i
+        # same component iff mutually reachable
+        assert {k for k in forward[i] if i in forward[k]} == \
+               {k for k in range(len(succ)) if comp[k] == comp[i]}, i
+
+
+def _random_digraph(rng: random.Random):
+    """A chain of singleton components, one big component, isolated
+    nodes and self-loops, under shuffled labels, with a few random arcs."""
+    chain, big, isolated = rng.randint(1, 30), rng.randint(1, 10), rng.randint(0, 4)
+    size = chain + big + isolated
+    label = list(range(size))
+    rng.shuffle(label)
+    arcs = [(i, i + 1) for i in range(chain - 1)]
+    ring = list(range(chain, chain + big))
+    arcs += list(zip(ring, ring[1:] + ring[:1]))
+    arcs += [(rng.choice(ring), rng.choice(ring)) for _ in range(big)]
+    arcs += [(v, v) for v in rng.sample(range(size), rng.randint(0, 3))]
+    arcs += [(rng.randrange(chain + big), rng.randrange(chain + big))
+             for _ in range(rng.randint(0, 3))]
+    if chain:
+        arcs.append((rng.choice(ring), 0) if rng.random() < 0.5 else (chain - 1, ring[0]))
+    succ = [[] for _ in range(size)]
+    for a, b in arcs:
+        succ[label[a]].append(label[b])
+    return succ
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_condensation_matches_per_node_search_on_random_digraphs(seed):
+    succ = _random_digraph(random.Random(seed))
+    nodes = range(len(succ))
+    _check_condensation(succ, [(i, j) for i in nodes for j in nodes])
+
+
+@pytest.mark.parametrize("edges,n,p", [
+    (((0, 1, 2),), 3, 3),
+    (((0, 1, 2, 3, 4),), 5, 3),  # p divides |e| - 2: transient states exist
+    (((0, 1), (0, 2), (1, 2)), 3, 3),  # irregular: solvable yet unreachable pairs
+    (((0, 1, 2), (2, 3, 4)), 5, 3),
+])
+def test_condensation_matches_per_node_search_on_state_digraphs(edges, n, p):
+    states, _, succ = _enumerate_digraph(Hypergraph(n, edges), p)
+    rng = random.Random(n * p)
+    pairs = [(rng.randrange(len(states)), rng.randrange(len(states))) for _ in range(400)]
+    _check_condensation(succ, pairs)
