@@ -165,11 +165,11 @@ def _effective_mode(rep: _Reporter, G, args) -> str:
     return mode
 
 
-def _witness_from(decision, G, p, w1, w2, cap: int) -> Schedule:
+def _witness_from(decision, G, p, w1, w2, max_states: int, cap: int) -> Schedule:
     for cert in (decision.oracle_certificate, decision.certificate):
         if cert is not None and cert.kind == "schedule":
             return Schedule(tuple(Move(v, e) for v, e in cert.data["moves"]))
-    return synthesize_schedule(G, p, w1, w2, cap=cap)
+    return synthesize_schedule(G, p, w1, w2, max_states=max_states, cap=cap)
 
 
 def _cmd_check_good(rep: _Reporter, args) -> int:
@@ -225,7 +225,7 @@ def _cmd_reach(rep: _Reporter, args) -> int:
         rep.stats["oracle_certificate"] = _certificate_payload(decision.oracle_certificate)
     rep.say("reachable" if decision.answer else "unreachable")
     if decision.answer and args.witness:
-        schedule = _witness_from(decision, G, p, w1, w2, args.cap)
+        schedule = _witness_from(decision, G, p, w1, w2, args.max_states, args.cap)
         rep.stats["witness_moves"] = len(schedule)
         rep.input["witness"] = True
         rep.stats["witness"] = format_schedule(schedule).splitlines()

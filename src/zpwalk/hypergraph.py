@@ -43,7 +43,7 @@ class Hypergraph:
             if e[0] < 0 or e[-1] >= self.n:
                 raise ValueError(f"edge {i} has vertices outside [0, {self.n})")
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.edges)
 

@@ -385,7 +385,7 @@ def _structural_sweep(
                 )
             report.reach_pairs += 1
 
-    for k in range(max(recur_oracle_pairs, 4)):
+    for _ in range(recur_oracle_pairs):
         w1 = _random_state(G, p, rng, nonzero=True)
         w2 = rng.choice([zero, ge, rng.choice(states), rng.choice(states)])
         truth = _recurrent(comp, reach, index[w1], index[w2])
@@ -394,7 +394,7 @@ def _structural_sweep(
             report.divergences.append(
                 f"{label}: recurrence {w1} -> {w2} algebraic={got} enumerated={truth}"
             )
-        if k < recur_oracle_pairs and oracle_recurrent(G, p, w1, w2) != truth:
+        if oracle_recurrent(G, p, w1, w2) != truth:
             report.divergences.append(
                 f"{label}: recurrence {w1} -> {w2} search oracle disagrees with enumeration"
             )

@@ -22,10 +22,11 @@ space except as a last-resort fallback.  The toolbox, bottom up:
   * synthesize_schedule -- on multi-edge hypergraphs, picks a bridging
     edge l whose removal splits the instance into components the solver
     can recurse on, borrows charge across that edge for components that
-    start empty, and rebalances the edge with trick rounds.  The guard
-    is decision's closed-form rule (necessity_filter) on G minus l, whose
-    cached search also yields the split's components; only the bridge
-    descent eliminates, for its minimum-norm move counts.
+    start empty, and rebalances the edge with trick rounds.  Decision's
+    closed-form rule (necessity_filter) checks solvability once on G and
+    guards each split on G minus l; that search's components, edges and
+    incidences make the pieces, which inherit the guard's verdict.  Only
+    the bridge descent eliminates, for its minimum-norm move counts.
     When no bridging edge qualifies, that descent on the counted moves
     runs as far as it can and a bounded breadth-first search bridges the
     remainder (SynthesisIncomplete if that search exceeds its cap).
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .decision import ReachSystem, _necessity, build_system
 from .dynamics import (
@@ -136,7 +137,8 @@ class _Builder:
     piece's state in the piece's own ids, and vmap / emap send each of
     its moves to the root's ids as it appends them to the root's single
     move list.  The parent then settles the child's final values onto
-    the piece.  The root has no maps.
+    the piece.  The root has no maps.  Children inherit the budgets of
+    the bridge descent's search (max_states) and sweep (cap).
     """
 
     G: Hypergraph
@@ -145,6 +147,8 @@ class _Builder:
     moves: list[Move] = field(default_factory=list)
     vmap: Sequence[int] | None = None
     emap: Sequence[int] | None = None
+    max_states: int = DEFAULT_MAX_STATES
+    cap: int = DEFAULT_ENUMERATION_CAP
 
     def emit(self, move: Move) -> None:
         self.state = apply_move(self.G, self.p, self.state, move)
@@ -162,7 +166,7 @@ class _Builder:
         if self.vmap is not None:
             vertices = [self.vmap[v] for v in vertices]
             edges = [self.emap[e] for e in edges]
-        return _Builder(piece, self.p, state, self.moves, vertices, edges)
+        return replace(self, G=piece, state=state, vmap=vertices, emap=edges)
 
     def settle(self, vertices: Sequence[int], values: State) -> None:
         """Write a finished child's values back onto its piece."""
@@ -242,25 +246,20 @@ def _descend_single_edge(b: _Builder, w2: State) -> None:
             break
         live = [v for v in range(k) if counts[v] > 0 and b.state[v] != 0]
         if live:
-            chosen = None
-            for v in live:
-                nxt = apply_move(G, p, b.state, Move(v, 0))
-                # Landing on the inert all-zero state is only allowed for
-                # the final counted move (then it IS the target).
-                if any(nxt) or total == 1:
-                    chosen = v
-                    break
+            # A move at v lands on the inert all-zero state only from
+            # [1 @ v, p-1 elsewhere], which is allowed for the final
+            # counted move alone (then it IS the target).
+            low = [u for u in range(k) if b.state[u] != p - 1]
+            blocked = low[0] if len(low) == 1 and b.state[low[0]] == 1 else None
+            chosen = next((v for v in live if v != blocked or total == 1), None)
             if chosen is not None:
                 b.emit(Move(chosen, 0))
                 counts[chosen] -= 1
                 continue
-            # Every available move kills the state.  That forces the
-            # shape [1 @ v, p-1 elsewhere] with all remaining count at v:
-            # spend trick rounds instead of moving v directly.
-            v = live[0]
+            # Only the blocked vertex is live, so it holds all remaining
+            # count (at least 2): spend trick rounds instead of moving it.
+            v = blocked
             x = counts[v]
-            if b.state != tuple(1 if u == v else p - 1 for u in range(k)) or x < 2:
-                raise InternalSynthesisFailure("descent misread a blocked state")
             j = 0 if v != 0 else 1
             for _ in range(2 * x):
                 b.trick(0, v, j, +1)
@@ -357,10 +356,7 @@ def _on_edge(b: _Builder, edge: int, target) -> None:
     goal = tuple(target[v] for v in e)
     if piece.state == goal:
         return
-    if all(x == 0 for x in piece.state):
-        raise UnreachableTarget("the all-zero state admits no moves")
-    if not has_predecessor(piece.G, b.p, goal):
-        raise UnreachableTarget("the target state has no predecessor")
+    _check_ends(piece.G, b.p, piece.state, goal)
     _descend_single_edge(piece, goal)
     b.settle(e, piece.state)
 
@@ -499,6 +495,14 @@ class _GuardFailure(Exception):
     """Internal: one decomposition attempt does not apply; try the next."""
 
 
+def _check_ends(G: Hypergraph, p: int, w1: State, w2: State) -> None:
+    """UnreachableTarget when no move leaves w1 or none lands on w2 (w1 != w2)."""
+    if all(x == 0 for x in w1):
+        raise UnreachableTarget("the all-zero state admits no moves")
+    if not has_predecessor(G, p, w2):
+        raise UnreachableTarget("the target state has no predecessor")
+
+
 def synthesize_schedule(
     G: Hypergraph,
     p: int,
@@ -522,75 +526,71 @@ def synthesize_schedule(
         raise NotGood(f"schedule synthesis needs a well-shaped hypergraph ({', '.join(kinds)})")
     w1 = validate_state(p, G.n, w1)
     w2 = validate_state(p, G.n, w2)
-    b = _Builder(G, p, w1)
-    # caught here only, so that it unwinds the whole recursion
-    try:
-        _synthesize(b, w2, max_states, cap)
-    except RecursionError:
-        raise SynthesisIncomplete(
-            f"the recursion over {G.m} edges hit Python's recursion limit"
-        ) from None
+    b = _Builder(G, p, w1, max_states=max_states, cap=cap)
+    if w1 != w2:
+        _check_ends(G, p, w1, w2)
+        # the one solvability check; pieces inherit it (see _recurse_into)
+        if _necessity(G, p, w1, w2) is not None:
+            raise Unsolvable("the move-counting system has no solution")
+        try:
+            _synthesize(b, w2)
+        except RecursionError:  # caught here only, so that it unwinds the whole recursion
+            raise SynthesisIncomplete(
+                f"the recursion over {G.m} edges hit Python's recursion limit"
+            ) from None
     schedule = Schedule(tuple(b.moves))
     if replay_schedule(G, p, w1, schedule) != w2:
         raise InternalSynthesisFailure("synthesized schedule fails replay")
     return schedule
 
 
-def _synthesize(b: _Builder, w2: State, max_states: int, cap: int) -> None:
-    """Synthesis core, from b's state to w2; assumes a well-shaped b.G."""
-    G, p, w1 = b.G, b.p, b.state
-    if w1 == w2:
-        return
-    if all(x == 0 for x in w1):
-        raise UnreachableTarget("the all-zero state admits no moves")
-    if not has_predecessor(G, p, w2):
-        raise UnreachableTarget("the target state has no predecessor")
-    if _necessity(G, p, w1, w2) is not None:
-        raise Unsolvable("the move-counting system has no solution")
+def _synthesize(b: _Builder, w2: State) -> None:
+    """Synthesis core, from b's state to w2 on a well-shaped b.G.
+
+    The caller has run _check_ends on the (distinct) pair, which is
+    balance-solvable: synthesize_schedule checks that once at the top,
+    and a piece inherits it from its split (see _recurse_into).
+    """
+    G, w1 = b.G, b.state
     if G.m == 1:
-        # well-shaped means canonical, and _on_edge's checks ran above
+        # well-shaped means canonical, and _on_edge's checks ran in the caller
         _descend_single_edge(b, w2)
         return
     mark = len(b.moves)
     for l in range(G.m):
         try:
-            _attempt_split(b, w2, l, max_states, cap)
+            _attempt_split(b, w2, l)
             return
         except _GuardFailure:
             # drop the attempt's moves, which the shared list already holds
             del b.moves[mark:]
             b.state = w1
-    _bridge_descent(b, w2, max_states, cap)
+    _bridge_descent(b, w2)
 
 
-def _recurse_into(
-    b: _Builder,
-    l: int,
-    without_l: Hypergraph,
-    ci: int,
-    target,
-    max_states: int,
-    cap: int,
-) -> None:
+def _recurse_into(b: _Builder, l: int, without_l: Hypergraph, ci: int, target) -> None:
     """Recursively schedule component ci of b.G minus l to target, on a child of b.
 
+    The piece inherits its solvability: the split's guard solved the pair
+    on G minus l, solvability splits over its components, and the split
+    shifts a piece's source and target alike (+t on l's vertices for a
+    seedless piece, legal in-component moves for a live one).
     A sub-instance that turns out unreachable or over budget aborts the
     whole decomposition attempt (_GuardFailure), not the synthesis.
     """
-    comp = without_l.structure.components[ci]
+    st = without_l.structure
+    comp = st.components[ci]
     t = tuple(target[v] for v in comp)
     if all(b.state[v] == x for v, x in zip(comp, t)):
         return
-    # sub-vertex i is comp[i], sub-edge j is b.G's edge emap[j] (e[0] places e)
+    # sub-vertex i is comp[i]; the search's edge j is b.G's edge j + (j >= l)
     vmap = {v: i for i, v in enumerate(comp)}
-    sub_edges, emap = [], []
-    for ei, e in enumerate(b.G.edges):
-        if ei != l and e[0] in vmap:
-            sub_edges.append(tuple(vmap[v] for v in e))
-            emap.append(ei)
-    piece = b.child(Hypergraph(len(comp), tuple(sub_edges)), comp, emap)
+    emap = [j + (j >= l) for j in sorted(st.scan[ci])]
+    sub_edges = tuple(tuple(vmap[v] for v in b.G.edges[ei]) for ei in emap)
+    piece = b.child(Hypergraph(len(comp), sub_edges), comp, emap)
     try:
-        _synthesize(piece, t, max_states, cap)
+        _check_ends(piece.G, b.p, piece.state, t)
+        _synthesize(piece, t)
     except (Unsolvable, UnreachableTarget, SynthesisIncomplete) as err:
         raise _GuardFailure(str(err)) from None
     b.settle(comp, piece.state)
@@ -602,7 +602,7 @@ def _anchors_ok(p: int, va: int, vb: int, t: int) -> bool:
     return is_good_pair(p, va, vb) and is_good_pair(p, (va - t) % p, (vb - t) % p)
 
 
-def _attempt_split(b: _Builder, w2: State, l: int, max_states: int, cap: int) -> None:
+def _attempt_split(b: _Builder, w2: State, l: int) -> None:
     """One decomposition attempt across bridging edge l.
 
     On failure it raises _GuardFailure; the caller drops the moves it
@@ -613,7 +613,6 @@ def _attempt_split(b: _Builder, w2: State, l: int, max_states: int, cap: int) ->
     if _necessity(without_l, p, w1, w2) is not None:
         raise _GuardFailure(f"the difference needs moves on edge {l}")
     comps = without_l.structure.components
-    comp_of = without_l.structure.component
     kind = {ci: _component_kind(comp, w1, w2) for ci, comp in enumerate(comps)}
     # With no seedless component, no moves on l are needed at all: every
     # component either already matches the target or carries its own charge.
@@ -639,7 +638,7 @@ def _attempt_split(b: _Builder, w2: State, l: int, max_states: int, cap: int) ->
             if kind[ci] != "seedless":
                 continue
             target = {v: (w2[v] + t) % p if v in in_l else w2[v] for v in comp}
-            _recurse_into(b, l, without_l, ci, target, max_states, cap)
+            _recurse_into(b, l, without_l, ci, target)
         # Values now sitting on l's other vertices; two of them must anchor
         # the trick rounds around the refill.
         vals = {z: b.state[z] for z in e_l if z != z1}
@@ -654,7 +653,7 @@ def _attempt_split(b: _Builder, w2: State, l: int, max_states: int, cap: int) ->
                 break
         cleanup_edge = None
         if pair is None:
-            pair, cleanup_edge = _nudge_for_anchors(b, w2, l, z1, t, comp_of, kind, vals)
+            pair, cleanup_edge = _nudge_for_anchors(b, w2, l, z1, t, without_l, kind, vals)
         z2, z3 = pair
         # Stage 3: refill z1.  A -1 round gives z1 the charge to move,
         # p - t moves at z1 pull the borrowed units back (z1 passes from
@@ -671,7 +670,7 @@ def _attempt_split(b: _Builder, w2: State, l: int, max_states: int, cap: int) ->
     # Stage 4: components that had their own charge all along.
     for ci, comp in enumerate(comps):
         if kind[ci] == "live":
-            _recurse_into(b, l, without_l, ci, w2, max_states, cap)
+            _recurse_into(b, l, without_l, ci, w2)
     if b.state != w2:
         raise InternalSynthesisFailure("draining left a residue off the target")
 
@@ -689,7 +688,7 @@ def _nudge_for_anchors(
     l: int,
     z1: int,
     t: int,
-    comp_of: tuple[int, ...],
+    without_l: Hypergraph,
     kind: dict[int, str],
     vals: dict[int, int],
 ) -> tuple[tuple[int, int], int | None]:
@@ -700,18 +699,19 @@ def _nudge_for_anchors(
     Returns that pair and, when the nudge landed in a component the
     synthesis will not revisit, the edge to undo explicitly at the end
     (a live component instead absorbs the nudge into its own recursion).
+    The candidate edges and components come from the split's search.
     """
-    G, p = b.G, b.p
+    G, p, st = b.G, b.p, without_l.structure
     e_l = G.edges[l]
     in_l = set(e_l)
-    touching = {j for z in e_l for j in G.structure.incidence[z]} - {l}
+    touching = {j + (j >= l) for z in e_l for j in st.incidence[z]}
     for ep in sorted(touching):
         shared = [v for v in G.edges[ep] if v in in_l]
         if len(shared) != 1 or shared[0] == z1:
             continue
         z = shared[0]
         partner = next(y for y in e_l if y != z1 and y != z)
-        ci = comp_of[z]
+        ci = st.component[z]
         for u in G.edges[ep]:
             if b.state[u] == 0:
                 continue
@@ -794,7 +794,7 @@ def _unblock_counted(b: _Builder, reach: ReachSystem, counts: list[int]) -> bool
     return False
 
 
-def _bridge_descent(b: _Builder, w2: State, max_states: int, cap: int) -> None:
+def _bridge_descent(b: _Builder, w2: State) -> None:
     """Last resort: walk the counted moves greedily, search the gap.
 
     Executes moves from a (preferably minimum-norm) solution of the
@@ -808,7 +808,7 @@ def _bridge_descent(b: _Builder, w2: State, max_states: int, cap: int) -> None:
     reach = build_system(G, p, b.state, w2)
     space = gaussian_solve(reach.system)
     try:
-        _, solution = system_norm(space, cap=cap)
+        _, solution = system_norm(space, cap=b.cap)
     except EnumerationTooLarge:
         solution = space.particular
     counts = list(solution)
@@ -831,11 +831,11 @@ def _bridge_descent(b: _Builder, w2: State, max_states: int, cap: int) -> None:
     if b.state == w2:
         return
     try:
-        orbit = orbit_bfs(G, p, b.state, max_states=max_states, stop_at=w2)
+        orbit = orbit_bfs(G, p, b.state, max_states=b.max_states, stop_at=w2)
     except StateSpaceTooLarge:
         raise SynthesisIncomplete(
             f"constructive descent stalled {sum(counts)} counted moves short of the "
-            f"target and the bridging search exceeded {max_states} states"
+            f"target and the bridging search exceeded {b.max_states} states"
         ) from None
     if w2 not in orbit:
         raise InternalSynthesisFailure(

@@ -304,6 +304,19 @@ def test_resource_bound_is_exit_3(e5, capsys):
     assert "refusing to truncate" in capsys.readouterr().err
 
 
+def test_witness_search_is_bounded_by_max_states(tmp_path, capsys):
+    # synthesis stalls one counted move short on this pair and bridges the
+    # gap by search, which --max-states bounds for reach as for schedule
+    f = tmp_path / "fallback.hg"
+    f.write_text("p 3\nvertices 6\nedge 0 1 3\nedge 0 2 4 5\n")
+    pair = [str(f), "--from", "0,0,2,1,1,2", "--to", "2,2,2,0,2,2"]
+    witness = ["reach", *pair, "--mode", "algebraic", "--witness"]
+    assert main(witness) == 0
+    assert main(["schedule", *pair, "--max-states", "7"]) == 3
+    assert main([*witness, "--max-states", "7"]) == 3
+    assert "bridging search exceeded 7 states" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ json
 
 

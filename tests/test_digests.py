@@ -3,7 +3,9 @@
 scripts/synthesis_digest.py hashes every schedule or error type on a
 seeded family of synthesis cases, and scripts/decision_digest.py every
 answer and certificate on a seeded family of decision cases.  These are
-their lines at seed 1.  A change meant to keep behaviour keeps them; a
+their lines at seed 1, and the synthesis digest's at seed 2, whose
+family also trips _transfer_into_edge's corridor guard (seed 1 never
+does).  A change meant to keep behaviour keeps them; a
 change meant to alter schedules or certificates updates them and says
 why.
 """
@@ -20,6 +22,16 @@ seed 1: 490 cases
   schedule: 455
 moves: 16962
 sha256: 44f9308d245b189bdfbc2e13af7367b178a976b7f3ba36390f9afc640f54efe4
+"""
+
+SYNTHESIS_SEED_2 = """\
+seed 2: 490 cases
+  SynthesisIncomplete: 6
+  UnreachableTarget: 2
+  Unsolvable: 32
+  schedule: 450
+moves: 16570
+sha256: 7249a80b9d530aed31620f4889763b0e7a9b2778d9edc2e1862005bcf47618c8
 """
 
 DECISION_SEED_1 = """\
@@ -50,3 +62,9 @@ def test_digests_at_seed_1_are_pinned(capsys):
         main = runpy.run_path(str(SCRIPTS / script))["main"]
         assert main(["--seed", "1"]) == 0
         assert capsys.readouterr().out == expected, script
+
+
+def test_synthesis_digest_at_seed_2_is_pinned(capsys):
+    main = runpy.run_path(str(SCRIPTS / "synthesis_digest.py"))["main"]
+    assert main(["--seed", "2"]) == 0
+    assert capsys.readouterr().out == SYNTHESIS_SEED_2

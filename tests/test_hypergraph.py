@@ -27,6 +27,14 @@ TWO_EDGES = make_hypergraph(5, [(0, 1, 2), (2, 3, 4)])  # well-shaped
 CHAIN3 = make_hypergraph(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
 
 
+def test_cached_fields_leave_equality_hash_and_repr_alone():
+    G, H = make_hypergraph(5, [(0, 1, 2), (2, 3, 4)]), TWO_EDGES
+    text = repr(G)
+    assert G.m == 2 and G.structure.components == ((0, 1, 2, 3, 4),)
+    assert G == H and hash(G) == hash(H)
+    assert repr(G) == text == repr(H)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Hypergraph(0, ())

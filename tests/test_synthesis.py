@@ -8,10 +8,13 @@ state space allows.
 
 import itertools
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zpwalk import decision, hypergraph, synthesis
 from zpwalk.decision import build_system
 from zpwalk.dynamics import (
     Move,
@@ -29,6 +32,7 @@ from zpwalk.errors import (
     SynthesisIncomplete,
     UnreachableTarget,
     Unsolvable,
+    ZpwalkError,
 )
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import EdgePath, make_hypergraph
@@ -44,6 +48,8 @@ from zpwalk.synthesis import (
     undo_on_edge,
 )
 from zpwalk.zp_algebra import gaussian_solve, system_norm
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 E4 = make_hypergraph(4, [(0, 1, 2, 3)])
 CHAIN2 = make_hypergraph(5, [(0, 1, 2), (2, 3, 4)])
@@ -405,7 +411,8 @@ def test_synthesize_long_chain(p, monkeypatch):
 
 
 def test_synthesize_simulates_each_move_once(monkeypatch):
-    calls = {"apply_move": 0, "replay_schedule": 0}
+    calls = {"apply_move": 0, "replay_schedule": 0, "_build_structure": 0,
+             "_closed_form_solution": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -416,15 +423,47 @@ def test_synthesize_simulates_each_move_once(monkeypatch):
     monkeypatch.setattr("zpwalk.synthesis.apply_move", counted("apply_move", apply_move))
     monkeypatch.setattr("zpwalk.synthesis.replay_schedule",
                         counted("replay_schedule", replay_schedule))
+    monkeypatch.setattr("zpwalk.hypergraph._build_structure",
+                        counted("_build_structure", hypergraph._build_structure))
+    monkeypatch.setattr("zpwalk.decision._closed_form_solution",
+                        counted("_closed_form_solution", decision._closed_form_solution))
     m = 200
     G, w1, w2 = unit_chain(m)
     sched = synthesize_schedule(G, 3, w1, w2)
     # one replay, the final end-to-end check: no construction replays
     # its own moves to check them
     assert calls["replay_schedule"] == 1
-    # one simulation per scheduled move, plus the one-move look-aheads
-    # of the single-edge descent and the anchor nudge (3m + 1 here)
+    # one simulation per scheduled move, plus the anchor nudge's one-move
+    # look-aheads (the single-edge descent tests its moves in closed form)
     assert calls["apply_move"] <= len(sched) + 3 * m + 1
+    # one search and one solvability check per split level, plus G's own:
+    # a piece reuses its split's search and inherits its guard
+    assert calls["_build_structure"] <= m + 1
+    assert calls["_closed_form_solution"] <= m + 1
+
+
+def test_nested_pieces_are_balance_solvable(monkeypatch):
+    # synthesize_schedule checks solvability once; every piece a split
+    # recurses into must inherit it, on the whole synthesis digest family
+    digest = runpy.run_path(str(SCRIPTS / "synthesis_digest.py"))
+    limits = {"max_states": digest["LIMIT"], "cap": digest["LIMIT"]}
+    synthesize = synthesis._synthesize
+    nested = 0
+
+    def checked(b, w2):
+        nonlocal nested
+        if b.vmap is not None and b.state != w2:
+            nested += 1
+            assert decision._necessity(b.G, b.p, b.state, w2) is None
+        return synthesize(b, w2)
+
+    monkeypatch.setattr(synthesis, "_synthesize", checked)
+    for synth, G, p, w1, w2 in digest["cases"](random.Random(1)):
+        try:
+            synth(G, p, w1, w2, **(limits if synth is synthesize_schedule else {}))
+        except ZpwalkError:
+            pass
+    assert nested >= 500
 
 
 def test_synthesize_too_deep_chain_is_incomplete():
