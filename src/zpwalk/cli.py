@@ -154,6 +154,24 @@ def _load_instance(rep: _Reporter, path: str):
     return p, G
 
 
+def _load_pair(rep: _Reporter, args):
+    """The instance and its --from / --to states, recorded as input."""
+    p, G = _load_instance(rep, args.hypergraph)
+    w1 = parse_state(args.from_state, p, G.n)
+    w2 = parse_state(args.to_state, p, G.n)
+    rep.input["from"] = format_state(w1)
+    rep.input["to"] = format_state(w2)
+    return p, G, w1, w2
+
+
+def _report_decision(rep: _Reporter, decision) -> None:
+    rep.answer = decision.answer
+    rep.method = decision.method
+    rep.certificate = decision.certificate
+    if decision.oracle_certificate is not None:
+        rep.stats["oracle_certificate"] = _certificate_payload(decision.oracle_certificate)
+
+
 def _effective_mode(rep: _Reporter, G, args) -> str:
     """Honor --allow-nongood: fall back to the search oracle when the
     default double-checking mode would refuse an irregular hypergraph."""
@@ -199,11 +217,7 @@ def _cmd_check_good(rep: _Reporter, args) -> int:
 
 
 def _cmd_reach(rep: _Reporter, args) -> int:
-    p, G = _load_instance(rep, args.hypergraph)
-    w1 = parse_state(args.from_state, p, G.n)
-    w2 = parse_state(args.to_state, p, G.n)
-    rep.input["from"] = format_state(w1)
-    rep.input["to"] = format_state(w2)
+    p, G, w1, w2 = _load_pair(rep, args)
     if args.necessary_only:
         rep.method = "necessary_only"
         rep.input["mode"] = "necessary_only"
@@ -218,11 +232,7 @@ def _cmd_reach(rep: _Reporter, args) -> int:
         return EXIT_NO
     mode = _effective_mode(rep, G, args)
     decision = decide_reachability(G, p, w1, w2, mode=mode, max_states=args.max_states)
-    rep.answer = decision.answer
-    rep.method = decision.method
-    rep.certificate = decision.certificate
-    if decision.oracle_certificate is not None:
-        rep.stats["oracle_certificate"] = _certificate_payload(decision.oracle_certificate)
+    _report_decision(rep, decision)
     rep.say("reachable" if decision.answer else "unreachable")
     if decision.answer and args.witness:
         schedule = _witness_from(decision, G, p, w1, w2, args.max_states, args.cap)
@@ -234,18 +244,10 @@ def _cmd_reach(rep: _Reporter, args) -> int:
 
 
 def _cmd_recur(rep: _Reporter, args) -> int:
-    p, G = _load_instance(rep, args.hypergraph)
-    w1 = parse_state(args.from_state, p, G.n)
-    w2 = parse_state(args.to_state, p, G.n)
-    rep.input["from"] = format_state(w1)
-    rep.input["to"] = format_state(w2)
+    p, G, w1, w2 = _load_pair(rep, args)
     mode = _effective_mode(rep, G, args)
     decision = decide_recurrence(G, p, w1, w2, mode=mode, max_states=args.max_states)
-    rep.answer = decision.answer
-    rep.method = decision.method
-    rep.certificate = decision.certificate
-    if decision.oracle_certificate is not None:
-        rep.stats["oracle_certificate"] = _certificate_payload(decision.oracle_certificate)
+    _report_decision(rep, decision)
     if decision.answer:
         rep.say("recurrent: the target stays reachable along every walk")
     else:
@@ -283,11 +285,7 @@ def _cmd_orbit(rep: _Reporter, args) -> int:
 
 
 def _cmd_schedule(rep: _Reporter, args) -> int:
-    p, G = _load_instance(rep, args.hypergraph)
-    w1 = parse_state(args.from_state, p, G.n)
-    w2 = parse_state(args.to_state, p, G.n)
-    rep.input["from"] = format_state(w1)
-    rep.input["to"] = format_state(w2)
+    p, G, w1, w2 = _load_pair(rep, args)
     schedule = synthesize_schedule(G, p, w1, w2, max_states=args.max_states, cap=args.cap)
     rep.answer = True
     rep.method = "synthesis"

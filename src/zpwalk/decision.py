@@ -28,10 +28,15 @@ matrix that synthesis eliminates only for the bridge descent's
 minimum-norm move counts, and that the self-tests check the closed forms
 against.
 
-decide_reachability / decide_recurrence / classify_state implement the
-corrected rules, can cross-check themselves against the exhaustive
-oracle (mode "both"), and refuse non-well-shaped inputs in algebraic
-mode rather than answer with a one-sided test.
+decide_reachability and decide_recurrence implement the corrected rules
+through one mode dispatch (_decide): each can cross-check itself against
+the exhaustive oracle (mode "both"), and refuses non-well-shaped inputs
+in algebraic mode rather than answer with a one-sided test.  Both rules
+end in one balance verdict (_solved).  Recurrence adds only its own
+refuters: from a charged source to a nonzero target, a garden-of-Eden
+target, then a reachable zero state.  classify_state asks the
+recurrence question (w, w) in the same dispatch: w is transient iff it
+has a predecessor and is not recurrent from itself.
 """
 
 from __future__ import annotations
@@ -114,11 +119,6 @@ class StateClass(Enum):
     RECURRENT_OR_INACCESSIBLE = "recurrent_or_inaccessible"
 
 
-def _require_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
 def _gate_algebraic(G: Hypergraph, p: int) -> None:
     validate_modulus(p)
     report = is_good(G)
@@ -198,27 +198,34 @@ def _closed_form_solution(bal: _BalanceStructure, p: int, w1: State,
     return x
 
 
-def _unsolvability_certificate(bal: _BalanceStructure) -> Certificate:
-    return Certificate("unsolvability",
-                       {"rank": bal.rank, "augmented_rank": bal.rank + 1})
+def _solved(G: Hypergraph, p: int, w1: State, w2: State,
+            bal: _BalanceStructure | None = None) -> Decision:
+    """The balance rule's verdict: a solution vector, or unsolvability."""
+    if w1 == w2:
+        return Decision(True, MODE_ALGEBRAIC,
+                        Certificate("solution_vector", {"solution": [0] * G.structure.ncols}))
+    bal = bal or _balance_structure(G, p)
+    solution = _closed_form_solution(bal, p, w1, w2)
+    if solution is None:
+        return Decision(False, MODE_ALGEBRAIC,
+                        Certificate("unsolvability",
+                                    {"rank": bal.rank, "augmented_rank": bal.rank + 1}))
+    return Decision(True, MODE_ALGEBRAIC,
+                    Certificate("solution_vector", {"solution": solution}))
+
+
+def _garden_of_eden(w2: State) -> Decision:
+    return Decision(False, MODE_ALGEBRAIC, Certificate("garden_of_eden", {"target": list(w2)}))
 
 
 def _algebraic_reach(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
-    if w1 == w2:
-        cert = Certificate("solution_vector", {"solution": [0] * G.structure.ncols})
-        return Decision(True, MODE_ALGEBRAIC, cert)
-    if all(x == 0 for x in w1):
-        return Decision(False, MODE_ALGEBRAIC,
-                        Certificate("absorbing_source", {"source": list(w1)}))
-    if not dynamics.has_predecessor(G, p, w2):
-        return Decision(False, MODE_ALGEBRAIC,
-                        Certificate("garden_of_eden", {"target": list(w2)}))
-    bal = _balance_structure(G, p)
-    solution = _closed_form_solution(bal, p, w1, w2)
-    if solution is not None:
-        return Decision(True, MODE_ALGEBRAIC,
-                        Certificate("solution_vector", {"solution": solution}))
-    return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(bal))
+    if w1 != w2:
+        if not any(w1):
+            return Decision(False, MODE_ALGEBRAIC,
+                            Certificate("absorbing_source", {"source": list(w1)}))
+        if not dynamics.has_predecessor(G, p, w2):
+            return _garden_of_eden(w2)
+    return _solved(G, p, w1, w2)
 
 
 def _oracle_reach(G: Hypergraph, p: int, w1: State, w2: State,
@@ -247,10 +254,12 @@ def decide_reachability(
 
 def _decide(problem: str, algebraic_rule, oracle_rule, G: Hypergraph, p: int,
             w1: State, w2: State, mode: str, max_states: int) -> Decision:
-    """Mode dispatch shared by the pair questions: one side, or both diffed."""
-    _require_mode(mode)
+    """Mode dispatch shared by all three questions: one side, or both diffed."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    same = w2 is w1  # a state asked about itself is validated once
     w1 = dynamics.validate_state(p, G.n, w1)
-    w2 = dynamics.validate_state(p, G.n, w2)
+    w2 = w1 if same else dynamics.validate_state(p, G.n, w2)
     if mode == MODE_ORACLE:
         return oracle_rule(G, p, w1, w2, max_states)
     _gate_algebraic(G, p)
@@ -267,35 +276,25 @@ def _decide(problem: str, algebraic_rule, oracle_rule, G: Hypergraph, p: int,
 
 def _algebraic_recur(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
     zero = (0,) * G.n
-    if w1 == zero:
-        if w2 == zero:
-            return Decision(True, MODE_ALGEBRAIC,
-                            Certificate("solution_vector",
-                                        {"solution": [0] * G.structure.ncols}))
-        return Decision(False, MODE_ALGEBRAIC,
-                        Certificate("absorbing_source", {"source": list(w1)}))
-    bal = _balance_structure(G, p)
-    to_zero = _closed_form_solution(bal, p, w1, zero)
-    if w2 == zero:
+    if w2 == zero and any(w1):
         # Recurrent iff the orbit can fall into the absorbing zero state:
         # once the zero state is reachable at all, it stays reachable from
         # every intermediate state (solution differences), and it is the
-        # only state reachable from itself.
-        if to_zero is not None:
-            return Decision(True, MODE_ALGEBRAIC,
-                            Certificate("solution_vector", {"solution": to_zero}))
-        return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(bal))
+        # only state reachable from itself.  Unlike reachability, this
+        # asks no predecessor of the zero state (the edgeless one-vertex
+        # hypergraph has none).
+        return _solved(G, p, w1, zero)
+    if not any(w1) or not G.edges:
+        # nothing moves from w1, so w1 is the only state reachable from it
+        return _algebraic_reach(G, p, w1, w2)
     if not dynamics.has_predecessor(G, p, w2):
-        return Decision(False, MODE_ALGEBRAIC,
-                        Certificate("garden_of_eden", {"target": list(w2)}))
+        return _garden_of_eden(w2)  # only w2 leads to w2, and w1 can move
+    bal = _balance_structure(G, p)
+    to_zero = _closed_form_solution(bal, p, w1, zero)
     if to_zero is not None:
         return Decision(False, MODE_ALGEBRAIC,
                         Certificate("zero_state_reachable", {"solution": to_zero}))
-    solution = _closed_form_solution(bal, p, w1, w2)
-    if solution is not None:
-        return Decision(True, MODE_ALGEBRAIC,
-                        Certificate("solution_vector", {"solution": solution}))
-    return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(bal))
+    return _solved(G, p, w1, w2, bal)
 
 
 def _oracle_recur(G: Hypergraph, p: int, w1: State, w2: State,
@@ -328,36 +327,19 @@ def classify_state(
     mode: str = MODE_BOTH,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> StateClass:
-    """Transient (accessible and able to escape forever) or not.
+    """Transient (accessible and not recurrent from itself) or not.
 
     The complementary class is deliberately named for what it contains:
     genuinely recurrent states, plus inaccessible ones (no predecessor)
-    for which escape is a one-way exit nothing can ever revisit.
+    for which escape is a one-way exit nothing can ever revisit.  The
+    recurrence question (w, w) is asked in the given mode, so mode
+    "both" raises MismatchError when its two answers differ.
     """
-    _require_mode(mode)
-    w = dynamics.validate_state(p, G.n, w)
-    answers: dict[str, StateClass] = {}
-    if mode in (MODE_ALGEBRAIC, MODE_BOTH):
-        _gate_algebraic(G, p)
-        zero = (0,) * G.n
-        if w == zero or not dynamics.has_predecessor(G, p, w):
-            answers[MODE_ALGEBRAIC] = StateClass.RECURRENT_OR_INACCESSIBLE
-        elif _closed_form_solution(_balance_structure(G, p), p, w, zero) is not None:
-            answers[MODE_ALGEBRAIC] = StateClass.TRANSIENT
-        else:
-            answers[MODE_ALGEBRAIC] = StateClass.RECURRENT_OR_INACCESSIBLE
-    if mode in (MODE_ORACLE, MODE_BOTH):
-        self_recurrent = _oracle_recur(G, p, w, w, max_states).answer
-        accessible = dynamics.has_predecessor(G, p, w)
-        answers[MODE_ORACLE] = (
-            StateClass.TRANSIENT if (not self_recurrent) and accessible
-            else StateClass.RECURRENT_OR_INACCESSIBLE
-        )
-    if mode == MODE_BOTH and answers[MODE_ALGEBRAIC] != answers[MODE_ORACLE]:
-        raise MismatchError(_mismatch_dump("classification", G, p, w, w,
-                                           answers[MODE_ALGEBRAIC].value,
-                                           answers[MODE_ORACLE].value))
-    return answers[MODE_ALGEBRAIC if mode != MODE_ORACLE else MODE_ORACLE]
+    self_recurrent = _decide("classification", _algebraic_recur, _oracle_recur,
+                             G, p, w, w, mode, max_states).answer
+    if not self_recurrent and dynamics.has_predecessor(G, p, w):
+        return StateClass.TRANSIENT
+    return StateClass.RECURRENT_OR_INACCESSIBLE
 
 
 def necessity_filter(G: Hypergraph, p: int, w1: State, w2: State) -> Decision | None:
@@ -374,12 +356,8 @@ def necessity_filter(G: Hypergraph, p: int, w1: State, w2: State) -> Decision | 
 
 def _necessity(G: Hypergraph, p: int, w1: State, w2: State) -> Decision | None:
     """necessity_filter on states already validated against G and p."""
-    if w1 == w2:
-        return None
-    bal = _balance_structure(G, p)
-    if _closed_form_solution(bal, p, w1, w2) is not None:
-        return None
-    return Decision(False, MODE_ALGEBRAIC, _unsolvability_certificate(bal))
+    verdict = _solved(G, p, w1, w2)
+    return None if verdict.answer else verdict
 
 
 def _mismatch_dump(problem: str, G: Hypergraph, p: int, w1: State, w2: State,

@@ -70,23 +70,32 @@ def _try_build(
     edges: list[tuple[int, ...]] = []
     used: list[int] = []
     fresh = iter(labels)
+    home = [0] * n  # the edge that brought each vertex in
+    later: dict[int, set[int]] = {}  # the edges it joined after that
     for i, size in enumerate(sizes):
-        if i == 0:
-            members = [next(fresh) for _ in range(size)]
-        else:
-            members = [rng.choice(used)] + [next(fresh) for _ in range(size - 1)]
-        edges.append(tuple(sorted(members)))
-        used.extend(v for v in members if v not in used)
-    edge_sets = [set(e) for e in edges]
+        # only the anchor was used before; the other members are fresh
+        anchor = [rng.choice(used)] if i else []
+        members = [next(fresh) for _ in range(size - len(anchor))]
+        for v in members:
+            home[v] = i
+        for v in anchor:
+            later.setdefault(v, set()).add(i)
+        used += members
+        edges.append(tuple(sorted(anchor + members)))
+
+    def edges_at(v: int) -> set[int]:
+        return later.get(v, set()) | {home[v]}
+
     for _ in range(m - m_tree):
-        placed = False
         for _ in range(_EXTRA_EDGE_ATTEMPTS):
-            candidate = set(rng.sample(range(n), 3))
-            if all(len(candidate & s) <= 1 for s in edge_sets):
-                edges.append(tuple(sorted(candidate)))
-                edge_sets.append(candidate)
-                placed = True
+            candidate = sorted(rng.sample(range(n), 3))
+            a, b, c = map(edges_at, candidate)
+            # it would meet an edge in two vertices iff two of its own share one
+            if not (a & b or a & c or b & c):
+                for v in candidate:
+                    later.setdefault(v, set()).add(len(edges))
+                edges.append(tuple(candidate))
                 break
-        if not placed:
+        else:
             return None
     return edges

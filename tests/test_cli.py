@@ -115,6 +115,16 @@ def test_recur_answers(e3, e5, capsys):
     assert "not recurrent" in capsys.readouterr().out
 
 
+def test_recur_on_the_edgeless_instance(tmp_path, capsys):
+    # nothing moves, so a state is recurrent from itself; both sides agree
+    f = tmp_path / "point.hg"
+    f.write_text("p 3\nvertices 1\n")
+    assert main(["recur", str(f), "--from", "1", "--to", "1"]) == 0
+    assert main(["recur", str(f), "--from", "1", "--to", "0"]) == 1
+    assert main(["classify", str(f), "--state", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "recurrent_or_inaccessible"
+
+
 def test_classify(e5, capsys):
     assert main(["classify", e5, "--state", "1,0,0,0,0"]) == 0
     assert "recurrent_or_inaccessible" in capsys.readouterr().out

@@ -7,13 +7,14 @@ MismatchError on any disagreement), so most sweeps here simply run in
 that mode; a raised mismatch IS the failure.
 """
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from zpwalk import hypergraph
+from zpwalk import decision, hypergraph
 from zpwalk.decision import (
     MODE_ALGEBRAIC,
     Certificate,
@@ -30,6 +31,7 @@ from zpwalk.dynamics import (
     all_moves,
     apply_move,
     extract_schedule,
+    has_predecessor,
     oracle_escape,
     oracle_reachable,
     oracle_recurrent,
@@ -52,6 +54,7 @@ E4 = make_hypergraph(4, [(0, 1, 2, 3)])
 E5 = make_hypergraph(5, [(0, 1, 2, 3, 4)])
 TWO_EDGES = make_hypergraph(5, [(0, 1, 2), (2, 3, 4)])
 TRIANGLE = make_hypergraph(3, [(0, 1), (0, 2), (1, 2)])
+EDGELESS = Hypergraph(1, ())  # well-shaped; nothing moves on it
 
 ZERO3 = (0, 0, 0)
 
@@ -364,6 +367,25 @@ def test_oracle_recurrence_certificates():
     assert len(kinds) == 3
 
 
+def test_edgeless_hypergraph_answers():
+    # (0) has no predecessor here, yet recurrence towards it asks only
+    # whether the orbit can fall to zero: its certificate differs
+    d = decide_reachability(EDGELESS, 3, (1,), (0,), mode="algebraic")
+    assert not d.answer and d.certificate.kind == "garden_of_eden"
+    d = decide_recurrence(EDGELESS, 3, (1,), (0,), mode="algebraic")
+    assert not d.answer and d.certificate.kind == "unsolvability"
+    # nothing moves from (1), so it is recurrent from itself
+    for mode in ("algebraic", "oracle", "both"):
+        assert decide_recurrence(EDGELESS, 3, (1,), (1,), mode=mode).answer
+        assert (classify_state(EDGELESS, 3, (1,), mode=mode)
+                is StateClass.RECURRENT_OR_INACCESSIBLE)
+    for p in (3, 5):
+        for w1 in states(p, 1):
+            for w2 in states(p, 1):
+                decide_reachability(EDGELESS, p, w1, w2, mode="both")
+                decide_recurrence(EDGELESS, p, w1, w2, mode="both")
+
+
 # -------------------------------------------------------- classification
 
 
@@ -402,6 +424,50 @@ def test_classify_matches_direct_definition():
         expected = (StateClass.TRANSIENT if accessible and not self_recurrent
                     else StateClass.RECURRENT_OR_INACCESSIBLE)
         assert got is expected, w
+
+
+def small_instances():
+    """(G, p, states to classify): one edge, two edges, and generated
+    hypergraphs with n <= 7, at p = 3 and 5, wherever p**n <= 3125."""
+    rng = random.Random(77)
+    family = [E3, E4, TWO_EDGES]
+    for _ in range(8):
+        n = rng.randint(3, 7)
+        family.append(gen_good_hypergraph(n, rng.randint(1, (n - 1) // 2),
+                                          seed=rng.randrange(2**30)))
+    for G in family:
+        for p in (3, 5):
+            if p ** G.n <= 3125:
+                sample = [(0,) * G.n, (p - 1,) * G.n]
+                sample += [tuple(rng.randrange(p) for _ in range(G.n)) for _ in range(6)]
+                yield G, p, sample
+
+
+@pytest.mark.parametrize("mode", ["algebraic", "oracle", "both"])
+def test_classification_is_self_recurrence(mode):
+    kinds = Counter()
+    for G, p, sample in small_instances():
+        for w in sample:
+            self_recurrent = decide_recurrence(G, p, w, w, mode=mode).answer
+            transient = has_predecessor(G, p, w) and not self_recurrent
+            got = classify_state(G, p, w, mode=mode)
+            assert (got is StateClass.TRANSIENT) == transient, (G, p, w)
+            kinds[got, self_recurrent] += 1
+    # transient, self-recurrent, and inaccessible-but-able-to-escape all occur
+    assert len(kinds) == 3, kinds
+
+
+def test_classification_mismatch_is_a_self_recurrence_mismatch(monkeypatch):
+    oracle_recur = decision._oracle_recur
+
+    def flipped(*args):
+        d = oracle_recur(*args)
+        return dataclasses.replace(d, answer=not d.answer)
+
+    monkeypatch.setattr(decision, "_oracle_recur", flipped)
+    for w in ((0, 1, 1, 1), (1, 0, 0, 0), (2, 2, 2, 2), (0, 0, 0, 0)):
+        with pytest.raises(MismatchError, match="classification disagreement"):
+            classify_state(E4, 3, w, mode="both")
 
 
 # ------------------------------------------------------- necessity filter

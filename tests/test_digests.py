@@ -3,11 +3,15 @@
 scripts/synthesis_digest.py hashes every schedule or error type on a
 seeded family of synthesis cases, and scripts/decision_digest.py every
 answer and certificate on a seeded family of decision cases.  These are
-their lines at seed 1, and the synthesis digest's at seed 2, whose
-family also trips _transfer_into_edge's corridor guard (seed 1 never
-does).  A change meant to keep behaviour keeps them; a
-change meant to alter schedules or certificates updates them and says
-why.
+their lines at seeds 1 and 2; the synthesis family at seed 2 also trips
+_transfer_into_edge's corridor guard (seed 1 never does).  A change
+meant to keep behaviour keeps them; a change meant to alter schedules or
+certificates updates them and says why.
+
+The decision lines last changed when recurrence on the edgeless
+one-vertex hypergraph was mended: a charged state there cannot move, so
+it is recurrent from itself (solution_vector), where the rule used to
+certify garden_of_eden against the search oracle's answer.
 """
 
 import runpy
@@ -48,11 +52,32 @@ seed 1: 560 hypergraphs, 300 well-shaped
   reach unsolvability: 65
   recur NotGood: 1560
   recur absorbing_source: 311
-  recur garden_of_eden: 373
-  recur solution_vector: 111
+  recur garden_of_eden: 307
+  recur solution_vector: 177
   recur unsolvability: 67
   recur zero_state_reachable: 938
-sha256: 65a4db40db63944ccca9ed3ae48fb87c5f46cfa3920e8db8c609746c1808a2d7
+sha256: 391d1c837efeb448625624ef94b036b0322cf350a7d743aa13e28d31e761636f
+"""
+
+DECISION_SEED_2 = """\
+seed 2: 560 hypergraphs, 302 well-shaped
+  classify NotGood: 1548
+  classify recurrent_or_inaccessible: 562
+  classify transient: 1250
+  filter inconclusive: 2602
+  filter unsolvability: 758
+  reach NotGood: 1548
+  reach absorbing_source: 312
+  reach garden_of_eden: 316
+  reach solution_vector: 1115
+  reach unsolvability: 69
+  recur NotGood: 1548
+  recur absorbing_source: 312
+  recur garden_of_eden: 310
+  recur solution_vector: 132
+  recur unsolvability: 56
+  recur zero_state_reachable: 1002
+sha256: 0e09a4ec6b43d793187da43afd88fae3e345585f47373203fb79a5ed237730c1
 """
 
 
@@ -68,3 +93,9 @@ def test_synthesis_digest_at_seed_2_is_pinned(capsys):
     main = runpy.run_path(str(SCRIPTS / "synthesis_digest.py"))["main"]
     assert main(["--seed", "2"]) == 0
     assert capsys.readouterr().out == SYNTHESIS_SEED_2
+
+
+def test_decision_digest_at_seed_2_is_pinned(capsys):
+    main = runpy.run_path(str(SCRIPTS / "decision_digest.py"))["main"]
+    assert main(["--seed", "2"]) == 0
+    assert capsys.readouterr().out == DECISION_SEED_2
