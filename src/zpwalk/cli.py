@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
     sub.add_argument(
         "--list-limit",
-        type=int,
+        type=_at_least(0),
         default=60,
         help="print the states themselves when the orbit is at most this big (default 60)",
     )

@@ -19,9 +19,10 @@ every 1_v - 1_u inside a connected component, and one column adds
 (2 - |e|)*1_r there.  A component therefore constrains the right-hand
 side only when every edge in it has |e| = 2 (mod p), and then only
 through its sum mod p; a vertex on no edge is such a component by
-itself and must match exactly.  _BalanceStructure records this in
-O(n + sum |e|), and _closed_form_solution settles solvability and
-builds a solution along G.structure's spanning edge tree in that time.
+itself and must match exactly.  _lever states this rule once, and
+_closed_form_solution reads G.structure's search directly: it settles
+solvability and builds a solution along the spanning edge tree in
+O(n + sum |e|).
 Synthesis asks the same rule through necessity_filter, and counts
 single-edge moves in closed form too.  build_system stays as the plain
 matrix that synthesis eliminates only for the bridge descent's
@@ -47,7 +48,7 @@ from enum import Enum
 from . import dynamics
 from .dynamics import DEFAULT_MAX_STATES, State, extract_schedule, orbit_bfs
 from .errors import MismatchError, NotGood
-from .hypergraph import Hypergraph, Structure, is_good
+from .hypergraph import Hypergraph, is_good
 from .zp_algebra import ZpMatrixSystem, mod_inverse, validate_modulus
 
 MODE_ALGEBRAIC = "algebraic"
@@ -131,59 +132,50 @@ def _gate_algebraic(G: Hypergraph, p: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _BalanceStructure:
-    """What the balance matrix of G over Z_p (p odd) looks like.
+def _lever(G: Hypergraph, p: int, scan: tuple[int, ...]) -> int | None:
+    """The first edge in a component's scan with |e| != 2 (mod p), or None.
 
-    structure is G's search: components, spanning edge tree, columns.
-    lever[c] is None when every edge of component c has |e| = 2 (mod p),
-    so that its sum is invariant; otherwise it is (column of (e, e[0]),
-    e[0], e) for the first such e the search scanned.  rank = n minus
-    the number of sum-invariant components.
+    None means every edge of the component has |e| = 2 (mod p), so that
+    its sum is invariant.  The lever is the first such edge the search
+    met, which fixes the values of the solution certificates.
     """
-
-    structure: Structure
-    lever: tuple[tuple[int, int, tuple[int, ...]] | None, ...]
-    rank: int
+    return next((i for i in scan if (len(G.edges[i]) - 2) % p), None)
 
 
-def _balance_structure(G: Hypergraph, p: int) -> _BalanceStructure:
-    st = G.structure
-    levers = []
-    for scan in st.scan:
-        i = next((i for i in scan if (len(G.edges[i]) - 2) % p), None)
-        levers.append(None if i is None else (st.offset[i], G.edges[i][0], G.edges[i]))
-    return _BalanceStructure(st, tuple(levers), G.n - levers.count(None))
+def _rank(G: Hypergraph, p: int) -> int:
+    """Rank of the balance matrix: n minus the sum-invariant components."""
+    return G.n - sum(_lever(G, p, scan) is None for scan in G.structure.scan)
 
 
-def _closed_form_solution(bal: _BalanceStructure, p: int, w1: State,
+def _closed_form_solution(G: Hypergraph, p: int, w1: State,
                           w2: State) -> list[int] | None:
     """A solution of build_system(G, p, w1, w2), or None if there is none.
 
-    Variables are in build_system's order.  A component with a lever
-    edge e gets its sum fixed by t * col(e, e[0]), t = s / (2 - |e|);
-    the rest of the right-hand side then sums to zero on every component
-    and is pushed from the leaves to the root of the spanning tree with
-    1_v - 1_u = (col(e, v) - col(e, u)) / 2.
+    Variables are in build_system's order.  A component whose residual
+    sum s is nonzero needs a lever e: t * col(e, e[0]), t = s / (2 - |e|),
+    fixes its sum.  The rest of the right-hand side then sums to zero on
+    every component and is pushed from the leaves to the root of the
+    spanning tree with 1_v - 1_u = (col(e, v) - col(e, u)) / 2.
     """
-    st = bal.structure
+    st = G.structure
     residual = [(a - b) % p for a, b in zip(w1, w2)]
-    sums = [0] * len(bal.lever)
+    sums = [0] * len(st.scan)
     for v, c in enumerate(st.component):
         sums[c] += residual[v]
     x = [0] * st.ncols
-    for c, lever in enumerate(bal.lever):
+    for c, scan in enumerate(st.scan):
         s = sums[c] % p
         if not s:
             continue
-        if lever is None:
+        i = _lever(G, p, scan)
+        if i is None:
             return None
-        j, v0, e = lever
+        e = G.edges[i]
         t = s * mod_inverse(2 - len(e), p) % p
-        x[j] = t
+        x[st.offset[i]] = t
         for u in e:
             residual[u] = (residual[u] + t) % p
-        residual[v0] = (residual[v0] - 2 * t) % p
+        residual[e[0]] = (residual[e[0]] - 2 * t) % p
     half = mod_inverse(2, p)
     for v in reversed(st.order):
         link = st.tree[v]
@@ -198,18 +190,16 @@ def _closed_form_solution(bal: _BalanceStructure, p: int, w1: State,
     return x
 
 
-def _solved(G: Hypergraph, p: int, w1: State, w2: State,
-            bal: _BalanceStructure | None = None) -> Decision:
+def _solved(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
     """The balance rule's verdict: a solution vector, or unsolvability."""
     if w1 == w2:
         return Decision(True, MODE_ALGEBRAIC,
                         Certificate("solution_vector", {"solution": [0] * G.structure.ncols}))
-    bal = bal or _balance_structure(G, p)
-    solution = _closed_form_solution(bal, p, w1, w2)
+    solution = _closed_form_solution(G, p, w1, w2)
     if solution is None:
+        rank = _rank(G, p)
         return Decision(False, MODE_ALGEBRAIC,
-                        Certificate("unsolvability",
-                                    {"rank": bal.rank, "augmented_rank": bal.rank + 1}))
+                        Certificate("unsolvability", {"rank": rank, "augmented_rank": rank + 1}))
     return Decision(True, MODE_ALGEBRAIC,
                     Certificate("solution_vector", {"solution": solution}))
 
@@ -289,12 +279,11 @@ def _algebraic_recur(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
         return _algebraic_reach(G, p, w1, w2)
     if not dynamics.has_predecessor(G, p, w2):
         return _garden_of_eden(w2)  # only w2 leads to w2, and w1 can move
-    bal = _balance_structure(G, p)
-    to_zero = _closed_form_solution(bal, p, w1, zero)
+    to_zero = _closed_form_solution(G, p, w1, zero)
     if to_zero is not None:
         return Decision(False, MODE_ALGEBRAIC,
                         Certificate("zero_state_reachable", {"solution": to_zero}))
-    return _solved(G, p, w1, w2, bal)
+    return _solved(G, p, w1, w2)
 
 
 def _oracle_recur(G: Hypergraph, p: int, w1: State, w2: State,

@@ -15,7 +15,6 @@ recurrence oracle walks back from its target by un-moves inside it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import IllegalMove, ParseError, StateSpaceTooLarge
@@ -155,22 +154,19 @@ def orbit_bfs(
     set.  With stop_at, returns as soon as that state is discovered (the
     partial result still has valid predecessor links for it).
     """
-    moves = all_moves(G)
+    steps = [(move, move.vertex, G.edges[move.edge]) for move in all_moves(G)]
     predecessor: dict[State, tuple[State, Move] | None] = {start: None}
     order = [start]
     if stop_at == start:
         return OrbitResult(start, tuple(order), predecessor)
-    queue: deque[State] = deque([start])
-    while queue:
-        w = queue.popleft()
-        for move in moves:
-            if w[move.vertex] == 0:
+    for w in order:  # the visit list is the queue: it grows while it is read
+        for move, v, edge in steps:
+            if w[v] == 0:
                 continue
-            edge = G.edges[move.edge]
             nxt = list(w)
             for u in edge:
                 nxt[u] = (nxt[u] + 1) % p
-            nxt[move.vertex] = (nxt[move.vertex] - 2) % p
+            nxt[v] = (nxt[v] - 2) % p
             t = tuple(nxt)
             if t in predecessor:
                 continue
@@ -182,7 +178,6 @@ def orbit_bfs(
             order.append(t)
             if t == stop_at:
                 return OrbitResult(start, tuple(order), predecessor)
-            queue.append(t)
     return OrbitResult(start, tuple(order), predecessor)
 
 
@@ -247,20 +242,23 @@ def oracle_escape(
 
     The escape state is None exactly when w2 is recurrent from w1; when
     w2 is outside the orbit it is w1 itself.  One forward orbit, then a
-    breadth-first sweep backwards from w2 by un-moves kept inside the
-    orbit: undoing (v, e) takes one unit from every vertex of e and
-    gives v two, and is legal iff v holds a value other than p-1 (see
-    has_predecessor).  The orbit is closed under moves, so the sweep
-    finds exactly the orbit states that can reach w2.
+    sweep backwards from w2 by un-moves kept inside the orbit: undoing
+    (v, e) takes one unit from every vertex of e and gives v two, and is
+    legal iff v holds a value other than p-1 (see has_predecessor).  The
+    orbit is closed under moves, so the sweep crosses off exactly the
+    orbit states that can reach w2; the first one left, in visit order,
+    is the escape state.
     """
     orbit = orbit_bfs(G, p, w1, max_states=max_states)
     if w2 not in orbit:
         return orbit, w1
     moves = [(v, e) for e in G.edges for v in e]
-    seen = {w2}
-    queue = deque([w2])
-    while queue:
-        t = queue.popleft()
+    # the orbit states not yet known to reach w2, kept in visit order
+    unreached = dict.fromkeys(orbit.order)
+    del unreached[w2]
+    todo = [w2]
+    while todo:
+        t = todo.pop()
         for v, edge in moves:
             if t[v] == p - 1:
                 continue
@@ -269,9 +267,7 @@ def oracle_escape(
                 prior[u] = (prior[u] - 1) % p
             prior[v] = (prior[v] + 2) % p
             s = tuple(prior)
-            if s in orbit.predecessor and s not in seen:
-                seen.add(s)
-                queue.append(s)
-    if len(seen) == len(orbit):
-        return orbit, None
-    return orbit, next(w for w in orbit.order if w not in seen)
+            if s in unreached:
+                del unreached[s]
+                todo.append(s)
+    return orbit, next(iter(unreached), None)

@@ -641,19 +641,18 @@ def _attempt_split(b: _Builder, w2: State, l: int) -> None:
             _recurse_into(b, l, without_l, ci, target)
         # Values now sitting on l's other vertices; two of them must anchor
         # the trick rounds around the refill.
-        vals = {z: b.state[z] for z in e_l if z != z1}
         rest = [z for z in e_l if z != z1]
         pair = None
         for i in range(len(rest)):
             for j in range(i + 1, len(rest)):
-                if _anchors_ok(p, vals[rest[i]], vals[rest[j]], t):
+                if _anchors_ok(p, b.state[rest[i]], b.state[rest[j]], t):
                     pair = (rest[i], rest[j])
                     break
             if pair:
                 break
         cleanup_edge = None
         if pair is None:
-            pair, cleanup_edge = _nudge_for_anchors(b, w2, l, z1, t, without_l, kind, vals)
+            pair, cleanup_edge = _nudge_for_anchors(b, w2, l, z1, t, without_l, kind)
         z2, z3 = pair
         # Stage 3: refill z1.  A -1 round gives z1 the charge to move,
         # p - t moves at z1 pull the borrowed units back (z1 passes from
@@ -690,7 +689,6 @@ def _nudge_for_anchors(
     t: int,
     without_l: Hypergraph,
     kind: dict[int, str],
-    vals: dict[int, int],
 ) -> tuple[tuple[int, int], int | None]:
     """All anchor candidates on l share one unusable value; nudge one.
 
@@ -716,7 +714,7 @@ def _nudge_for_anchors(
             if b.state[u] == 0:
                 continue
             nxt = apply_move(G, p, b.state, Move(u, ep))
-            if not _anchors_ok(p, nxt[z], vals[partner], t):
+            if not _anchors_ok(p, nxt[z], b.state[partner], t):
                 continue
             if kind[ci] != "live":
                 # Nothing will revisit this component: the nudge must be
@@ -732,7 +730,6 @@ def _nudge_for_anchors(
             else:
                 cleanup = None
             b.emit(Move(u, ep))
-            vals[z] = nxt[z]
             return (min(z, partner), max(z, partner)), cleanup
     raise _GuardFailure("no legal nudge frees an anchor pair on the bridging edge")
 

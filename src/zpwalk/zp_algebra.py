@@ -9,6 +9,7 @@ lexicographic free-coefficient sweeps).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,10 +23,11 @@ from .errors import (
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
-#: the largest modulus accepted: is_odd_prime divides by trial (ms here)
+#: the largest modulus accepted: is_odd_prime divides by trial, once per p
 MAX_MODULUS = 2**31 - 1
 
 
+@functools.cache
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False

@@ -150,6 +150,14 @@ def test_orbit_list_limit(capsys):
     assert "0,0,0" not in out  # listing suppressed above the limit
 
 
+def test_orbit_list_limit_zero_lists_nothing(capsys):
+    assert main(["--json", "orbit", TRIANGLE_FILE, "--from", "1,1,1",
+                 "--list-limit", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["stats"]["orbit_size"] == 8
+    assert "states" not in report["stats"]
+
+
 # --------------------------------------------- schedule / verify / gen
 
 
@@ -287,6 +295,7 @@ def test_argparse_rejects_unknown_mode(e3):
     ["recur", "E5", "--from", "1,0,0,0,0", "--to", "0,0,0,0,0", "--max-states", "0"],
     ["classify", "E5", "--state", "1,0,0,0,0", "--max-states", "0"],
     ["orbit", "E5", "--from", "1,0,0,0,0", "--max-states", "0"],
+    ["orbit", "E5", "--from", "1,0,0,0,0", "--list-limit", "-1"],
     ["reach", "E5", "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--witness", "--cap", "-1"],
     ["schedule", "E5", "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--cap", "-1"],
     ["schedule", "E5", "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--max-states", "-1"],

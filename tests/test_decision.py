@@ -19,8 +19,8 @@ from zpwalk.decision import (
     MODE_ALGEBRAIC,
     Certificate,
     StateClass,
-    _balance_structure,
     _closed_form_solution,
+    _rank,
     build_system,
     classify_state,
     decide_reachability,
@@ -47,7 +47,7 @@ from zpwalk.hypergraph import (
     vertex_edges,
 )
 from zpwalk.synthesis import synthesize_schedule
-from zpwalk.zp_algebra import gaussian_solve
+from zpwalk.zp_algebra import MAX_MODULUS, gaussian_solve, is_odd_prime
 
 E3 = make_hypergraph(3, [(0, 1, 2)])
 E4 = make_hypergraph(4, [(0, 1, 2, 3)])
@@ -155,15 +155,15 @@ def test_closed_form_matches_elimination_on_any_hypergraph():
         seen["disconnected"] += len(connected_components(G)) > 1
         seen["isolated"] += any(not any(v in e for e in G.edges) for v in range(G.n))
         seen[f"p = {p}"] += 1
-        bal = _balance_structure(G, p)
+        rank = _rank(G, p)
         zero = (0,) * G.n
         homogeneous = build_system(G, p, zero, zero).system
-        assert bal.rank == homogeneous.ncols - gaussian_solve(homogeneous).dimension
+        assert rank == homogeneous.ncols - gaussian_solve(homogeneous).dimension
         for _ in range(4):
             w1 = tuple(rng.randrange(p) for _ in range(G.n))
             w2 = tuple(rng.randrange(p) for _ in range(G.n))
             system = build_system(G, p, w1, w2).system
-            x = _closed_form_solution(bal, p, w1, w2)
+            x = _closed_form_solution(G, p, w1, w2)
             assert (x is not None) == gaussian_solve(system).solvable, (G, p, w1, w2)
             seen["solvable" if x is not None else "unsolvable"] += 1
             if x is not None:
@@ -173,8 +173,8 @@ def test_closed_form_matches_elimination_on_any_hypergraph():
             verdict = necessity_filter(G, p, w1, w2)
             assert (verdict is None) == (w1 == w2 or x is not None)
             if verdict is not None:
-                assert verdict.certificate.data == {"rank": bal.rank,
-                                                    "augmented_rank": bal.rank + 1}
+                assert verdict.certificate.data == {"rank": rank,
+                                                    "augmented_rank": rank + 1}
     assert min(seen.values()) >= 20, seen
     assert len(seen) == 11, seen
 
@@ -277,6 +277,24 @@ def test_reach_unsolvable_certificate():
 def test_mode_validation():
     with pytest.raises(ValueError):
         decide_reachability(E3, 3, ZERO3, ZERO3, mode="quick")
+
+
+def test_primality_is_tested_once_per_modulus():
+    """The gate and the closed form's inverses all validate p; trial
+    division up to sqrt(p) runs once for the largest modulus."""
+    rng = random.Random(13)
+    p = MAX_MODULUS
+    is_odd_prime.cache_clear()
+    for k in range(50):
+        w1 = tuple(rng.randrange(p) for _ in range(5))
+        w2 = tuple(rng.randrange(p) for _ in range(5))
+        if k % 3 == 0:
+            decide_reachability(TWO_EDGES, p, w1, w2, mode="algebraic")
+        elif k % 3 == 1:
+            decide_recurrence(TWO_EDGES, p, w1, w2, mode="algebraic")
+        else:
+            classify_state(TWO_EDGES, p, w1, mode="algebraic")
+    assert is_odd_prime.cache_info().misses == 1
 
 
 def test_algebraic_gate_rejects_irregular_graphs():

@@ -210,6 +210,29 @@ def test_orbit_stop_at_short_circuits():
     assert replay_schedule(E5, 3, (1, 0, 0, 0, 0), sched) == (0, 1, 1, 1, 1)
 
 
+def test_orbit_stop_at_keeps_the_full_visit_order():
+    """Stopping at t visits exactly the full search's prefix up to t, and
+    the partial result's links replay to t."""
+    rng = random.Random(204)
+    instances = [(G, p) for G in (E5, TWO_EDGES) for p in (3, 5)]
+    for _ in range(8):
+        n = rng.randint(3, 7)
+        p = rng.choice((3, 5)) if n < 7 else 3
+        G = gen_good_hypergraph(n, 1 if n < 5 else 2, seed=rng.randrange(2**30))
+        instances.append((G, p))
+    for G, p in instances:
+        full = None
+        while full is None or len(full) < 6:
+            start = tuple(rng.randrange(p) for _ in range(G.n))
+            full = orbit_bfs(G, p, start)
+        targets = {full.order[0], full.order[-1], *rng.sample(full.order, 5)}
+        for t in targets:
+            i = full.order.index(t)
+            partial = orbit_bfs(G, p, start, stop_at=t)
+            assert partial.order == full.order[:i + 1], (G, p, start, t)
+            assert replay_schedule(G, p, start, extract_schedule(partial, t)) == t
+
+
 def test_orbit_refuses_to_truncate():
     with pytest.raises(StateSpaceTooLarge):
         orbit_bfs(E5, 3, (1, 1, 1, 1, 1), max_states=10)
