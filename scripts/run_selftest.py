@@ -9,8 +9,8 @@ non-good necessity filter.  Exit status 0 iff no divergences.
 
 Typical runs:
 
-    python3 scripts/run_selftest.py                  # full sweep (~3 min)
-    python3 scripts/run_selftest.py --quick          # trimmed sweep (~20 s)
+    python3 scripts/run_selftest.py                  # full sweep (~2 min)
+    python3 scripts/run_selftest.py --quick          # trimmed sweep (~11 s)
     python3 scripts/run_selftest.py --seed 7 -g 400  # bigger random family
 """
 

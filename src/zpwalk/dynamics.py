@@ -7,15 +7,28 @@ works for any prime p >= 2 and any hypergraph; only the algebraic
 decision layer is pickier.
 
 The oracles in this module are the ground truth the rest of the package
-is judged against, so they are deliberately plain: exact visited sets,
+is judged against, so their rules are plain: exact visited sets,
 deterministic expansion order (moves sorted by (edge, vertex)), hard
 caps instead of truncation.  Each oracle expands an orbit once: the
 recurrence oracle walks back from its target by un-moves inside it.
+
+Both searches run over the state keys of one engine per (G, p), cached
+on G (state_space).  Up to TABLE_STATES = 2^16 states a key is the
+state's base-p code, and every move and un-move of a state is worked
+out once, when the state is first expanded, into a flat int table that
+every later query on the instance reads.  Above the bound the keys are
+the state tuples, expanded afresh on each visit.  Both engines list a
+state's moves in the same order, so orbits, visit orders and witness
+schedules are the same whichever one runs.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
+from operator import add
 
 from .errors import IllegalMove, ParseError, StateSpaceTooLarge
 from .hypergraph import Hypergraph
@@ -23,6 +36,12 @@ from .hypergraph import Hypergraph
 State = tuple[int, ...]
 
 DEFAULT_MAX_STATES = 2_000_000
+
+#: instances with at most this many states (p^n) search one successor table
+TABLE_STATES = 2**16
+
+#: row entry of a move, or un-move, that is not legal in the state
+ILLEGAL = -1
 
 
 @dataclass(frozen=True)
@@ -121,24 +140,204 @@ def all_moves(G: Hypergraph) -> tuple[Move, ...]:
     return tuple(Move(v, i) for i, e in enumerate(G.edges) for v in e)
 
 
-@dataclass
+class _TupleSpace:
+    """State keys are the state tuples themselves, expanded on every visit."""
+
+    def __init__(self, G: Hypergraph, p: int):
+        self.p = p
+        self.moves = all_moves(G)
+        # a move nets -1 at its vertex v and +1 at the rest of its edge
+        self._steps = [(move.vertex, tuple(u for u in G.edges[move.edge] if u != move.vertex))
+                       for move in self.moves]
+
+    def key(self, w: State) -> State:
+        return tuple(w)
+
+    def state(self, key: State) -> State:
+        return key
+
+    def successors(self, w: State) -> list:
+        """Per move in all_moves order: the state it leads to, or ILLEGAL."""
+        p, row = self.p, []
+        for v, others in self._steps:
+            if w[v] == 0:
+                row.append(ILLEGAL)
+                continue
+            nxt = list(w)
+            for u in others:
+                nxt[u] = (nxt[u] + 1) % p
+            nxt[v] -= 1
+            row.append(tuple(nxt))
+        return row
+
+    def unmoves(self, t: State) -> list:
+        """Per move: the state that move takes to t, or ILLEGAL.
+
+        Undoing (v, e) takes one unit from every vertex of e and gives v
+        two; it is legal iff v holds a value other than p-1 (see
+        has_predecessor).
+        """
+        p, row = self.p, []
+        for v, others in self._steps:
+            if t[v] == p - 1:
+                row.append(ILLEGAL)
+                continue
+            prior = list(t)
+            for u in others:
+                prior[u] = (prior[u] - 1) % p
+            prior[v] += 1
+            row.append(tuple(prior))
+        return row
+
+
+class _CodeTable:
+    """State keys are base-p codes, vertex 0 the most significant digit,
+    so code i is the i-th state of itertools.product(range(p), repeat=n).
+
+    A code splits into its high digits (vertices below n - n//2) and its
+    low ones: code = hi * len(low) + lo, and the state is high[hi] +
+    low[lo].
+    """
+
+    def __init__(self, G: Hypergraph, p: int):
+        self.p, self.n = p, G.n
+        self.moves = all_moves(G)
+        self._edges = G.edges
+        cut = G.n - G.n // 2
+        self._halves = (list(product(range(p), repeat=cut)),
+                        list(product(range(p), repeat=G.n - cut)))
+
+    def key(self, w: State) -> int:
+        """The code of w, or ILLEGAL when w is not a state of this instance."""
+        p, code = self.p, 0
+        for x in w:
+            if not 0 <= x < p:
+                return ILLEGAL
+            code = code * p + x
+        return code if len(w) == self.n else ILLEGAL
+
+    def state(self, code: int) -> State:
+        high, low = self._halves
+        hi, lo = divmod(code, len(low))
+        return high[hi] + low[lo]
+
+    # each direction is built on its first use; its reader holds no
+    # reference back to the table
+
+    @cached_property
+    def successors(self):
+        """code -> per move in all_moves order, the code it leads to or ILLEGAL."""
+        return _row_reader(self.p, self._edges, self.moves, self._halves, 1)
+
+    @cached_property
+    def unmoves(self):
+        """code -> per move, the code that move takes to this one, or ILLEGAL."""
+        return _row_reader(self.p, self._edges, self.moves, self._halves, -1)
+
+
+def _row_reader(p: int, edges, moves, halves, sign: int):
+    """One direction of a _CodeTable: moves (sign 1) or un-moves (sign -1).
+
+    The rows of all codes live in one flat int array, len(moves) entries
+    a code, each filled when its code is first read.  A move changes each
+    digit on its own, without carries, so the code it leads to is the
+    sum of one part per half of the digits: the half's new digits, in
+    place.  The parts are tabled per half code, so filling a row is one
+    addition per move.  A mover whose digit would wrap (a move from 0, an
+    un-move from p-1; see has_predecessor) is illegal; its half's part is
+    -size there, which leaves the sum negative.
+    """
+    high, low = halves
+    size, k, span = len(high) * len(low), len(moves), len(low)
+    high_parts = _parts(p, edges, moves, high, 0, sign, span, size)
+    low_parts = _parts(p, edges, moves, low, len(high[0]), sign, 1, size)
+    rows = array("i", [ILLEGAL]) * (size * k)
+    filled = bytearray(size)
+
+    def row(code: int) -> array:
+        base = code * k
+        if not filled[code]:
+            hi, lo = divmod(code, span)
+            rows[base:base + k] = array("i", [
+                c if c >= 0 else ILLEGAL for c in map(add, high_parts[hi], low_parts[lo])])
+            filled[code] = 1
+        return rows[base:base + k]
+
+    return row
+
+
+def _parts(p: int, edges, moves, codes, first: int, sign: int, scale: int, size: int):
+    """Per digit tuple of the vertices first, first+1, ...: per move, the
+    tuple's new code times scale, or -size when the mover wraps."""
+    span = range(first, first + len(codes[0]))
+    parts = []
+    for digits in codes:
+        part = []
+        for move in moves:
+            after = list(digits)
+            for u in edges[move.edge]:
+                if u in span:
+                    after[u - first] = (after[u - first] + sign) % p
+            v = move.vertex
+            if v in span:
+                # the mover nets -sign: +sign as an edge vertex, -2 sign itself
+                d = after[v - first] = digits[v - first] - sign
+                if not 0 <= d < p:
+                    part.append(-size)
+                    continue
+            code = 0
+            for x in after:
+                code = code * p + x
+            part.append(code * scale)
+        parts.append(tuple(part))
+    return parts
+
+
+def state_space(G: Hypergraph, p: int) -> _CodeTable | _TupleSpace:
+    """The search engine of (G, p), built on first use and cached on G.
+
+    Up to TABLE_STATES states it is a _CodeTable, above it a _TupleSpace;
+    both order every row by all_moves, so visit orders do not depend on
+    which one runs.
+    """
+    spaces = G.state_spaces
+    space = spaces.get(p)
+    if space is None:
+        # p >= 2, so the first test keeps p ** n from growing with huge n
+        small = G.n < TABLE_STATES.bit_length() and p ** G.n <= TABLE_STATES
+        space = spaces[p] = (_CodeTable if small else _TupleSpace)(G, p)
+    return space
+
+
 class OrbitResult:
     """BFS closure of a start state under legal moves.
 
-    order is the deterministic visit order; predecessor maps each state
-    to the (previous state, move) pair that first discovered it (None
-    for the start), which is enough to extract a witness schedule.
+    The search keeps the engine's state keys (see state_space): len,
+    `in` and extract_schedule read them directly.  order, the
+    deterministic visit order, and predecessor, which maps each state to
+    the (previous state, move) pair that first discovered it (None for
+    the start), are built as states only when read.
     """
 
-    start: State
-    order: tuple[State, ...]
-    predecessor: dict[State, tuple[State, Move] | None]
+    def __init__(self, start: State, space, keys: list, links: dict):
+        self.start = start
+        self._space, self._keys, self._links = space, keys, links
+
+    @cached_property
+    def order(self) -> tuple[State, ...]:
+        return tuple(map(self._space.state, self._keys))
+
+    @cached_property
+    def predecessor(self) -> dict[State, tuple[State, Move] | None]:
+        state, moves = self._space.state, self._space.moves
+        return {state(key): None if link is None else (state(link[0]), moves[link[1]])
+                for key, link in self._links.items()}
 
     def __contains__(self, w: State) -> bool:
-        return w in self.predecessor
+        return self._space.key(w) in self._links
 
     def __len__(self) -> int:
-        return len(self.predecessor)
+        return len(self._links)
 
 
 def orbit_bfs(
@@ -150,51 +349,51 @@ def orbit_bfs(
 ) -> OrbitResult:
     """All states reachable from start (including it).
 
-    Refuses with StateSpaceTooLarge rather than returning a truncated
-    set.  With stop_at, returns as soon as that state is discovered (the
-    partial result still has valid predecessor links for it).
+    Breadth first, each state's moves in all_moves order, over the keys
+    of state_space(G, p): codes of one successor table per (G, p) up to
+    TABLE_STATES states, state tuples expanded afresh above it; the
+    visit order is the same either way.  Refuses with StateSpaceTooLarge
+    rather than returning a truncated set.  With stop_at, returns as
+    soon as that state is discovered (the partial result still has valid
+    predecessor links for it).
     """
-    steps = [(move, move.vertex, G.edges[move.edge]) for move in all_moves(G)]
-    predecessor: dict[State, tuple[State, Move] | None] = {start: None}
-    order = [start]
-    if stop_at == start:
-        return OrbitResult(start, tuple(order), predecessor)
-    for w in order:  # the visit list is the queue: it grows while it is read
-        for move, v, edge in steps:
-            if w[v] == 0:
+    start = validate_state(p, G.n, start)
+    space = state_space(G, p)
+    successors = space.successors
+    origin = space.key(start)
+    goal = ILLEGAL if stop_at is None else space.key(stop_at)
+    links: dict = {origin: None}
+    order = [origin]
+    if goal == origin:
+        return OrbitResult(start, space, order, links)
+    for key in order:  # the visit list is the queue: it grows while it is read
+        for k, nxt in enumerate(successors(key)):
+            if nxt in links or nxt == ILLEGAL:
                 continue
-            nxt = list(w)
-            for u in edge:
-                nxt[u] = (nxt[u] + 1) % p
-            nxt[v] = (nxt[v] - 2) % p
-            t = tuple(nxt)
-            if t in predecessor:
-                continue
-            if len(predecessor) >= max_states:
+            if len(links) >= max_states:
                 raise StateSpaceTooLarge(
                     f"orbit exceeds {max_states} states; refusing to truncate"
                 )
-            predecessor[t] = (w, move)
-            order.append(t)
-            if t == stop_at:
-                return OrbitResult(start, tuple(order), predecessor)
-    return OrbitResult(start, tuple(order), predecessor)
+            links[nxt] = (key, k)
+            order.append(nxt)
+            if nxt == goal:
+                return OrbitResult(start, space, order, links)
+    return OrbitResult(start, space, order, links)
 
 
 def extract_schedule(orbit: OrbitResult, target: State) -> Schedule:
     """Witness schedule start -> target from BFS predecessor links."""
-    if target not in orbit.predecessor:
+    if target not in orbit:
         raise ValueError(f"state {target} not in the explored orbit")
-    moves: list[Move] = []
-    w = target
-    while True:
-        link = orbit.predecessor[w]
-        if link is None:
-            break
-        w, move = link
-        moves.append(move)
-    moves.reverse()
-    return Schedule(tuple(moves))
+    links, moves = orbit._links, orbit._space.moves
+    path: list[Move] = []
+    link = links[orbit._space.key(target)]
+    while link is not None:
+        key, k = link
+        path.append(moves[k])
+        link = links[key]
+    path.reverse()
+    return Schedule(tuple(path))
 
 
 def has_predecessor(G: Hypergraph, p: int, w: State) -> bool:
@@ -252,22 +451,16 @@ def oracle_escape(
     orbit = orbit_bfs(G, p, w1, max_states=max_states)
     if w2 not in orbit:
         return orbit, w1
-    moves = [(v, e) for e in G.edges for v in e]
+    space = orbit._space
+    target = space.key(w2)
     # the orbit states not yet known to reach w2, kept in visit order
-    unreached = dict.fromkeys(orbit.order)
-    del unreached[w2]
-    todo = [w2]
+    unreached = dict.fromkeys(orbit._keys)
+    del unreached[target]
+    todo, unmoves = [target], space.unmoves
     while todo:
-        t = todo.pop()
-        for v, edge in moves:
-            if t[v] == p - 1:
-                continue
-            prior = list(t)
-            for u in edge:
-                prior[u] = (prior[u] - 1) % p
-            prior[v] = (prior[v] + 2) % p
-            s = tuple(prior)
+        for s in unmoves(todo.pop()):
             if s in unreached:
                 del unreached[s]
                 todo.append(s)
-    return orbit, next(iter(unreached), None)
+    escape = next(iter(unreached), None)
+    return orbit, None if escape is None else space.state(escape)

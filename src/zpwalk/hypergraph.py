@@ -52,6 +52,11 @@ class Hypergraph:
         return _build_structure(self)
 
     @cached_property
+    def state_spaces(self) -> dict:
+        """The dynamics' search engine per modulus (dynamics.state_space)."""
+        return {}
+
+    @cached_property
     def goodness(self) -> GoodnessReport:
         violations: list[Violation] = []
         for i, e in enumerate(self.edges):

@@ -33,14 +33,23 @@ from .decision import (
     necessity_filter,
 )
 from .dynamics import (
+    ILLEGAL,
     State,
     all_moves,
     oracle_reachable,
     oracle_recurrent,
     orbit_bfs,
     replay_schedule,
+    state_space,
 )
-from .errors import MismatchError, NotGood, SynthesisIncomplete, Unsolvable
+from .errors import (
+    IllegalMove,
+    InternalSynthesisFailure,
+    MismatchError,
+    NotGood,
+    SynthesisIncomplete,
+    Unsolvable,
+)
 from .generate import gen_good_hypergraph
 from .hypergraph import Hypergraph, is_good
 from .synthesis import _single_edge_counts, synthesize_schedule
@@ -138,7 +147,12 @@ def iter_small_good_hypergraphs(max_n: int = 6):
 
 
 def _enumerate_digraph(G: Hypergraph, p: int):
-    """All p^n states with their legal-move successor lists."""
+    """All p^n states with their legal-move successor lists.
+
+    Its move step is its own, not the search engine's table: the engine
+    is diffed against it, and a shared step would let one bug pass on
+    both sides.
+    """
     states = list(itertools.product(range(p), repeat=G.n))
     index = {s: i for i, s in enumerate(states)}
     moves = [(m.vertex, G.edges[m.edge]) for m in all_moves(G)]
@@ -308,11 +322,22 @@ def _structural_sweep(
     recurrence rules are exact on the instance.  On top of the
     structural proof, the decision functions are compared directly
     against the condensed digraph on 50+ sampled charged-source pairs,
-    and the production search oracle is spot-checked the same way.
+    and the production search oracle is spot-checked the same way, after
+    its engine's successor rows are diffed against the enumerated ones.
     """
     label = f"{G.n}v/{G.m}e p={p} edges={G.edges}"
     states, index, succ = _enumerate_digraph(G, p)
     comp, reach = _condense(succ)
+    # the search engine's rows against the plain step they replace
+    space = state_space(G, p)
+    keys = [space.key(w) for w in states]
+    for i, key in enumerate(keys):
+        if [s for s in space.successors(key) if s != ILLEGAL] != [keys[j] for j in succ[i]]:
+            report.divergences.append(
+                f"{label}: the search engine's successors of {states[i]} differ from "
+                f"the enumerated digraph's"
+            )
+            break
     produced = {j for outs in succ for j in outs}
     n = G.n
     zero = (0,) * n
@@ -493,13 +518,19 @@ def _synthesis_sweep(
 def _witness_schedule(
     G: Hypergraph, p: int, w1: State, w2: State, report: SelftestReport
 ) -> bool:
-    """Synthesize and replay one schedule; False when synthesis gave up."""
+    """Synthesize and replay one schedule; False when synthesis gave up
+    or failed (a failure is a divergence, not a crash of the sweep)."""
     try:
         schedule = synthesize_schedule(G, p, w1, w2)
     except SynthesisIncomplete:
         report.synthesis_incomplete += 1
         if p**G.n <= EXHAUSTIVE_STATE_BUDGET:
             report.synthesis_incomplete_small += 1
+        return False
+    except (IllegalMove, InternalSynthesisFailure) as err:
+        report.divergences.append(
+            f"{G.n}v/{G.m}e p={p}: synthesis for {w1} -> {w2} failed: {err}"
+        )
         return False
     if replay_schedule(G, p, w1, schedule) != w2:
         report.divergences.append(

@@ -5,12 +5,16 @@ import random
 
 import pytest
 
+from zpwalk import dynamics, selftest
+from zpwalk.errors import IllegalMove
 from zpwalk.hypergraph import Hypergraph, is_good
 from zpwalk.selftest import (
     SelftestReport,
     _condense,
     _enumerate_digraph,
+    _nongood_sweep,
     _recurrent,
+    _structural_sweep,
     iter_small_good_hypergraphs,
     run_selftest,
 )
@@ -118,3 +122,64 @@ def test_condensation_matches_per_node_search_on_state_digraphs(edges, n, p):
     rng = random.Random(n * p)
     pairs = [(rng.randrange(len(states)), rng.randrange(len(states))) for _ in range(400)]
     _check_condensation(succ, pairs)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Every (G, p) a successor table is built for, in order."""
+    builds = []
+
+    class Counted(dynamics._CodeTable):
+        def __init__(self, G, p):
+            builds.append((G, p))
+            super().__init__(G, p)
+
+    monkeypatch.setattr(dynamics, "_CodeTable", Counted)
+    return builds
+
+
+def test_one_structural_instance_builds_one_table(table_builds):
+    """The engine diff, the recurrence spot checks and the --mode both
+    triples of one instance all read one table."""
+    G = Hypergraph(5, ((0, 1, 2), (2, 3, 4)))
+    for p in (3, 5):
+        report = SelftestReport()
+        _structural_sweep(G, p, random.Random(p), report)
+        assert report.ok, report.divergences
+        assert report.recur_pairs == 8
+        assert report.oracle_cross_checks == (12 if p**G.n <= 1000 else 0)
+    assert table_builds == [(G, 3), (G, 5)]
+
+
+def test_the_triangle_pairs_build_one_table(table_builds):
+    report = SelftestReport()
+    _nongood_sweep(report)
+    assert report.ok and report.nongood_pairs_checked == 729
+    assert len(table_builds) == 1
+
+
+def test_a_wrong_table_row_is_a_divergence(monkeypatch):
+    """The sweep diffs the engine's rows against its own enumeration."""
+    G = Hypergraph(3, ((0, 1, 2),))
+    row = dynamics._row_reader
+
+    def skewed(*args):
+        read = row(*args)
+        return lambda code: read(code if code != 13 else 14)
+
+    monkeypatch.setattr(dynamics, "_row_reader", skewed)
+    report = SelftestReport()
+    _structural_sweep(G, 3, random.Random(3), report)
+    assert any("search engine's successors of (1, 1, 1)" in d for d in report.divergences)
+
+
+def test_a_failing_synthesis_is_a_divergence_not_a_crash(monkeypatch):
+    def broken(G, p, w1, w2):
+        raise IllegalMove("vertex 0 has zero units")
+
+    monkeypatch.setattr(selftest, "synthesize_schedule", broken)
+    report = SelftestReport()
+    G = Hypergraph(3, ((0, 1, 2),))
+    assert not selftest._witness_schedule(G, 3, (1, 0, 0), (0, 1, 1), report)
+    assert report.divergences == [
+        "3v/1e p=3: synthesis for (1, 0, 0) -> (0, 1, 1) failed: vertex 0 has zero units"]
