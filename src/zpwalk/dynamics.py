@@ -144,11 +144,11 @@ class _TupleSpace:
     """State keys are the state tuples themselves, expanded on every visit."""
 
     def __init__(self, G: Hypergraph, p: int):
-        self.p = p
         self.moves = all_moves(G)
-        # a move nets -1 at its vertex v and +1 at the rest of its edge
-        self._steps = [(move.vertex, tuple(u for u in G.edges[move.edge] if u != move.vertex))
-                       for move in self.moves]
+        steps = [(move.vertex, tuple(u for u in G.edges[move.edge] if u != move.vertex))
+                 for move in self.moves]
+        self.successors = _tuple_reader(p, steps, 1)
+        self.unmoves = _tuple_reader(p, steps, -1)
 
     def key(self, w: State) -> State:
         return tuple(w)
@@ -156,38 +156,31 @@ class _TupleSpace:
     def state(self, key: State) -> State:
         return key
 
-    def successors(self, w: State) -> list:
-        """Per move in all_moves order: the state it leads to, or ILLEGAL."""
-        p, row = self.p, []
-        for v, others in self._steps:
-            if w[v] == 0:
-                row.append(ILLEGAL)
+
+def _tuple_reader(p: int, steps, sign: int):
+    """Per move in all_moves order, the state the move leads to (sign 1)
+    or the state it takes to this one (sign -1), or ILLEGAL.
+
+    A move nets -1 at its vertex v and +1 at the rest of its edge, and
+    is legal iff v is charged; undoing it is legal iff v holds a value
+    other than p-1 (see has_predecessor).  Either way v does not wrap.
+    """
+    blocked = 0 if sign == 1 else p - 1
+
+    def row(w: State) -> list:
+        out = []
+        for v, others in steps:
+            if w[v] == blocked:
+                out.append(ILLEGAL)
                 continue
             nxt = list(w)
             for u in others:
-                nxt[u] = (nxt[u] + 1) % p
-            nxt[v] -= 1
-            row.append(tuple(nxt))
-        return row
+                nxt[u] = (nxt[u] + sign) % p
+            nxt[v] -= sign
+            out.append(tuple(nxt))
+        return out
 
-    def unmoves(self, t: State) -> list:
-        """Per move: the state that move takes to t, or ILLEGAL.
-
-        Undoing (v, e) takes one unit from every vertex of e and gives v
-        two; it is legal iff v holds a value other than p-1 (see
-        has_predecessor).
-        """
-        p, row = self.p, []
-        for v, others in self._steps:
-            if t[v] == p - 1:
-                row.append(ILLEGAL)
-                continue
-            prior = list(t)
-            for u in others:
-                prior[u] = (prior[u] - 1) % p
-            prior[v] += 1
-            row.append(tuple(prior))
-        return row
+    return row
 
 
 class _CodeTable:
