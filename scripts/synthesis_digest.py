@@ -14,7 +14,7 @@ The family, with max_states = cap = 2000:
   * 300 random well-shaped instances with n <= 31 and p in {3, 5}; the
     target is a random balance-solvable one, a random state, or the
     source holds one unit on one to three vertices (so that synthesis
-    must walk charge over to a bridging edge);
+    must walk charge over to an empty edge);
   * 10 unit chains of 3-edges (m <= 60, one unit from end to end);
   * 180 single-edge pairs, k = 3..8 and p in {3, 5, 7}; every third one
     sits on an edge inside k + 2 vertices and goes to

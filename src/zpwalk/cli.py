@@ -398,7 +398,7 @@ def _add_decision_flags(sub, with_witness: bool = False) -> None:
             "--cap",
             type=_at_least(0),
             default=DEFAULT_ENUMERATION_CAP,
-            help=f"enumeration cap for witness optimization (default {DEFAULT_ENUMERATION_CAP})",
+            help="accepted for compatibility; witness synthesis enumerates nothing",
         )
 
 
@@ -456,8 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--from", dest="from_state", required=True, metavar="STATE")
     sub.add_argument("--to", dest="to_state", required=True, metavar="STATE")
     sub.add_argument("--witness", action="store_true", help=argparse.SUPPRESS)
-    sub.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES)
-    sub.add_argument("--cap", type=_at_least(0), default=DEFAULT_ENUMERATION_CAP)
+    sub.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES,
+                     help="accepted for compatibility; synthesis searches no states")
+    sub.add_argument("--cap", type=_at_least(0), default=DEFAULT_ENUMERATION_CAP,
+                     help="accepted for compatibility; synthesis enumerates nothing")
     sub.set_defaults(handler=_cmd_schedule)
 
     sub = commands.add_parser("verify", help="replay a schedule file and check its endpoint")

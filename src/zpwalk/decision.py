@@ -25,9 +25,8 @@ solvability and builds a solution along the spanning edge tree in
 O(n + sum |e|).
 Synthesis asks the same rule through necessity_filter, and counts
 single-edge moves in closed form too.  build_system stays as the plain
-matrix that synthesis eliminates only for the bridge descent's
-minimum-norm move counts, and that the self-tests check the closed forms
-against.
+matrix that the self-tests and the test suite eliminate to check the
+closed forms against.
 
 decide_reachability and decide_recurrence implement the corrected rules
 through one mode dispatch (_decide): each can cross-check itself against

@@ -90,7 +90,12 @@ class NonzeroRequired(ZpwalkError):
 
 
 class SynthesisIncomplete(ZpwalkError):
-    """Constructive synthesis gave up: a search cap or the recursion limit."""
+    """Constructive synthesis gave up without a schedule.
+
+    Synthesis runs no search and no recursion, so on the well-shaped
+    family it does not give up; the type stays for the callers that
+    report a give-up (the self-test's tally, the CLI's exit code 3).
+    """
 
 
 class InternalSynthesisFailure(ZpwalkError):

@@ -1,8 +1,8 @@
 """Constructive schedule synthesis.
 
 decide_reachability answers yes/no; this module produces the actual move
-schedule for the yes answers, without searching the exponential state
-space except as a last-resort fallback.  The toolbox, bottom up:
+schedule for the yes answers, without searching the state space.  The
+toolbox, bottom up:
 
   * double_move_trick -- alternating moves at two anchor vertices of one
     edge; each round restores the anchors and adds +2 to every other
@@ -19,72 +19,55 @@ space except as a last-resort fallback.  The toolbox, bottom up:
   * propagate_path -- carries one unit of charge along a chain of
     edges; the backward variant then re-solves each edge of the chain so
     that everything except the endpoints is restored.
-  * synthesize_schedule -- on multi-edge hypergraphs, picks a bridging
-    edge l whose removal splits the instance into components the solver
-    can recurse on, borrows charge across that edge for components that
-    start empty, and rebalances the edge with trick rounds.  Decision's
-    closed-form rule (necessity_filter) checks solvability once on G and
-    guards each split on G minus l; that search's components, edges and
-    incidences make the pieces, which inherit the guard's verdict.  Only
-    the bridge descent eliminates, for its minimum-norm move counts.
-    When no bridging edge qualifies, that descent on the counted moves
-    runs as far as it can and a bounded breadth-first search bridges the
-    remainder (SynthesisIncomplete if that search exceeds its cap).
+  * synthesize_schedule -- on a well-shaped hypergraph, follows the
+    paper's induction over the edges in one loop.  One breadth-first
+    search over edges, rooted at a lever (an edge with |e| != 2 mod p)
+    when there is one, orders the edges that reach a new vertex; an edge
+    that reaches none is never moved on.  Peeling from the last edge
+    inward, each level splits its instance into a single-edge pre-phase,
+    the rest of the instance, and a single-edge post-phase, with values
+    on the peeled edge chosen in closed form so that all three are
+    reachable.  Only a zero source or a saturated target on the peeled
+    edge stands in the way; a walk of one move per edge brings one unit
+    over from the nearest charged vertex, on the state or, mirrored, on
+    the target.  Decision's closed-form rule (necessity_filter) checks
+    solvability once on G; nothing eliminates or searches.
 
 Every construction writes into one _Builder, which simulates each move
 once, as it is added, and checks each construction's net effect on the
-state it tracks.  A piece of the instance -- a component of G minus the
-bridging edge, or one edge's canonical restriction -- is solved on a
-child builder that works in the piece's own ids but appends its moves,
-mapped to G's ids, to the one shared move list; a failed split attempt
-is dropped by truncating that list.  synthesize_schedule replays the
-finished schedule once as the end-to-end check.
+state it tracks.  A single-edge phase is solved on a child builder that
+works in the edge's own ids but appends its moves, mapped to G's ids, to
+the one shared move list.  synthesize_schedule replays the finished
+schedule once as the end-to-end check.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .decision import ReachSystem, _necessity, build_system
+from .decision import _lever, _necessity
 from .dynamics import (
     DEFAULT_MAX_STATES,
     Move,
     Schedule,
     State,
     apply_move,
-    extract_schedule,
     has_predecessor,
-    orbit_bfs,
     replay_schedule,
     validate_state,
 )
 from .errors import (
-    EnumerationTooLarge,
     HypothesisViolated,
     InternalSynthesisFailure,
     NonzeroRequired,
     NotGood,
     PairNotGood,
-    StateSpaceTooLarge,
-    SynthesisIncomplete,
     UnreachableTarget,
     Unsolvable,
 )
-from .hypergraph import (
-    EdgePath,
-    Hypergraph,
-    is_good,
-    shortest_edge_path,
-)
-from .zp_algebra import (
-    DEFAULT_ENUMERATION_CAP,
-    gaussian_solve,
-    mod_inverse,
-    system_norm,
-    validate_modulus,
-)
+from .hypergraph import EdgePath, Hypergraph, is_good
+from .zp_algebra import DEFAULT_ENUMERATION_CAP, mod_inverse, validate_modulus
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -131,14 +114,12 @@ class _Builder:
     """The one way synthesis adds a move: simulate it, then record it.
 
     emit applies the move to the tracked state before recording it, so
-    an illegal move surfaces at the exact step that produced it.  A piece
-    of G (a component of G minus the bridging edge, or one edge's
-    canonical restriction) is solved on a child builder: it tracks the
-    piece's state in the piece's own ids, and vmap / emap send each of
-    its moves to the root's ids as it appends them to the root's single
-    move list.  The parent then settles the child's final values onto
-    the piece.  The root has no maps.  Children inherit the budgets of
-    the bridge descent's search (max_states) and sweep (cap).
+    an illegal move surfaces at the exact step that produced it.  One
+    edge's canonical restriction is solved on a child builder: it tracks
+    the edge's state in the restriction's own ids, and vmap / emap send
+    each of its moves to the root's ids as it appends them to the root's
+    single move list.  The root then settles the child's final values
+    onto the edge.  The root has no maps.
     """
 
     G: Hypergraph
@@ -147,8 +128,6 @@ class _Builder:
     moves: list[Move] = field(default_factory=list)
     vmap: Sequence[int] | None = None
     emap: Sequence[int] | None = None
-    max_states: int = DEFAULT_MAX_STATES
-    cap: int = DEFAULT_ENUMERATION_CAP
 
     def emit(self, move: Move) -> None:
         self.state = apply_move(self.G, self.p, self.state, move)
@@ -162,11 +141,8 @@ class _Builder:
 
     def child(self, piece: Hypergraph, vertices: Sequence[int], edges: Sequence[int]) -> _Builder:
         """A builder on piece, whose vertex i is vertices[i] and edge j is edges[j] here."""
-        state = tuple(self.state[v] for v in vertices)
-        if self.vmap is not None:
-            vertices = [self.vmap[v] for v in vertices]
-            edges = [self.emap[e] for e in edges]
-        return replace(self, G=piece, state=state, vmap=vertices, emap=edges)
+        return _Builder(piece, self.p, tuple(self.state[v] for v in vertices), self.moves,
+                        vertices, edges)
 
     def settle(self, vertices: Sequence[int], values: State) -> None:
         """Write a finished child's values back onto its piece."""
@@ -352,10 +328,10 @@ def _on_edge(b: _Builder, edge: int, target) -> None:
     e = b.G.edges[edge]
     if len(e) < 3:
         raise ValueError("need an edge with at least 3 vertices")
-    piece = b.child(Hypergraph(len(e), (tuple(range(len(e))),)), e, (edge,))
     goal = tuple(target[v] for v in e)
-    if piece.state == goal:
+    if all(b.state[v] == x for v, x in zip(e, goal)):
         return
+    piece = b.child(Hypergraph(len(e), (tuple(range(len(e))),)), e, (edge,))
     _check_ends(piece.G, b.p, piece.state, goal)
     _descend_single_edge(piece, goal)
     b.settle(e, piece.state)
@@ -439,14 +415,7 @@ def propagate_path(
     start vertex and +1 at end_vertex, everything else restored.
     """
     validate_modulus(p)
-    b = _Builder(G, p, validate_state(p, G.n, w))
-    _propagate(b, path, direction, end_vertex)
-    return Schedule(tuple(b.moves))
-
-
-def _propagate(b: _Builder, path: EdgePath, direction: str, end_vertex: int | None) -> None:
-    """propagate_path's core, from b's state."""
-    G, p, w = b.G, b.p, b.state
+    w = validate_state(p, G.n, w)
     _validate_path(G, path)
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
@@ -469,6 +438,7 @@ def _propagate(b: _Builder, path: EdgePath, direction: str, end_vertex: int | No
             raise ValueError(
                 f"end_vertex must lie on edge {edges[-1]} and differ from vertex {movers[-1]}"
             )
+    b = _Builder(G, p, w)
     for i in range(k):
         b.emit(Move(movers[i], edges[i]))
     expected = list(w)
@@ -489,10 +459,7 @@ def _propagate(b: _Builder, path: EdgePath, direction: str, end_vertex: int | No
         expected[end_vertex] = (expected[end_vertex] + 1) % p
     if b.state != tuple(expected):
         raise InternalSynthesisFailure(f"{direction} propagation missed its net effect")
-
-
-class _GuardFailure(Exception):
-    """Internal: one decomposition attempt does not apply; try the next."""
+    return Schedule(tuple(b.moves))
 
 
 def _check_ends(G: Hypergraph, p: int, w1: State, w2: State) -> None:
@@ -513,11 +480,11 @@ def synthesize_schedule(
 ) -> Schedule:
     """Synthesize a replayable schedule from w1 to w2 on a well-shaped hypergraph.
 
-    Raises UnreachableTarget / Unsolvable when no schedule exists,
-    NotGood off the well-shaped family, and SynthesisIncomplete when the
-    constructive machinery gave up (the bounded fallback search blew its
-    state budget, or the recursion hit Python's recursion limit).  The
-    returned schedule is replay-verified.
+    Raises UnreachableTarget / Unsolvable when no schedule exists and
+    NotGood off the well-shaped family; every other pair gets a schedule,
+    replay-verified before it is returned.  max_states and cap are
+    accepted and unused: synthesis runs no search and no enumeration for
+    them to bound.
     """
     validate_modulus(p)
     report = is_good(G)
@@ -526,316 +493,223 @@ def synthesize_schedule(
         raise NotGood(f"schedule synthesis needs a well-shaped hypergraph ({', '.join(kinds)})")
     w1 = validate_state(p, G.n, w1)
     w2 = validate_state(p, G.n, w2)
-    b = _Builder(G, p, w1, max_states=max_states, cap=cap)
+    b = _Builder(G, p, w1)
     if w1 != w2:
         _check_ends(G, p, w1, w2)
-        # the one solvability check; pieces inherit it (see _recurse_into)
+        # the one solvability check; every phase below is valid by construction
         if _necessity(G, p, w1, w2) is not None:
             raise Unsolvable("the move-counting system has no solution")
         try:
-            _synthesize(b, w2)
-        except RecursionError:  # caught here only, so that it unwinds the whole recursion
-            raise SynthesisIncomplete(
-                f"the recursion over {G.m} edges hit Python's recursion limit"
-            ) from None
+            _peel(b, w2)
+        except (Unsolvable, UnreachableTarget) as err:
+            raise InternalSynthesisFailure(f"a phase checked valid was refused: {err}") from None
     schedule = Schedule(tuple(b.moves))
     if replay_schedule(G, p, w1, schedule) != w2:
         raise InternalSynthesisFailure("synthesized schedule fails replay")
     return schedule
 
 
-def _synthesize(b: _Builder, w2: State) -> None:
-    """Synthesis core, from b's state to w2 on a well-shaped b.G.
+def _peel_order(G: Hypergraph, p: int) -> list[tuple[int, tuple[bool, ...]]]:
+    """The kept edges in breadth-first order, each with its private mask.
 
-    The caller has run _check_ends on the (distinct) pair, which is
-    balance-solvable: synthesize_schedule checks that once at the top,
-    and a piece inherits it from its split (see _recurse_into).
+    The search over edges starts at the lever (_lever: the first edge
+    with |e| != 2 mod p that G's search met) or, when G has none, at the
+    first edge that search met.  An edge is kept when it reaches a vertex
+    no earlier edge reached; those vertices are its private part, and
+    mask[j] says whether its j-th vertex is one of them.  The root comes
+    first with every vertex private.
     """
-    G, w1 = b.G, b.state
-    if G.m == 1:
-        # well-shaped means canonical, and _on_edge's checks ran in the caller
-        _descend_single_edge(b, w2)
-        return
-    mark = len(b.moves)
-    for l in range(G.m):
-        try:
-            _attempt_split(b, w2, l)
-            return
-        except _GuardFailure:
-            # drop the attempt's moves, which the shared list already holds
-            del b.moves[mark:]
-            b.state = w1
-    _bridge_descent(b, w2)
+    st = G.structure
+    root = _lever(G, p, st.scan[0])
+    if root is None:
+        root = st.scan[0][0]
+    reached = [False] * G.n
+    queued = [False] * G.m
+    queued[root] = True
+    queue, kept = [root], []
+    for i in queue:  # the queue grows while it is read
+        private = tuple(not reached[v] for v in G.edges[i])
+        if not any(private):
+            continue
+        kept.append((i, private))
+        for v, new in zip(G.edges[i], private):
+            if new:
+                reached[v] = True
+                for j in st.incidence[v]:
+                    if not queued[j]:
+                        queued[j] = True
+                        queue.append(j)
+    return kept
 
 
-def _recurse_into(b: _Builder, l: int, without_l: Hypergraph, ci: int, target) -> None:
-    """Recursively schedule component ci of b.G minus l to target, on a child of b.
+def _peel(b: _Builder, w2: State) -> None:
+    """Schedule b.state -> w2 on a well-shaped b.G, one level per kept edge.
 
-    The piece inherits its solvability: the split's guard solved the pair
-    on G minus l, solvability splits over its components, and the split
-    shifts a piece's source and target alike (+t on l's vertices for a
-    seedless piece, legal in-component moves for a live one).
-    A sub-instance that turns out unreachable or over budget aborts the
-    whole decomposition attempt (_GuardFailure), not the synthesis.
+    The caller has checked the pair: distinct, charged source, target
+    with a predecessor, balance-solvable.  Level r peels the kept edge l
+    off H_r, the union of the first r + 1 kept edges: its private part P
+    leaves, its shared part S stays in R = H_{r-1}.  A plan (alpha, mid)
+    splits the level into three instances that _plan_ok has checked:
+    a pre-phase on l to alpha, the level below on R to the target with
+    mid on S, and a post-phase on l from mid (alpha on P) back to the
+    target.  The first pass emits the walks and pre-phases outermost
+    first, then the root edge descends; the second pass emits the
+    post-phases and undoes the target-side walks, innermost first.
     """
-    st = without_l.structure
-    comp = st.components[ci]
-    t = tuple(target[v] for v in comp)
-    if all(b.state[v] == x for v, x in zip(comp, t)):
-        return
-    # sub-vertex i is comp[i]; the search's edge j is b.G's edge j + (j >= l)
-    vmap = {v: i for i, v in enumerate(comp)}
-    emap = [j + (j >= l) for j in sorted(st.scan[ci])]
-    sub_edges = tuple(tuple(vmap[v] for v in b.G.edges[ei]) for ei in emap)
-    piece = b.child(Hypergraph(len(comp), sub_edges), comp, emap)
-    try:
-        _check_ends(piece.G, b.p, piece.state, t)
-        _synthesize(piece, t)
-    except (Unsolvable, UnreachableTarget, SynthesisIncomplete) as err:
-        raise _GuardFailure(str(err)) from None
-    b.settle(comp, piece.state)
+    G, p = b.G, b.p
+    kept = _peel_order(G, p)
+    rank = [G.m] * G.m  # dropped edges rank after every kept one
+    for r, (i, _) in enumerate(kept):
+        rank[i] = r
+    target = list(w2)
+    tally = _tally(p, b.state, target, range(G.n))
 
+    def recount(vertices, sign: int) -> None:
+        nonlocal tally
+        tally = [h + sign * x for h, x in zip(tally, _tally(p, b.state, target, vertices))]
 
-def _anchors_ok(p: int, va: int, vb: int, t: int) -> bool:
-    """Will anchor values (va, vb) support trick rounds both before and
-    after the bridging edge's refill shifts them down by t?"""
-    return is_good_pair(p, va, vb) and is_good_pair(p, (va - t) % p, (vb - t) % p)
-
-
-def _attempt_split(b: _Builder, w2: State, l: int) -> None:
-    """One decomposition attempt across bridging edge l.
-
-    On failure it raises _GuardFailure; the caller drops the moves it
-    emitted and tries the next edge.
-    """
-    G, p, w1 = b.G, b.p, b.state
-    without_l = Hypergraph(G.n, G.edges[:l] + G.edges[l + 1:])
-    if _necessity(without_l, p, w1, w2) is not None:
-        raise _GuardFailure(f"the difference needs moves on edge {l}")
-    comps = without_l.structure.components
-    kind = {ci: _component_kind(comp, w1, w2) for ci, comp in enumerate(comps)}
-    # With no seedless component, no moves on l are needed at all: every
-    # component either already matches the target or carries its own charge.
-    if "seedless" in kind.values():
-        e_l = G.edges[l]
-        z1 = next((z for z in e_l if w1[z] != 0), None)
-        if z1 is None:
-            # No charge anywhere on l: walk one unit over from the nearest
-            # charged vertex, whose component may turn settled or live.
-            _transfer_into_edge(b, l)
-            kind = {ci: _component_kind(comp, b.state, w2) for ci, comp in enumerate(comps)}
-            z1 = next(z for z in e_l if b.state[z] != 0)
-        t = b.state[z1]
-        in_l = set(e_l)
-        # Stage 1: drain z1, handing t units of charge to every other vertex
-        # of l -- in particular into each seedless component.
-        for _ in range(t):
-            b.emit(Move(z1, l))
-        # Stage 2: solve each seedless component while it holds the borrowed
-        # charge, aiming t above the target on its l-vertices (the refill
-        # below takes those t units back).
-        for ci, comp in enumerate(comps):
-            if kind[ci] != "seedless":
-                continue
-            target = {v: (w2[v] + t) % p if v in in_l else w2[v] for v in comp}
-            _recurse_into(b, l, without_l, ci, target)
-        # Values now sitting on l's other vertices; two of them must anchor
-        # the trick rounds around the refill.
-        rest = [z for z in e_l if z != z1]
-        pair = None
-        for i in range(len(rest)):
-            for j in range(i + 1, len(rest)):
-                if _anchors_ok(p, b.state[rest[i]], b.state[rest[j]], t):
-                    pair = (rest[i], rest[j])
-                    break
-            if pair:
+    posts = []
+    for r in range(len(kept) - 1, 0, -1):
+        l, private = kept[r]
+        e = G.edges[l]
+        lever = (len(e) - 2) % p != 0
+        shared = [v for v, new in zip(e, private) if not new]
+        undo: list[Move] = []
+        for walked in (False, True):
+            a_l = tuple(b.state[v] for v in e)
+            t_l = tuple(target[v] for v in e)
+            rest = [h - x for h, x in zip(tally, _tally(p, b.state, target, e))]
+            plan = next((plan for plan in _plans(p, lever, private, a_l, t_l)
+                         if _plan_ok(p, lever, private, a_l, t_l, rest, *plan)), None)
+            if plan is not None:
                 break
-        cleanup_edge = None
-        if pair is None:
-            pair, cleanup_edge = _nudge_for_anchors(b, w2, l, z1, t, without_l, kind)
-        z2, z3 = pair
-        # Stage 3: refill z1.  A -1 round gives z1 the charge to move,
-        # p - t moves at z1 pull the borrowed units back (z1 passes from
-        # p-1 down to t-1), and a +1 round restores the anchors; every
-        # other vertex of l nets exactly -t across the three steps.
-        b.trick(l, z2, z3, -1)
-        for _ in range(p - t):
-            b.emit(Move(z1, l))
-        b.trick(l, z2, z3, +1)
-        # Undo the anchor nudge when it landed in a component nothing will
-        # touch again.
-        if cleanup_edge is not None:
-            _on_edge(b, cleanup_edge, w2)
-    # Stage 4: components that had their own charge all along.
-    for ci, comp in enumerate(comps):
-        if kind[ci] == "live":
-            _recurse_into(b, l, without_l, ci, w2)
+            if walked:
+                raise InternalSynthesisFailure(f"no valid plan peels edge {l}")
+            # Only a zero source or a saturated target on l blocks every
+            # plan; walk one unit onto S from the nearest charged vertex
+            # of R, on the state or on the mirrored target.
+            if not any(a_l):
+                moves = _walk(G, rank, r, shared, lambda v: b.state[v] != 0)
+                touched = {u for mv in moves for u in G.edges[mv.edge]}
+                recount(touched, -1)
+                b.emit_all(moves)
+                recount(touched, 1)
+            if all(x == p - 1 for x in t_l):
+                # A move on p - 1 - w is an un-move on w: the walk on the
+                # mirrored target, un-moved here, is emitted reversed once
+                # the level has reached the new target.
+                undo = _walk(G, rank, r, shared, lambda v: target[v] != p - 1)
+                touched = {u for mv in undo for u in G.edges[mv.edge]}
+                recount(touched, -1)
+                for mv in undo:
+                    for u in G.edges[mv.edge]:
+                        target[u] = (target[u] - 1) % p
+                    target[mv.vertex] = (target[mv.vertex] + 2) % p
+                recount(touched, 1)
+        alpha, mid = plan
+        _on_edge(b, l, dict(zip(e, alpha)))
+        posts.append((l, dict(zip(e, t_l)), undo))
+        for v, x in zip(e, mid):
+            target[v] = x
+        tally = [h + x for h, x in zip(rest, _tally(p, b.state, target, shared))]
+    _on_edge(b, kept[0][0], target)
+    for l, goal, undo in reversed(posts):
+        _on_edge(b, l, goal)
+        b.emit_all(reversed(undo))
     if b.state != w2:
-        raise InternalSynthesisFailure("draining left a residue off the target")
+        raise InternalSynthesisFailure("peeling finished off target")
 
 
-def _component_kind(comp: tuple[int, ...], w: State, w2: State) -> str:
-    """settled (on target at w), live (holds charge) or seedless."""
-    if all(w[v] == w2[v] for v in comp):
-        return "settled"
-    return "live" if any(w[v] for v in comp) else "seedless"
+def _tally(p: int, state: State, target, vertices) -> list[int]:
+    """[charged, unsaturated target, mismatched] vertex counts over vertices."""
+    charged = unsaturated = mismatched = 0
+    for v in vertices:
+        charged += state[v] != 0
+        unsaturated += target[v] != p - 1
+        mismatched += state[v] != target[v]
+    return [charged, unsaturated, mismatched]
 
 
-def _nudge_for_anchors(
-    b: _Builder,
-    w2: State,
-    l: int,
-    z1: int,
-    t: int,
-    without_l: Hypergraph,
-    kind: dict[int, str],
-) -> tuple[tuple[int, int], int | None]:
-    """All anchor candidates on l share one unusable value; nudge one.
+def _plans(p: int, lever: bool, private: tuple[bool, ...], a_l: State, t_l: State):
+    """Candidate plans (alpha, mid) for one level, cheapest first.
 
-    Emits a single legal move on a neighboring edge that changes exactly
-    one l-vertex's value by 1, making a usable (unequal) anchor pair.
-    Returns that pair and, when the nudge landed in a component the
-    synthesis will not revisit, the edge to undo explicitly at the end
-    (a live component instead absorbs the nudge into its own recursion).
-    The candidate edges and components come from the split's search.
+    First no pre-phase: the level below takes S to its target except at
+    S's first vertex, which gets the value that spares the post-phase
+    any move at P's first vertex (on a sum-invariant l, the value that
+    balances it).  Then the rule that is valid whenever l holds charge
+    and its target is not saturated: S holds (y0, 0, ...) after the
+    pre-phase and (x0, 0, ...) after the level below, and P holds
+    (sigma - |P| + 1, 1, ..., 1), where sigma is what l's sum leaves for
+    P (|P| when l has a lever).  x0 is 1 on a lever, else y0 plus the
+    sum l must gain.  y0 = 2 serves where y0 = 1 saturates R's target or
+    empties the post-phase's source.
     """
-    G, p, st = b.G, b.p, without_l.structure
-    e_l = G.edges[l]
-    in_l = set(e_l)
-    touching = {j + (j >= l) for z in e_l for j in st.incidence[z]}
-    for ep in sorted(touching):
-        shared = [v for v in G.edges[ep] if v in in_l]
-        if len(shared) != 1 or shared[0] == z1:
-            continue
-        z = shared[0]
-        partner = next(y for y in e_l if y != z1 and y != z)
-        ci = st.component[z]
-        for u in G.edges[ep]:
-            if b.state[u] == 0:
+    k, q = len(a_l), sum(private)
+    s0, p0 = private.index(False), private.index(True)
+    mid = [a if new else t for a, t, new in zip(a_l, t_l, private)]
+    # post-phase counts are (d + sum(d) / (2 - k)) / 2 for d = mid - t_l
+    mid[s0] = ((k - 2) * (a_l[p0] - t_l[p0]) + sum(t_l) - sum(mid) + mid[s0]) % p
+    yield a_l, tuple(mid)
+    for y0 in (1, 2):
+        if lever:
+            x0, sigma = 1, q
+        else:
+            x0, sigma = (y0 + sum(t_l) - sum(a_l)) % p, sum(a_l) - y0
+        alpha = [int(new) for new in private]
+        alpha[s0], alpha[p0] = y0, (sigma - q + 1) % p
+        mid = list(alpha)
+        mid[s0] = x0
+        yield tuple(alpha), tuple(mid)
+
+
+def _plan_ok(p: int, lever: bool, private: tuple[bool, ...], a_l: State, t_l: State,
+             rest: list[int], alpha: State, mid: State) -> bool:
+    """Are a plan's three instances each empty or reachable?
+
+    rest tallies R minus S.  A sum-invariant R comes only with a
+    sum-invariant l, and then l's two balanced phases balance R too.
+    """
+    charged, unsaturated, mismatched = rest
+    src = [x for x, new in zip(alpha, private) if not new]
+    dst = [x for x, new in zip(mid, private) if not new]
+    inner = ((not mismatched and src == dst)
+             or ((charged or any(src)) and (unsaturated or any(x != p - 1 for x in dst))))
+    return inner and _phase_ok(p, lever, a_l, alpha) and _phase_ok(p, lever, mid, t_l)
+
+
+def _phase_ok(p: int, lever: bool, src: State, dst: State) -> bool:
+    """Is the single-edge instance src -> dst empty or reachable?"""
+    return src == dst or (any(src) and any(x != p - 1 for x in dst)
+                          and (lever or (sum(src) - sum(dst)) % p == 0))
+
+
+def _walk(G: Hypergraph, rank: Sequence[int], r: int, shared: Sequence[int],
+          charged) -> list[Move]:
+    """Moves carrying one unit from the charged vertex nearest to shared onto it.
+
+    A breadth-first search from shared over the edges ranked below r;
+    every vertex nearer than the one it finds is uncharged, so each move
+    is at the vertex the previous move charged, and the last one lands
+    on one vertex of shared.
+    """
+    incidence = G.structure.incidence
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(shared)
+    scanned = set()
+    queue = list(shared)
+    for u in queue:  # the queue grows while it is read
+        if charged(u):
+            moves = []
+            while parent[u] is not None:
+                nearer, f = parent[u]
+                moves.append(Move(u, f))
+                u = nearer
+            return moves
+        for f in incidence[u]:
+            if f in scanned or rank[f] >= r:
                 continue
-            nxt = apply_move(G, p, b.state, Move(u, ep))
-            if not _anchors_ok(p, nxt[z], b.state[partner], t):
-                continue
-            if kind[ci] != "live":
-                # Nothing will revisit this component: the nudge must be
-                # undoable on ep alone once the refill has run its course.
-                end_values = [
-                    (w2[v] + nxt[v] - b.state[v]) % p for v in G.edges[ep]
-                ]
-                if not any(end_values):
-                    continue
-                if all(w2[v] == p - 1 for v in G.edges[ep]):
-                    continue
-                cleanup = ep
-            else:
-                cleanup = None
-            b.emit(Move(u, ep))
-            return (min(z, partner), max(z, partner)), cleanup
-    raise _GuardFailure("no legal nudge frees an anchor pair on the bridging edge")
-
-
-def _transfer_into_edge(b: _Builder, l: int) -> None:
-    """Move one unit of charge from the nearest charged vertex onto edge l.
-
-    Uses backward path propagation over the shortest edge path, which
-    requires the corridor to be otherwise empty (_GuardFailure when some
-    intermediate vertex already holds charge).
-    """
-    G = b.G
-    paths = [shortest_edge_path(G, v, l) for v in range(G.n) if b.state[v] != 0]
-    if not paths:
-        raise _GuardFailure("no vertex carries charge")
-    # min keeps the first of equally short paths: the lowest start vertex
-    path = min(paths, key=lambda q: len(q.edges))
-    if len(path.edges) < 2:
-        raise InternalSynthesisFailure("transfer requested although the edge holds charge")
-    corridor = EdgePath(path.start_vertex, path.edges[:-1], path.connectors[:-1])
-    try:
-        _propagate(b, corridor, BACKWARD, path.connectors[-1])
-    except (HypothesisViolated, Unsolvable, UnreachableTarget) as err:
-        raise _GuardFailure(str(err)) from None
-
-
-def _unblock_counted(b: _Builder, reach: ReachSystem, counts: list[int]) -> bool:
-    """Execute one blocked counted move via a cancelling trick sandwich.
-
-    A counted move whose mover currently holds zero can still be
-    realized exactly: an ascending trick on an edge containing the
-    mover raises it to one, the move fires, and the descending twin
-    trick cancels the rest.  The two tricks together are p paired moves
-    on the same anchors, so their combined effect vanishes and the
-    sandwich nets precisely the blocked move's effect.  Returns True
-    when some blocked count was consumed.
-    """
-    G, p = b.G, b.p
-    for j, (ei, v) in enumerate(reach.variables):
-        if counts[j] == 0 or b.state[v] != 0:
-            continue
-        bumped = set(G.edges[ei])
-        for hi in G.structure.incidence[v]:
-            helper = G.edges[hi]
-            for va, vb in itertools.combinations((u for u in helper if u != v), 2):
-                now_a, now_b = b.state[va], b.state[vb]
-                # anchor values when the descending trick starts: the
-                # fired move bumps every vertex of its edge except the
-                # mover, and the ascending trick restores its anchors
-                then_a = (now_a + 1) % p if va in bumped else now_a
-                then_b = (now_b + 1) % p if vb in bumped else now_b
-                if not (is_good_pair(p, now_a, now_b) and is_good_pair(p, then_a, then_b)):
-                    continue
-                b.trick(hi, va, vb, 1)
-                b.emit(Move(v, ei))
-                b.trick(hi, va, vb, -1)
-                counts[j] -= 1
-                return True
-    return False
-
-
-def _bridge_descent(b: _Builder, w2: State) -> None:
-    """Last resort: walk the counted moves greedily, search the gap.
-
-    Executes moves from a (preferably minimum-norm) solution of the
-    move-counting system while any counted move is legal and does not
-    strand the walk on the inert zero state; counted moves whose mover
-    ran dry are freed with cancelling trick sandwiches.  Any remaining
-    gap is closed by bounded breadth-first search from the state
-    actually reached -- progress made by the descent is kept.
-    """
-    G, p = b.G, b.p
-    reach = build_system(G, p, b.state, w2)
-    space = gaussian_solve(reach.system)
-    try:
-        _, solution = system_norm(space, cap=b.cap)
-    except EnumerationTooLarge:
-        solution = space.particular
-    counts = list(solution)
-    while sum(counts) > 0:
-        progressed = False
-        for j, (ei, v) in enumerate(reach.variables):
-            if counts[j] == 0 or b.state[v] == 0:
-                continue
-            nxt = apply_move(G, p, b.state, Move(v, ei))
-            if nxt == w2:
-                b.emit(Move(v, ei))
-                return
-            if any(nxt):
-                b.emit(Move(v, ei))
-                counts[j] -= 1
-                progressed = True
-                break
-        if not progressed and not _unblock_counted(b, reach, counts):
-            break
-    if b.state == w2:
-        return
-    try:
-        orbit = orbit_bfs(G, p, b.state, max_states=b.max_states, stop_at=w2)
-    except StateSpaceTooLarge:
-        raise SynthesisIncomplete(
-            f"constructive descent stalled {sum(counts)} counted moves short of the "
-            f"target and the bridging search exceeded {b.max_states} states"
-        ) from None
-    if w2 not in orbit:
-        raise InternalSynthesisFailure(
-            "bridging search exhausted an orbit that should contain the target"
-        )
-    b.emit_all(extract_schedule(orbit, w2))
+            scanned.add(f)
+            for v in G.edges[f]:
+                if v not in parent:
+                    parent[v] = (u, f)
+                    queue.append(v)
+    raise InternalSynthesisFailure("no charged vertex to walk from")

@@ -3,10 +3,13 @@
 scripts/synthesis_digest.py hashes every schedule or error type on a
 seeded family of synthesis cases, and scripts/decision_digest.py every
 answer and certificate on a seeded family of decision cases.  These are
-their lines at seeds 1 and 2; the synthesis family at seed 2 also trips
-_transfer_into_edge's corridor guard (seed 1 never does).  A change
-meant to keep behaviour keeps them; a change meant to alter schedules or
-certificates updates them and says why.
+their lines at seeds 1 and 2.  A change meant to keep behaviour keeps
+them; a change meant to alter schedules or certificates updates them and
+says why.
+
+The synthesis lines last changed when synthesis became one loop over one
+edge order: every algebraic yes now gets a schedule (no
+SynthesisIncomplete), and the schedules are new.
 
 The decision lines last changed when recurrence on the edgeless
 one-vertex hypergraph was mended: a charged state there cannot move, so
@@ -21,21 +24,19 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 SYNTHESIS_SEED_1 = """\
 seed 1: 490 cases
-  SynthesisIncomplete: 5
   Unsolvable: 30
-  schedule: 455
-moves: 16962
-sha256: 44f9308d245b189bdfbc2e13af7367b178a976b7f3ba36390f9afc640f54efe4
+  schedule: 460
+moves: 19442
+sha256: 4d66b8acc397ccbcccc049d70e2a15c984ddf8acb0c376d81d73b945c892cda0
 """
 
 SYNTHESIS_SEED_2 = """\
 seed 2: 490 cases
-  SynthesisIncomplete: 6
   UnreachableTarget: 2
   Unsolvable: 32
-  schedule: 450
-moves: 16570
-sha256: 7249a80b9d530aed31620f4889763b0e7a9b2778d9edc2e1862005bcf47618c8
+  schedule: 456
+moves: 18701
+sha256: cedc65a1d0ee6ef26d9132ba3d5f390caad8b1d8053276c2ca420d31aea85dbc
 """
 
 DECISION_SEED_1 = """\

@@ -29,7 +29,6 @@ from zpwalk.errors import (
     NonzeroRequired,
     NotGood,
     PairNotGood,
-    SynthesisIncomplete,
     UnreachableTarget,
     Unsolvable,
     ZpwalkError,
@@ -402,12 +401,12 @@ def test_synthesize_long_chain(p, monkeypatch):
     G, w1, w2 = unit_chain(200)
     sched = synthesize_schedule(G, p, w1, w2)
     assert replay_schedule(G, p, w1, sched) == w2
-    if p == 3:
-        # schedule length must not regress: 12m - 9 moves on a unit chain
-        assert len(sched) <= 12 * 200 - 9
-    # each move is simulated once where it is built, not again at every
-    # recursion level above it (the final replay goes through dynamics)
-    assert calls <= 2 * len(sched)
+    # schedule length must not regress: the walk out and about two moves
+    # per edge back at p = 3, four at p = 5
+    assert len(sched) <= p * 200
+    # each move is simulated once where it is built (the final replay
+    # goes through dynamics)
+    assert calls == len(sched)
 
 
 def test_synthesize_simulates_each_move_once(monkeypatch):
@@ -427,62 +426,174 @@ def test_synthesize_simulates_each_move_once(monkeypatch):
                         counted("_build_structure", hypergraph._build_structure))
     monkeypatch.setattr("zpwalk.decision._closed_form_solution",
                         counted("_closed_form_solution", decision._closed_form_solution))
-    m = 200
-    G, w1, w2 = unit_chain(m)
+    G, w1, w2 = unit_chain(200)
     sched = synthesize_schedule(G, 3, w1, w2)
     # one replay, the final end-to-end check: no construction replays
     # its own moves to check them
     assert calls["replay_schedule"] == 1
-    # one simulation per scheduled move, plus the anchor nudge's one-move
-    # look-aheads (the single-edge descent tests its moves in closed form)
-    assert calls["apply_move"] <= len(sched) + 3 * m + 1
-    # one search and one solvability check per split level, plus G's own:
-    # a piece reuses its split's search and inherits its guard
-    assert calls["_build_structure"] <= m + 1
-    assert calls["_closed_form_solution"] <= m + 1
+    # one simulation per scheduled move (the single-edge descent tests its
+    # moves in closed form)
+    assert calls["apply_move"] == len(sched)
+    # G's own search and its one solvability check: no piece of G is
+    # built as a hypergraph of its own
+    assert calls["_build_structure"] == 1
+    assert calls["_closed_form_solution"] == 1
+
+
+def _piece(G, vertices, edges):
+    """The sub-hypergraph of G on vertices and edges, renumbered from 0."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return make_hypergraph(len(vertices), [[index[v] for v in G.edges[i]] for i in edges])
 
 
 def test_nested_pieces_are_balance_solvable(monkeypatch):
-    # synthesize_schedule checks solvability once; every piece a split
-    # recurses into must inherit it, on the whole synthesis digest family
+    # synthesize_schedule checks solvability once; on the whole synthesis
+    # digest family, every level's pre-phase on its edge, the level below
+    # and the post-phase must each be empty or an algebraic yes
     digest = runpy.run_path(str(SCRIPTS / "synthesis_digest.py"))
-    limits = {"max_states": digest["LIMIT"], "cap": digest["LIMIT"]}
-    synthesize = synthesis._synthesize
-    nested = 0
+    on_edge = synthesis._on_edge
+    calls = []
 
-    def checked(b, w2):
-        nonlocal nested
-        if b.vmap is not None and b.state != w2:
-            nested += 1
-            assert decision._necessity(b.G, b.p, b.state, w2) is None
-        return synthesize(b, w2)
+    def spy(b, edge, target):
+        before = b.state
+        on_edge(b, edge, target)
+        calls.append((edge, before, b.state))
 
-    monkeypatch.setattr(synthesis, "_synthesize", checked)
+    monkeypatch.setattr(synthesis, "_on_edge", spy)
+    checked = 0
     for synth, G, p, w1, w2 in digest["cases"](random.Random(1)):
+        if synth is not synthesize_schedule or G.m == 1:
+            continue
+        calls.clear()
         try:
-            synth(G, p, w1, w2, **(limits if synth is synthesize_schedule else {}))
+            synth(G, p, w1, w2)
         except ZpwalkError:
-            pass
-    assert nested >= 500
+            continue
+        kept = synthesis._peel_order(G, p)
+        levels = len(kept) - 1
+        # pre-phases outermost first, the root, post-phases innermost first
+        assert len(calls) == (2 * levels + 1 if w1 != w2 else 0)
+        for r in range(1, levels + 1 if calls else 1):
+            l, before, after = calls[levels - r]
+            post_l, settled, done = calls[levels + r]
+            assert l == post_l == kept[r][0]
+            below = sorted({v for i, _ in kept[:r] for v in G.edges[i]})
+            for H, vertices, src, dst in (
+                (_piece(G, G.edges[l], [l]), G.edges[l], before, after),
+                (_piece(G, below, [i for i, _ in kept[:r]]), below, after, settled),
+                (_piece(G, G.edges[l], [l]), G.edges[l], settled, done),
+            ):
+                src = tuple(src[v] for v in vertices)
+                dst = tuple(dst[v] for v in vertices)
+                if src != dst:
+                    checked += 1
+                    assert decision.decide_reachability(H, p, src, dst, mode="algebraic").answer
+    assert checked >= 500
 
 
-def test_synthesize_too_deep_chain_is_incomplete():
-    # the component recursion nests about three frames per edge, so 400
-    # edges pass the default recursion limit of 1000
-    G, w1, w2 = unit_chain(400)
-    with pytest.raises(SynthesisIncomplete, match="recursion limit"):
-        synthesize_schedule(G, 3, w1, w2)
+def test_synthesize_ten_thousand_edge_chain():
+    # one loop over one edge order: no recursion limit to reach, and no
+    # search budget to run out of (synthesize_schedule replays the result)
+    G, w1, w2 = unit_chain(10_000)
+    assert len(synthesize_schedule(G, 3, w1, w2)) <= 3 * 10_000
 
 
 def test_synthesize_transfer_from_settled_component():
-    # Edge 0 holds no charge, so one unit walks over from vertex 3.  Its
-    # component of G minus edge 0 starts settled and is live afterwards.
+    # Only edge 2 holds charge, so the level below it starts empty: edge
+    # 2's pre-phase hands a unit to the shared vertex 5, which the rest of
+    # the instance draws on to fill the root edge.
     G = make_hypergraph(8, [(0, 1, 2), (1, 5, 7), (3, 4, 5, 6)])
     w1 = (0, 0, 0, 2, 0, 0, 0, 0)
     w2 = (2, 0, 0, 2, 0, 0, 0, 0)
     sched = synthesize_schedule(G, 3, w1, w2)
     assert replay_schedule(G, 3, w1, sched) == w2
-    assert len(sched) == 29
+    assert len(sched) == 23
+
+
+def _synthesis_matches_the_rule(G, p, pairs) -> int:
+    """Each pair the algebraic rule accepts gets a schedule that replays;
+    each pair it refuses is refused as unreachable.  Returns the schedules."""
+    scheduled = 0
+    for w1, w2 in pairs:
+        if decision.decide_reachability(G, p, w1, w2, mode="algebraic").answer:
+            sched = synthesize_schedule(G, p, w1, w2)
+            assert replay_schedule(G, p, w1, sched) == w2
+            scheduled += 1
+        else:
+            with pytest.raises((Unsolvable, UnreachableTarget)):
+                synthesize_schedule(G, p, w1, w2)
+    return scheduled
+
+
+def _walk_counter(monkeypatch) -> list:
+    walks = []
+    walk = synthesis._walk
+
+    def counted(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(synthesis, "_walk", counted)
+    return walks
+
+
+def test_two_edge_chain_all_pairs_match_the_rule(monkeypatch):
+    walks = _walk_counter(monkeypatch)
+    states = list(itertools.product(range(3), repeat=5))
+    assert _synthesis_matches_the_rule(CHAIN2, 3, itertools.product(states, states)) == 58566
+    assert walks
+
+
+# Shapes the peel order creates: S with two vertices (triangle), a
+# sum-invariant 5-edge (|e| = 2 mod 3) as root's partner or as leaf, p = 5,
+# and D = (1, 5, 9), the only lever, which a search from vertex 0 meets
+# last with no new vertex: rooting anywhere but at the lever would drop it
+# and make every pair look sum-invariant.
+PEEL_SHAPES = {
+    "triangle": (make_hypergraph(6, [(0, 1, 2), (2, 3, 4), (0, 4, 5)]), 3),
+    "lever-root": (make_hypergraph(13, [(0, 1, 2, 3, 4), (0, 5, 6, 7, 8),
+                                        (0, 9, 10, 11, 12), (1, 5, 9)]), 3),
+    "5-edge-then-leaf": (make_hypergraph(7, [(0, 1, 2, 3, 4), (4, 5, 6)]), 3),
+    "leaf-then-5-edge": (make_hypergraph(7, [(0, 1, 2), (2, 3, 4, 5, 6)]), 3),
+    "chain-p5": (CHAIN2, 5),
+}
+
+
+@pytest.mark.parametrize("name", PEEL_SHAPES)
+def test_peel_shapes_match_the_rule(name, monkeypatch):
+    G, p = PEEL_SHAPES[name]
+    kept = synthesis._peel_order(G, p)
+    assert len(kept) == G.m
+    peeled = G.edges[kept[-1][0]]
+    rng = random.Random(name)
+    pairs = []
+    for i in range(400):
+        w1 = [rng.randrange(p) for _ in range(G.n)]
+        w2 = [rng.randrange(p) for _ in range(G.n)]
+        # a zero source and a saturated target on the outermost edge, so
+        # that both walks run
+        for v in peeled:
+            if i % 4 in (1, 3):
+                w1[v] = 0
+            if i % 4 in (2, 3):
+                w2[v] = p - 1
+        pairs.append((tuple(w1), tuple(w2)))
+    walks = _walk_counter(monkeypatch)
+    assert _synthesis_matches_the_rule(G, p, pairs) >= 350
+    assert len(walks) >= 200
+
+
+def test_peel_order_roots_at_the_lever():
+    G, p = PEEL_SHAPES["lever-root"]
+    assert [i for i, _ in synthesis._peel_order(G, p)] == [3, 0, 1, 2]
+
+
+def test_completeness_tiers_need_no_give_up():
+    # the n = 41, m = 15 tiers of scripts/synthesis_completeness.py
+    script = runpy.run_path(str(SCRIPTS / "synthesis_completeness.py"))
+    for line in script["tier_lines"](1, ("n41-charge3", "n41-dense")):
+        assert line["SynthesisIncomplete"] == 0
+        assert line["schedules"] == line["pairs"] == 20
 
 
 @st.composite
