@@ -87,8 +87,8 @@ def format_state(w: State) -> str:
     return ",".join(str(x) for x in w)
 
 
-def apply_move(G: Hypergraph, p: int, w: State, move: Move) -> State:
-    """One step of the dynamics; raises IllegalMove when not applicable."""
+def _step(G: Hypergraph, p: int, w: list[int], move: Move) -> None:
+    """One step of the dynamics on w in place; raises IllegalMove when not applicable."""
     if not 0 <= move.edge < G.m:
         raise IllegalMove(f"edge {move.edge} outside [0, {G.m})")
     edge = G.edges[move.edge]
@@ -96,22 +96,27 @@ def apply_move(G: Hypergraph, p: int, w: State, move: Move) -> State:
         raise IllegalMove(f"vertex {move.vertex} not in edge {move.edge} {edge}")
     if w[move.vertex] == 0:
         raise IllegalMove(f"vertex {move.vertex} has zero units")
-    out = list(w)
     for u in edge:
-        out[u] = (out[u] + 1) % p
-    out[move.vertex] = (out[move.vertex] - 2) % p
+        w[u] = (w[u] + 1) % p
+    w[move.vertex] = (w[move.vertex] - 2) % p
+
+
+def apply_move(G: Hypergraph, p: int, w: State, move: Move) -> State:
+    """One step of the dynamics; raises IllegalMove when not applicable."""
+    out = list(w)
+    _step(G, p, out, move)
     return tuple(out)
 
 
 def replay_schedule(G: Hypergraph, p: int, w1: State, schedule: Schedule) -> State:
-    """Fold apply_move over the schedule; failures carry the step index."""
-    w = w1
+    """Apply the schedule's moves in turn; failures carry the step index."""
+    w = list(w1)
     for step, move in enumerate(schedule):
         try:
-            w = apply_move(G, p, w, move)
+            _step(G, p, w, move)
         except IllegalMove as err:
             raise IllegalMove(str(err), step=step) from None
-    return w
+    return tuple(w)
 
 
 def parse_schedule(text: str) -> Schedule:

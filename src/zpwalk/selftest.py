@@ -48,6 +48,7 @@ from .errors import (
     MismatchError,
     NotGood,
     SynthesisIncomplete,
+    UnreachableTarget,
     Unsolvable,
 )
 from .generate import gen_good_hypergraph
@@ -518,8 +519,9 @@ def _synthesis_sweep(
 def _witness_schedule(
     G: Hypergraph, p: int, w1: State, w2: State, report: SelftestReport
 ) -> bool:
-    """Synthesize and replay one schedule; False when synthesis gave up
-    or failed (a failure is a divergence, not a crash of the sweep)."""
+    """Synthesize and replay one schedule; False when synthesis gave up,
+    failed or refused the pair (a failure or a refusal of a pair the rule
+    accepts is a divergence, not a crash of the sweep)."""
     try:
         schedule = synthesize_schedule(G, p, w1, w2)
     except SynthesisIncomplete:
@@ -527,7 +529,7 @@ def _witness_schedule(
         if p**G.n <= EXHAUSTIVE_STATE_BUDGET:
             report.synthesis_incomplete_small += 1
         return False
-    except (IllegalMove, InternalSynthesisFailure) as err:
+    except (IllegalMove, InternalSynthesisFailure, Unsolvable, UnreachableTarget) as err:
         report.divergences.append(
             f"{G.n}v/{G.m}e p={p}: synthesis for {w1} -> {w2} failed: {err}"
         )

@@ -33,11 +33,11 @@ toolbox, bottom up:
     the target.  Decision's closed-form rule (necessity_filter) checks
     solvability once on G; nothing eliminates or searches.
 
-Every construction writes into one _Builder, which simulates each move
-once, as it is added, and checks each construction's net effect on the
-state it tracks.  A single-edge phase is solved on a child builder that
-works in the edge's own ids but appends its moves, mapped to G's ids, to
-the one shared move list.  synthesize_schedule replays the finished
+Every construction writes into one _Builder, which holds one mutable
+state in G's own ids, simulates each move on it once, as it is added,
+and checks each construction's net effect on it.  A single-edge phase
+reads and moves the edge's vertices in place; no piece of G is built as
+a hypergraph of its own.  synthesize_schedule replays the finished
 schedule once as the end-to-end check.
 """
 
@@ -52,7 +52,7 @@ from .dynamics import (
     Move,
     Schedule,
     State,
-    apply_move,
+    _step,
     has_predecessor,
     replay_schedule,
     validate_state,
@@ -113,59 +113,44 @@ def double_move_trick(
 class _Builder:
     """The one way synthesis adds a move: simulate it, then record it.
 
-    emit applies the move to the tracked state before recording it, so
-    an illegal move surfaces at the exact step that produced it.  One
-    edge's canonical restriction is solved on a child builder: it tracks
-    the edge's state in the restriction's own ids, and vmap / emap send
-    each of its moves to the root's ids as it appends them to the root's
-    single move list.  The root then settles the child's final values
-    onto the edge.  The root has no maps.
+    state is one list over G's vertices, copied from the state given and
+    never rebound, so a construction may hold on to it; emit steps it in
+    place before recording the move, so an illegal move surfaces at the
+    exact step that produced it.
     """
 
     G: Hypergraph
     p: int
-    state: State
+    state: list[int]
     moves: list[Move] = field(default_factory=list)
-    vmap: Sequence[int] | None = None
-    emap: Sequence[int] | None = None
+
+    def __post_init__(self) -> None:
+        self.state = list(self.state)
 
     def emit(self, move: Move) -> None:
-        self.state = apply_move(self.G, self.p, self.state, move)
-        if self.vmap is not None:
-            move = Move(self.vmap[move.vertex], self.emap[move.edge])
+        _step(self.G, self.p, self.state, move)
         self.moves.append(move)
 
     def emit_all(self, moves) -> None:
         for move in moves:
             self.emit(move)
 
-    def child(self, piece: Hypergraph, vertices: Sequence[int], edges: Sequence[int]) -> _Builder:
-        """A builder on piece, whose vertex i is vertices[i] and edge j is edges[j] here."""
-        return _Builder(piece, self.p, tuple(self.state[v] for v in vertices), self.moves,
-                        vertices, edges)
-
-    def settle(self, vertices: Sequence[int], values: State) -> None:
-        """Write a finished child's values back onto its piece."""
-        state = list(self.state)
-        for v, x in zip(vertices, values):
-            state[v] = x
-        self.state = tuple(state)
-
     def trick(self, edge: int, a: int, b: int, direction: int) -> None:
         """double_move_trick's rounds, checked against their net effect."""
-        p, w = self.p, self.state
+        p, w, e = self.p, self.state, self.G.edges[edge]
         if not is_good_pair(p, w[a], w[b]):
             raise PairNotGood(
                 f"anchor values ({w[a]}, {w[b]}) at vertices ({a}, {b}) admit no alternating rounds"
             )
+        before = [w[u] for u in e]
         rounds = (p + 1) // 2 if direction == 1 else (p - 1) // 2
         # Within a round the first mover needs charge and hands one unit to
         # the second; this order works for every good pair.
         first, second = (a, b) if w[a] != 0 and w[b] != p - 1 else (b, a)
         for move in (Move(first, edge), Move(second, edge)) * rounds:
             self.emit(move)
-        if any(self.state[u] != (w[u] if u == a or u == b else (w[u] + direction) % p)
-               for u in self.G.edges[edge]):
+        if any(w[u] != (x if u == a or u == b else (x + direction) % p)
+               for u, x in zip(e, before)):
             raise InternalSynthesisFailure("alternating rounds missed their advertised net effect")
 
 
@@ -212,24 +197,29 @@ def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
     return list(min(candidates, key=lambda c: (sum(c), c)))
 
 
-def _descend_single_edge(b: _Builder, w2: State) -> None:
-    """Core single-edge descent to w2; b.G is canonical (one edge over all vertices)."""
-    G, p, k = b.G, b.p, b.G.n
-    counts = _single_edge_counts(p, b.state, w2)
+def _descend_single_edge(b: _Builder, edge: int, goal: State) -> None:
+    """Core single-edge descent of the edge's values to goal, moving only on it.
+
+    counts and the vertices the gadgets pick are positions on the edge:
+    position i is vertex e[i] of G.
+    """
+    p, e, w = b.p, b.G.edges[edge], b.state
+    k = len(e)
+    counts = _single_edge_counts(p, tuple(w[v] for v in e), goal)
     while True:
         total = sum(counts)
         if total == 0:
             break
-        live = [v for v in range(k) if counts[v] > 0 and b.state[v] != 0]
+        live = [i for i in range(k) if counts[i] > 0 and w[e[i]] != 0]
         if live:
             # A move at v lands on the inert all-zero state only from
             # [1 @ v, p-1 elsewhere], which is allowed for the final
             # counted move alone (then it IS the target).
-            low = [u for u in range(k) if b.state[u] != p - 1]
-            blocked = low[0] if len(low) == 1 and b.state[low[0]] == 1 else None
-            chosen = next((v for v in live if v != blocked or total == 1), None)
+            low = [i for i in range(k) if w[e[i]] != p - 1]
+            blocked = low[0] if len(low) == 1 and w[e[low[0]]] == 1 else None
+            chosen = next((i for i in live if i != blocked or total == 1), None)
             if chosen is not None:
-                b.emit(Move(chosen, 0))
+                b.emit(Move(e[chosen], edge))
                 counts[chosen] -= 1
                 continue
             # Only the blocked vertex is live, so it holds all remaining
@@ -238,45 +228,45 @@ def _descend_single_edge(b: _Builder, w2: State) -> None:
             x = counts[v]
             j = 0 if v != 0 else 1
             for _ in range(2 * x):
-                b.trick(0, v, j, +1)
+                b.trick(edge, e[v], e[j], +1)
             for _ in range(p - x):
-                b.emit(Move(j, 0))
+                b.emit(Move(e[j], edge))
             counts[v] = 0
             continue
         # Some count remains but every counted vertex is empty: emulate a
         # single move at the lowest such vertex with trick rounds.
         i0 = next(v for v in range(k) if counts[v] > 0)
         others = [v for v in range(k) if v != i0]
-        high = [j for j in others if b.state[j] == p - 1]
+        high = [j for j in others if w[e[j]] == p - 1]
         if high:
             # Drain a full-valued vertex, then give two rounds back.
             j = high[0]
             for _ in range(p - 1):
-                b.emit(Move(j, 0))
+                b.emit(Move(e[j], edge))
             for _ in range(2):
-                b.trick(0, i0, j, +1)
+                b.trick(edge, e[i0], e[j], +1)
         else:
-            flexible = [j for j in others if b.state[j] not in (0, p - 2)]
+            flexible = [j for j in others if w[e[j]] not in (0, p - 2)]
             if flexible:
                 j = flexible[0]
                 u = next(v for v in range(k) if v != i0 and v != j)
-                r = 0 if b.state[u] != 0 else 1
+                r = 0 if w[e[u]] != 0 else 1
                 for _ in range(r):
-                    b.trick(0, i0, j, +1)
+                    b.trick(edge, e[i0], e[j], +1)
                 for _ in range(p - 2):
-                    b.trick(0, j, u, +1)
-                b.emit(Move(u, 0))
+                    b.trick(edge, e[j], e[u], +1)
+                b.emit(Move(e[u], edge))
                 for _ in range(2 - r):
-                    b.trick(0, i0, j, +1)
+                    b.trick(edge, e[i0], e[j], +1)
             else:
                 # Everything except i0 sits at 0 or p-2.
-                zeros = [z for z in others if b.state[z] == 0]
-                mids = [j for j in others if b.state[j] == p - 2]
+                zeros = [z for z in others if w[e[z]] == 0]
+                mids = [j for j in others if w[e[j]] == p - 2]
                 if zeros and mids:
                     z, j = zeros[0], mids[0]
-                    b.trick(0, z, j, -1)
-                    b.emit(Move(i0, 0))
-                    b.trick(0, z, j, +1)
+                    b.trick(edge, e[z], e[j], -1)
+                    b.emit(Move(e[i0], edge))
+                    b.trick(edge, e[z], e[j], +1)
                 elif mids:
                     # Exactly [0 @ i0, p-2 elsewhere]; finish in one batch.
                     x = counts[i0]
@@ -284,46 +274,39 @@ def _descend_single_edge(b: _Builder, w2: State) -> None:
                         raise InternalSynthesisFailure("descent misread a blocked state")
                     j, j2 = others[0], others[1]
                     if x >= 3:
-                        b.trick(0, j, j2, -1)
+                        b.trick(edge, e[j], e[j2], -1)
                         for _ in range(x):
-                            b.emit(Move(i0, 0))
-                        b.trick(0, j, j2, +1)
+                            b.emit(Move(e[i0], edge))
+                        b.trick(edge, e[j], e[j2], +1)
                     elif p == 3:
-                        b.trick(0, i0, j, -1)
-                        b.emit(Move(j, 0))
-                        b.trick(0, i0, j, -1)
+                        b.trick(edge, e[i0], e[j], -1)
+                        b.emit(Move(e[j], edge))
+                        b.trick(edge, e[i0], e[j], -1)
                     else:
-                        # x == 2, p >= 5: solve the value-mirrored problem,
-                        # whose descent terminates directly, and replay it
-                        # backwards.  A move is exactly as legal on the
+                        # x == 2, p >= 5: solve the value-mirrored problem
+                        # on a scratch builder, where the descent terminates
+                        # directly, and emit its moves reversed.  A move is exactly as legal on the
                         # mirrored successor as on the original state, so
                         # the reversed move list is legal here.
-                        target = list(b.state)
-                        target[i0] = (target[i0] - x) % p
-                        for u in others:
-                            target[u] = (target[u] + x) % p
-                        mirrored = single_edge_schedule(
-                            G,
-                            p,
-                            tuple((p - 1 - y) % p for y in target),
-                            tuple((p - 1 - y) % p for y in b.state),
-                        )
-                        b.emit_all(reversed(mirrored.moves))
+                        scratch = _Builder(b.G, p, w)
+                        for i, v in enumerate(e):
+                            scratch.state[v] = (p - 1 - w[v] + (x if i == i0 else -x)) % p
+                        _on_edge(scratch, edge, {v: p - 1 - w[v] for v in e})
+                        b.emit_all(reversed(scratch.moves))
                     counts[i0] = 0
                     continue
                 else:
                     raise InternalSynthesisFailure("descent reached the inert zero state")
         counts[i0] -= 1
-    if b.state != w2:
+    if any(w[v] != x for v, x in zip(e, goal)):
         raise InternalSynthesisFailure("single-edge descent finished off target")
 
 
 def _on_edge(b: _Builder, edge: int, target) -> None:
     """Move only on one edge of b.G until it holds target's values.
 
-    target is anything indexable by b's vertex ids (a full state tuple or
-    a dict covering the edge's vertices).  The edge's canonical
-    restriction is solved on a child builder.
+    target is anything indexable by b's vertex ids (a full state or a
+    dict covering the edge's vertices).
     """
     e = b.G.edges[edge]
     if len(e) < 3:
@@ -331,10 +314,11 @@ def _on_edge(b: _Builder, edge: int, target) -> None:
     goal = tuple(target[v] for v in e)
     if all(b.state[v] == x for v, x in zip(e, goal)):
         return
-    piece = b.child(Hypergraph(len(e), (tuple(range(len(e))),)), e, (edge,))
-    _check_ends(piece.G, b.p, piece.state, goal)
-    _descend_single_edge(piece, goal)
-    b.settle(e, piece.state)
+    if not any(b.state[v] for v in e):
+        raise UnreachableTarget("the all-zero state admits no moves")
+    if all(x == b.p - 1 for x in goal):
+        raise UnreachableTarget("the target state has no predecessor")
+    _descend_single_edge(b, edge, goal)
 
 
 def undo_on_edge(G: Hypergraph, p: int, w1: State, w2: State, edge: int) -> Schedule:
@@ -457,7 +441,7 @@ def propagate_path(
                 target[v1] = (w[v1] - 1) % p
             _on_edge(b, edges[i], target)
         expected[end_vertex] = (expected[end_vertex] + 1) % p
-    if b.state != tuple(expected):
+    if b.state != expected:
         raise InternalSynthesisFailure(f"{direction} propagation missed its net effect")
     return Schedule(tuple(b.moves))
 
@@ -616,7 +600,7 @@ def _peel(b: _Builder, w2: State) -> None:
     for l, goal, undo in reversed(posts):
         _on_edge(b, l, goal)
         b.emit_all(reversed(undo))
-    if b.state != w2:
+    if b.state != list(w2):
         raise InternalSynthesisFailure("peeling finished off target")
 
 

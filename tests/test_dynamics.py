@@ -66,6 +66,18 @@ def test_replay_reports_failing_step():
     assert replay_schedule(E3, 5, (3, 0, 0), sched) == (0, 3, 3)
 
 
+def test_moves_leave_a_list_source_unchanged():
+    w = [2, 1, 0]
+    assert apply_move(E3, 3, w, Move(0, 0)) == (1, 2, 1)
+    sched = Schedule((Move(0, 0), Move(1, 0)))
+    assert replay_schedule(E3, 3, w, sched) == (2, 1, 2)
+    assert w == [2, 1, 0]
+    with pytest.raises(IllegalMove) as err:
+        replay_schedule(E3, 3, w, Schedule((Move(2, 0),)))
+    assert err.value.step == 0
+    assert w == [2, 1, 0]
+
+
 def test_state_round_trip():
     w = validate_state(3, 3, [1, 2, 0])
     assert parse_state(format_state(w), 3, 3) == w

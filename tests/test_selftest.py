@@ -6,7 +6,7 @@ import random
 import pytest
 
 from zpwalk import dynamics, selftest
-from zpwalk.errors import IllegalMove
+from zpwalk.errors import IllegalMove, Unsolvable
 from zpwalk.hypergraph import Hypergraph, is_good
 from zpwalk.selftest import (
     SelftestReport,
@@ -183,3 +183,16 @@ def test_a_failing_synthesis_is_a_divergence_not_a_crash(monkeypatch):
     assert not selftest._witness_schedule(G, 3, (1, 0, 0), (0, 1, 1), report)
     assert report.divergences == [
         "3v/1e p=3: synthesis for (1, 0, 0) -> (0, 1, 1) failed: vertex 0 has zero units"]
+
+
+def test_a_refused_pair_the_rule_accepts_is_a_divergence(monkeypatch):
+    def refusing(G, p, w1, w2):
+        raise Unsolvable("the move-counting system has no solution")
+
+    monkeypatch.setattr(selftest, "synthesize_schedule", refusing)
+    report = run_selftest(seed=99, max_small_n=4, structural_budget=300, schedule_targets=3,
+                          generated_count=0, include_nongood=False)
+    assert report.reach_pairs > 0 and report.schedules_replayed == 0
+    assert report.divergences and not report.ok
+    assert all("failed: the move-counting system has no solution" in d
+               for d in report.divergences)

@@ -18,6 +18,7 @@ from zpwalk import decision, hypergraph, synthesis
 from zpwalk.decision import build_system
 from zpwalk.dynamics import (
     Move,
+    _step,
     all_moves,
     apply_move,
     oracle_reachable,
@@ -269,6 +270,31 @@ def test_single_edge_p5_sampled():
         assert replay_schedule(G, 5, w1, sched) == w2
 
 
+@pytest.mark.parametrize("p, w1, w2, length", [
+    (5, (0, 3, 3), (3, 0, 0), 27),
+    (5, (0, 3, 3, 3), (3, 0, 0, 0), 27),
+    (7, (0, 5, 5), (5, 0, 0), 37),
+])
+def test_single_edge_mirrored_descent(p, w1, w2, length, monkeypatch):
+    # [0 @ i0, p-2 elsewhere] with two moves left at i0 and p >= 5: the
+    # descent solves the value-mirrored problem on a scratch builder and
+    # emits its moves reversed
+    descend = synthesis._descend_single_edge
+    descents = 0
+
+    def spy(*args):
+        nonlocal descents
+        descents += 1
+        descend(*args)
+
+    monkeypatch.setattr(synthesis, "_descend_single_edge", spy)
+    G = single_edge(len(w1))
+    sched = single_edge_schedule(G, p, w1, w2)
+    assert replay_schedule(G, p, w1, sched) == w2
+    assert descents == 2
+    assert len(sched) == length
+
+
 def _counts_both_ways(p: int, d: tuple[int, ...]):
     """Closed-form and eliminated minimum-norm counts for w1 - w2 = d
     (None where the move-counting system has no solution)."""
@@ -392,12 +418,12 @@ def unit_chain(m: int):
 def test_synthesize_long_chain(p, monkeypatch):
     calls = 0
 
-    def counting_apply_move(*args):
+    def counting_step(*args):
         nonlocal calls
         calls += 1
-        return apply_move(*args)
+        return _step(*args)
 
-    monkeypatch.setattr("zpwalk.synthesis.apply_move", counting_apply_move)
+    monkeypatch.setattr("zpwalk.synthesis._step", counting_step)
     G, w1, w2 = unit_chain(200)
     sched = synthesize_schedule(G, p, w1, w2)
     assert replay_schedule(G, p, w1, sched) == w2
@@ -410,7 +436,7 @@ def test_synthesize_long_chain(p, monkeypatch):
 
 
 def test_synthesize_simulates_each_move_once(monkeypatch):
-    calls = {"apply_move": 0, "replay_schedule": 0, "_build_structure": 0,
+    calls = {"_step": 0, "replay_schedule": 0, "_build_structure": 0,
              "_closed_form_solution": 0}
 
     def counted(name, fn):
@@ -419,7 +445,7 @@ def test_synthesize_simulates_each_move_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr("zpwalk.synthesis.apply_move", counted("apply_move", apply_move))
+    monkeypatch.setattr("zpwalk.synthesis._step", counted("_step", _step))
     monkeypatch.setattr("zpwalk.synthesis.replay_schedule",
                         counted("replay_schedule", replay_schedule))
     monkeypatch.setattr("zpwalk.hypergraph._build_structure",
@@ -433,7 +459,7 @@ def test_synthesize_simulates_each_move_once(monkeypatch):
     assert calls["replay_schedule"] == 1
     # one simulation per scheduled move (the single-edge descent tests its
     # moves in closed form)
-    assert calls["apply_move"] == len(sched)
+    assert calls["_step"] == len(sched)
     # G's own search and its one solvability check: no piece of G is
     # built as a hypergraph of its own
     assert calls["_build_structure"] == 1
@@ -455,9 +481,9 @@ def test_nested_pieces_are_balance_solvable(monkeypatch):
     calls = []
 
     def spy(b, edge, target):
-        before = b.state
+        before = tuple(b.state)
         on_edge(b, edge, target)
-        calls.append((edge, before, b.state))
+        calls.append((edge, before, tuple(b.state)))
 
     monkeypatch.setattr(synthesis, "_on_edge", spy)
     checked = 0
@@ -491,11 +517,13 @@ def test_nested_pieces_are_balance_solvable(monkeypatch):
     assert checked >= 500
 
 
-def test_synthesize_ten_thousand_edge_chain():
+@pytest.mark.parametrize("p", (3, 5))
+def test_synthesize_ten_thousand_edge_chain(p):
     # one loop over one edge order: no recursion limit to reach, and no
-    # search budget to run out of (synthesize_schedule replays the result)
+    # search budget to run out of (synthesize_schedule replays the result);
+    # the walk out and back costs p moves per edge
     G, w1, w2 = unit_chain(10_000)
-    assert len(synthesize_schedule(G, 3, w1, w2)) <= 3 * 10_000
+    assert len(synthesize_schedule(G, p, w1, w2)) == p * 10_000
 
 
 def test_synthesize_transfer_from_settled_component():
