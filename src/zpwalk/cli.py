@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -62,7 +63,7 @@ from .errors import (
     ZpwalkError,
 )
 from .generate import gen_good_hypergraph
-from .hypergraph import format_hypergraph, is_good, parse_hypergraph
+from .hypergraph import check_modulus, format_hypergraph, is_good, parse_hypergraph
 from .selftest import run_selftest
 from .synthesis import synthesize_schedule
 from .zp_algebra import DEFAULT_ENUMERATION_CAP
@@ -86,18 +87,10 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()[:16]
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _certificate_payload(cert):
     if cert is None:
         return None
-    return {"kind": cert.kind, "data": _jsonable(cert.data)}
+    return {"kind": cert.kind, "data": cert.data}
 
 
 class _Reporter:
@@ -128,11 +121,11 @@ class _Reporter:
         if self.as_json:
             payload = {
                 "command": self.command,
-                "input": _jsonable(self.input),
-                "answer": _jsonable(self.answer),
+                "input": self.input,
+                "answer": self.answer,
                 "method": self.method,
                 "certificate": _certificate_payload(self.certificate),
-                "stats": _jsonable(self.stats),
+                "stats": self.stats,
             }
             if self.error:
                 payload["error"] = self.error
@@ -324,9 +317,9 @@ def _cmd_verify(rep: _Reporter, args) -> int:
 
 
 def _cmd_gen(rep: _Reporter, args) -> int:
+    check_modulus(args.modulus, 1)  # the output's first line, as its parser would say
     G = gen_good_hypergraph(args.vertices, args.edges, seed=args.seed)
     text = format_hypergraph(args.modulus, G)
-    parse_hypergraph(text)  # refuse what the file format would refuse
     rep.input.update({"n": args.vertices, "m": args.edges, "seed": args.seed})
     rep.answer = True
     rep.method = "generator"
@@ -498,8 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first main call: parsing
+    leaves no state on it, so every later call can reuse it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     rep = _Reporter(args.command, args.json)
     try:
         code = args.handler(rep, args)

@@ -75,12 +75,17 @@ def validate_state(p: int, n: int, w) -> State:
 
 
 def parse_state(text: str, p: int, n: int) -> State:
-    parts = [s.strip() for s in text.split(",")]
     try:
-        values = [int(s) for s in parts]
+        w = tuple(map(int, map(str.strip, text.split(","))))
     except ValueError:
         raise ParseError(f"state literal {text!r}: entries must be integers") from None
-    return validate_state(p, n, values)
+    if len(w) != n:
+        raise ParseError(f"state has {len(w)} entries, hypergraph has {n} vertices")
+    # the entries are ints by construction: only their range is left to check
+    if min(w) < 0 or max(w) >= p:
+        bad = next(x for x in w if not 0 <= x < p)
+        raise ParseError(f"state entry {bad!r} is not a residue in [0, {p})")
+    return w
 
 
 def format_state(w: State) -> str:

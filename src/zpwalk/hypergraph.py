@@ -9,12 +9,14 @@ accept anything.
 
 One breadth-first search, cached on the immutable Hypergraph as
 G.structure, gives every layer its incidence lists, components,
-spanning edge tree and edge scan order; is_good's report is cached too.
+spanning edge tree and edge scan order, and marks the edges that close
+a cycle, the only ones is_good must test for overlaps; its report is
+cached too.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -58,24 +60,12 @@ class Hypergraph:
 
     @cached_property
     def goodness(self) -> GoodnessReport:
-        violations: list[Violation] = []
-        for i, e in enumerate(self.edges):
-            if len(e) < 3:
-                violations.append(Violation("small_edge", (i,)))
-        # shared vertices are counted through the incidence lists, so the
-        # work is the sum of deg(v)^2 rather than m^2 pair tests
-        incidence = self.structure.incidence
-        for i, e in enumerate(self.edges):
-            shared: dict[int, int] = {}
-            for v in e:
-                for j in incidence[v]:
-                    if j > i:
-                        shared[j] = shared.get(j, 0) + 1
-            for j in sorted(j for j, k in shared.items() if k > 1):
-                violations.append(Violation("big_intersection", (i, j)))
-        components = self.structure.components
-        if len(components) > 1:
-            violations.append(Violation("disconnected", tuple(c[0] for c in components)))
+        violations = [Violation("small_edge", (i,))
+                      for i, e in enumerate(self.edges) if len(e) < 3]
+        st = self.structure
+        violations += [Violation("big_intersection", pair) for pair in _overlaps(self, st)]
+        if len(st.components) > 1:
+            violations.append(Violation("disconnected", tuple(c[0] for c in st.components)))
         return GoodnessReport(not violations, tuple(violations))
 
 
@@ -89,7 +79,9 @@ class Structure:
     tree[v] is (parent u, column of (e, v), column of (e, u)) for the
     edge e that first reached v, or None for a root.  Column offset[i]
     is (e_i, e_i[0]); offset[m] = ncols = sum |e|.  scan[c] lists
-    component c's edges in the order the search met them.
+    component c's edges in the order the search met them.  closing
+    lists, in scan order, the edges that close a cycle: their scan met
+    a vertex reached before besides the one it started from.
     """
 
     incidence: tuple[tuple[int, ...], ...]
@@ -100,6 +92,7 @@ class Structure:
     scan: tuple[tuple[int, ...], ...]
     offset: tuple[int, ...]
     ncols: int
+    closing: tuple[int, ...]
 
 
 def _build_structure(G: Hypergraph) -> Structure:
@@ -111,8 +104,8 @@ def _build_structure(G: Hypergraph) -> Structure:
     component = [-1] * G.n
     tree: list[tuple[int, int, int] | None] = [None] * G.n
     order: list[int] = []
-    components: list[tuple[int, ...]] = []
     scan: list[tuple[int, ...]] = []
+    closing: list[int] = []
     scanned = [False] * G.m
     for root in range(G.n):
         if component[root] >= 0:
@@ -126,17 +119,47 @@ def _build_structure(G: Hypergraph) -> Structure:
                 scanned[i] = True
                 met.append(i)
                 e = G.edges[i]
-                ju = offset[i] + e.index(u)
-                for k, v in enumerate(e):
+                base = offset[i]
+                ju = base + e.index(u)
+                reached = len(queue)
+                for k, v in enumerate(e, base):
                     if component[v] < 0:
                         component[v] = c
-                        tree[v] = (u, offset[i] + k, ju)
+                        tree[v] = (u, k, ju)
                         queue.append(v)
+                if len(queue) - reached < len(e) - 1:  # e met a second vertex reached before
+                    closing.append(i)
         order += queue
-        components.append(tuple(sorted(queue)))
         scan.append(tuple(met))
-    return Structure(tuple(map(tuple, incidence)), tuple(component), tuple(components),
-                     tuple(order), tuple(tree), tuple(scan), offset, offset[-1])
+    # each component in ascending order without a sort: place every vertex
+    # (order's own int, so the tuples share it) at its id, then deal them out
+    ascending = [0] * G.n
+    for v in order:
+        ascending[v] = v
+    components: list[list[int]] = [[] for _ in scan]
+    for v in ascending:
+        components[component[v]].append(v)
+    return Structure(tuple(map(tuple, incidence)), tuple(component), tuple(map(tuple, components)),
+                     tuple(order), tuple(tree), tuple(scan), offset, offset[-1],
+                     tuple(closing))
+
+
+def _overlaps(G: Hypergraph, st: Structure) -> list[tuple[int, int]]:
+    """The edge pairs (i, j), i < j, that share two or more vertices, ascending.
+
+    When the search scanned the later edge of such a pair, both shared
+    vertices had been reached, so that edge is one of st.closing: only
+    the closing edges' incidences are read.
+    """
+    pairs = set()
+    for i in st.closing:
+        around = []  # the edges at i's vertices: i itself once per vertex
+        for v in G.edges[i]:
+            around += st.incidence[v]
+        if len(set(around)) < len(around) - len(G.edges[i]) + 1:  # another edge repeats
+            pairs.update((min(i, j), max(i, j))
+                         for j, k in Counter(around).items() if k > 1 and j != i)
+    return sorted(pairs)
 
 
 def make_hypergraph(n: int, edges) -> Hypergraph:
@@ -158,7 +181,7 @@ def parse_hypergraph(text: str) -> tuple[int, Hypergraph]:
     p: int | None = None
     n: int | None = None
     edges: list[tuple[int, ...]] = []
-    seen_edge_sets: set[frozenset[int]] = set()
+    seen_edges: set[tuple[int, ...]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -169,8 +192,7 @@ def parse_hypergraph(text: str) -> tuple[int, Hypergraph]:
             if p is not None:
                 raise ParseError("duplicate 'p' directive", lineno)
             p = _parse_int(args, 1, "p", lineno)[0]
-            if p < 2 or p > MAX_MODULUS or not (p == 2 or is_odd_prime(p)):
-                raise ParseError(f"modulus must be a prime in [2, {MAX_MODULUS}], got {p}", lineno)
+            check_modulus(p, lineno)
         elif keyword == "vertices":
             if n is not None:
                 raise ParseError("duplicate 'vertices' directive", lineno)
@@ -184,23 +206,36 @@ def parse_hypergraph(text: str) -> tuple[int, Hypergraph]:
             if len(args) < 2:
                 raise ParseError("an edge needs at least 2 vertices", lineno)
             vs = _parse_int(args, len(args), "edge", lineno)
-            if len(set(vs)) != len(vs):
+            e = tuple(sorted(vs))
+            if not all(map(lt, e, e[1:])):
                 raise ParseError(f"duplicate vertex in edge: {' '.join(args)}", lineno)
-            bad = [v for v in vs if v < 0 or v >= n]
-            if bad:
-                raise ParseError(f"vertex {bad[0]} outside [0, {n})", lineno)
-            key = frozenset(vs)
-            if key in seen_edge_sets:
+            if e[0] < 0 or e[-1] >= n:
+                bad = next(v for v in vs if v < 0 or v >= n)
+                raise ParseError(f"vertex {bad} outside [0, {n})", lineno)
+            if e in seen_edges:
                 raise ParseError(f"duplicate edge {{{' '.join(args)}}}", lineno)
-            seen_edge_sets.add(key)
-            edges.append(tuple(sorted(vs)))
+            seen_edges.add(e)
+            edges.append(e)
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
     if p is None:
         raise ParseError("missing 'p' directive")
     if n is None:
         raise ParseError("missing 'vertices' directive")
-    return p, Hypergraph(n, tuple(edges))
+    # the edges are sorted, distinct and in range: the constructor's checks would repeat that
+    G = object.__new__(Hypergraph)
+    object.__setattr__(G, "n", n)
+    object.__setattr__(G, "edges", tuple(edges))
+    return p, G
+
+
+def check_modulus(p: int, line: int | None = None) -> None:
+    """The file format's modulus rule: a prime in [2, MAX_MODULUS].
+
+    A modulus above the ceiling is refused before any trial division.
+    """
+    if p < 2 or p > MAX_MODULUS or not (p == 2 or is_odd_prime(p)):
+        raise ParseError(f"modulus must be a prime in [2, {MAX_MODULUS}], got {p}", line)
 
 
 def _parse_int(args: list[str], count: int, what: str, lineno: int) -> list[int]:

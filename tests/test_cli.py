@@ -11,8 +11,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zpwalk import generate, hypergraph
-from zpwalk.cli import main
+from zpwalk import cli, generate, hypergraph
+from zpwalk.cli import build_parser, main
 from zpwalk.dynamics import parse_schedule, parse_state, replay_schedule
 from zpwalk.hypergraph import format_hypergraph, make_hypergraph, parse_hypergraph
 
@@ -238,6 +238,17 @@ def test_gen_refuses_a_modulus_its_file_format_refuses(tmp_path, capsys, modulus
         assert main(["check-good", str(out)]) == 0
 
 
+def test_gen_checks_the_modulus_before_generating_and_parses_nothing(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("gen generated or re-parsed")
+
+    monkeypatch.setattr(cli, "parse_hypergraph", refuse)
+    assert main(["gen", "-n", "7", "-m", "3", "--seed", "1", "-p", "5"]) == 0
+    monkeypatch.setattr(generate, "_try_build", refuse)
+    assert main(["gen", "-n", "7", "-m", "3", "-p", "9"]) == 2
+    assert "line 1: modulus must be a prime in [2, 2147483647], got 9" in capsys.readouterr().err
+
+
 def test_huge_inputs_are_usage_errors(tmp_path, monkeypatch, capsys):
     """Refused by the input ceilings, before anything is allocated or a
     huge modulus is trial-divided."""
@@ -375,6 +386,66 @@ def test_json_check_good_violations(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["answer"] is False
     assert len(report["input"]["violations"]) == 3
+
+
+# ------------------------------------------------------- parser reuse
+
+
+def _observed(argv, output):
+    """Exit code, stdout (JSON without elapsed_ms), stderr and the -o file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    if argv[0] == "--json":
+        report = json.loads(text)
+        del report["stats"]["elapsed_ms"]
+        text = json.dumps(report, sort_keys=True)
+    written = output.read_text() if output.exists() else None
+    output.unlink(missing_ok=True)
+    return code, text, err.getvalue(), written
+
+
+def test_reused_parser_leaks_nothing_between_calls(e5, tmp_path, monkeypatch):
+    """main builds one parser per process; a sequence of calls through it
+    gives what a freshly built parser gives for each call alone."""
+    output = tmp_path / "gen.hg"
+    sequence = [
+        ["--json", "reach", e5, "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--witness"],
+        ["reach", e5, "--from", "1,0,0,0,0", "--to", "0,1,1,1,1"],
+        ["classify", e5, "--state", "1,0,0,0,0"],
+        ["recur", e5, "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--max-states", "50"],
+        ["--json", "recur", e5, "--from", "1,0,0,0,0", "--to", "0,1,1,1,1"],
+        ["--json", "orbit", TRIANGLE_FILE, "--from", "1,1,1", "--list-limit", "0"],
+        ["--json", "orbit", TRIANGLE_FILE, "--from", "1,1,1"],
+        ["gen", "-n", "7", "-m", "3", "--seed", "1", "-o", str(output)],
+        ["gen", "-n", "7", "-m", "3", "--seed", "1", "-p", "5"],
+        ["reach", e5, "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--mode", "psychic"],
+        ["reach", e5, "--from", "1,0", "--to", "0,1,1,1,1"],
+        ["--json", "reach", e5, "--from", "1,0,0,0,0", "--to", "0,1,1,1,1"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_observed(argv, output))
+    assert [code for code, *_ in fresh] == [0, 0, 0, 3, 0, 0, 0, 0, 0, 2, 2, 0]
+    assert "invalid choice: 'psychic'" in fresh[9][2]
+    assert "state has 2 entries" in fresh[10][2]
+
+    built = []
+
+    def counted_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    for argv, want in zip(sequence, fresh):
+        assert _observed(argv, output) == want, argv
+    assert len(built) == 1
 
 
 # --------------------------------------------------------------- selftest

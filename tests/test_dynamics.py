@@ -90,9 +90,25 @@ def test_parse_state_rejects(bad):
         parse_state(bad, 3, 3)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1, x,2", "state literal '1, x,2': entries must be integers"),
+    ("1,2", "state has 2 entries, hypergraph has 3 vertices"),
+    ("1,2,0,1", "state has 4 entries, hypergraph has 3 vertices"),
+    ("1,-1,-2", "state entry -1 is not a residue in [0, 3)"),
+    ("0,2,3", "state entry 3 is not a residue in [0, 3)"),
+    ("4,-1,0", "state entry 4 is not a residue in [0, 3)"),
+])
+def test_parse_state_names_the_first_offender(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_state(text, 3, 3)
+    assert str(err.value) == message
+
+
 def test_validate_state_rejects_bools():
     with pytest.raises(ParseError):
         validate_state(3, 2, (True, 0))
+    with pytest.raises(ParseError, match=r"state entry True is not a residue in \[0, 3\)"):
+        validate_state(3, 2, (0, True))
 
 
 def test_schedule_text_round_trip():

@@ -1,5 +1,6 @@
 """Hypergraph model: parsing, well-shapedness, connectivity, edge paths."""
 
+import itertools
 import random
 from collections import deque
 
@@ -21,6 +22,7 @@ from zpwalk.hypergraph import (
     shortest_edge_path,
     vertex_edges,
 )
+from zpwalk.selftest import iter_small_good_hypergraphs
 
 TRIANGLE = make_hypergraph(3, [(0, 1), (0, 2), (1, 2)])  # not well-shaped
 TWO_EDGES = make_hypergraph(5, [(0, 1, 2), (2, 3, 4)])  # well-shaped
@@ -36,16 +38,18 @@ def test_cached_fields_leave_equality_hash_and_repr_alone():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need at least one vertex, got n=0"):
         Hypergraph(0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge 0 has 1 vertices, need at least 2"):
         Hypergraph(3, ((0,),))  # edge too small
-    with pytest.raises(ValueError):
-        Hypergraph(3, ((1, 0, 2),))  # not sorted
+    with pytest.raises(ValueError, match=r"edge 1 must be a sorted tuple of distinct vertices"):
+        Hypergraph(3, ((0, 1), (1, 0, 2)))  # not sorted
     with pytest.raises(ValueError, match="sorted tuple of distinct vertices"):
         Hypergraph(3, ((0, 0, 1),))  # repeated vertex
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge 0 has vertices outside \[0, 3\)"):
         Hypergraph(3, ((0, 1, 3),))  # vertex out of range
+    with pytest.raises(ValueError, match=r"edge 0 has vertices outside \[0, 3\)"):
+        Hypergraph(3, ((-1, 1, 2),))
 
 
 def test_make_hypergraph_canonicalizes():
@@ -155,6 +159,62 @@ def test_is_good_big_intersections_match_all_pairs():
     assert flagged > 50
 
 
+def plain_violations(G):
+    """Reference for is_good: small edges, then every pair of edges tested
+    for two shared vertices, then the union-find components."""
+    small = [("small_edge", (i,)) for i, e in enumerate(G.edges) if len(e) < 3]
+    big = [("big_intersection", (i, j)) for i in range(G.m) for j in range(i + 1, G.m)
+           if len(set(G.edges[i]) & set(G.edges[j])) > 1]
+    components = union_find_components(G)
+    split = [("disconnected", tuple(c[0] for c in components))] if len(components) > 1 else []
+    return small + big + split
+
+
+def every_hypergraph(max_n, max_m):
+    """Every hypergraph with up to max_n vertices and max_m distinct edges."""
+    for n in range(1, max_n + 1):
+        candidates = [c for k in range(2, n + 1) for c in itertools.combinations(range(n), k)]
+        for m in range(max_m + 1):
+            for edges in itertools.combinations(candidates, m):
+                yield Hypergraph(n, edges)
+
+
+def generated_and_broken(seed):
+    """Generated instances, each also with an edge meeting edge 0 in two
+    vertices, a copy of edge 0, and its last edge dropped."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(3, 40)
+        G = gen_good_hypergraph(n, rng.randint(1, (n - 1) // 2), seed=rng.randrange(2**30))
+        yield G
+        yield Hypergraph(G.n, G.edges + (G.edges[0][:2],))
+        yield Hypergraph(G.n, G.edges + (G.edges[0],))
+        yield Hypergraph(G.n, G.edges[:-1])
+
+
+@pytest.mark.parametrize("family", ["enumerated good", "every small", "generated", "arbitrary"])
+def test_is_good_matches_a_plain_all_pairs_reference(family):
+    """The structure search's overlap pairs give is_good the same
+    violations, in the same order, as testing every pair of edges."""
+    if family == "enumerated good":
+        instances = list(iter_small_good_hypergraphs(6))
+    elif family == "every small":
+        instances = list(every_hypergraph(4, 3))
+    elif family == "generated":
+        instances = list(generated_and_broken(15))
+    else:
+        rng = random.Random(1515)
+        instances = [arbitrary_hypergraph(rng) for _ in range(400)]
+    kinds = set()
+    for G in instances:
+        got = [(v.kind, v.detail) for v in is_good(G).violations]
+        assert got == plain_violations(G), G
+        kinds.update(kind for kind, _ in got)
+    want = {"enumerated good": set()}.get(
+        family, {"small_edge", "big_intersection", "disconnected"})
+    assert kinds == want
+
+
 def test_is_good_flags_disconnection():
     G = make_hypergraph(7, [(0, 1, 2), (4, 5, 6)])  # vertex 3 isolated too
     report = is_good(G)
@@ -226,6 +286,9 @@ def test_connected_components_match_union_find():
         structure = G.structure
         assert all(structure.component[v] == c for c, comp in enumerate(comps) for v in comp)
         assert sorted(i for scan in structure.scan for i in scan) == list(range(G.m))
+        # the vertex-edge incidence graph is a forest iff it has n + m - c links
+        cyclic = sum(map(len, G.edges)) > G.n + G.m - len(comps)
+        assert bool(structure.closing) == cyclic
 
 
 def test_structure_is_cached_and_keeps_equality():
@@ -367,3 +430,6 @@ def test_parse_hypergraph_parses_or_raises_parse_error(text):
     except ParseError:
         return
     assert p >= 2 and 1 <= G.n <= MAX_VERTICES
+    # the parser skips the constructor's checks: what it built must pass them
+    H = Hypergraph(G.n, G.edges)
+    assert G == H and hash(G) == hash(H)
