@@ -45,6 +45,18 @@ class Hypergraph:
             if e[0] < 0 or e[-1] >= self.n:
                 raise ValueError(f"edge {i} has vertices outside [0, {self.n})")
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, ...], ...]) -> Hypergraph:
+        """A Hypergraph without __post_init__'s checks, for a caller that made them.
+
+        parse_hypergraph has: each edge is sorted, of distinct vertices
+        and in range, and repeating that would add about a third to its parse.
+        """
+        G = object.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "edges", edges)
+        return G
+
     @cached_property
     def m(self) -> int:
         return len(self.edges)
@@ -104,6 +116,7 @@ def _build_structure(G: Hypergraph) -> Structure:
     component = [-1] * G.n
     tree: list[tuple[int, int, int] | None] = [None] * G.n
     order: list[int] = []
+    components: list[tuple[int, ...]] = []
     scan: list[tuple[int, ...]] = []
     closing: list[int] = []
     scanned = [False] * G.m
@@ -130,16 +143,9 @@ def _build_structure(G: Hypergraph) -> Structure:
                 if len(queue) - reached < len(e) - 1:  # e met a second vertex reached before
                     closing.append(i)
         order += queue
+        components.append(tuple(sorted(queue)))
         scan.append(tuple(met))
-    # each component in ascending order without a sort: place every vertex
-    # (order's own int, so the tuples share it) at its id, then deal them out
-    ascending = [0] * G.n
-    for v in order:
-        ascending[v] = v
-    components: list[list[int]] = [[] for _ in scan]
-    for v in ascending:
-        components[component[v]].append(v)
-    return Structure(tuple(map(tuple, incidence)), tuple(component), tuple(map(tuple, components)),
+    return Structure(tuple(map(tuple, incidence)), tuple(component), tuple(components),
                      tuple(order), tuple(tree), tuple(scan), offset, offset[-1],
                      tuple(closing))
 
@@ -222,11 +228,7 @@ def parse_hypergraph(text: str) -> tuple[int, Hypergraph]:
         raise ParseError("missing 'p' directive")
     if n is None:
         raise ParseError("missing 'vertices' directive")
-    # the edges are sorted, distinct and in range: the constructor's checks would repeat that
-    G = object.__new__(Hypergraph)
-    object.__setattr__(G, "n", n)
-    object.__setattr__(G, "edges", tuple(edges))
-    return p, G
+    return p, Hypergraph._trusted(n, tuple(edges))
 
 
 def check_modulus(p: int, line: int | None = None) -> None:

@@ -111,6 +111,24 @@ def test_validate_state_rejects_bools():
         validate_state(3, 2, (0, True))
 
 
+@pytest.mark.parametrize("w, message", [
+    ((0, 1.0, 5), "state entry 1.0 is not a residue in [0, 3)"),
+    ((0, 5, "1"), "state entry 5 is not a residue in [0, 3)"),
+    ((2, -1, False), "state entry -1 is not a residue in [0, 3)"),
+])
+def test_validate_state_names_the_first_offender(w, message):
+    with pytest.raises(ParseError) as err:
+        validate_state(3, 3, w)
+    assert str(err.value) == message
+
+
+def test_validate_state_accepts_int_subclasses():
+    class Residue(int):
+        pass
+
+    assert validate_state(3, 3, [Residue(2), 0, Residue(1)]) == (2, 0, 1)
+
+
 def test_schedule_text_round_trip():
     sched = Schedule((Move(2, 0), Move(4, 1), Move(2, 1)))
     text = format_schedule(sched)

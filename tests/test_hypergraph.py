@@ -1,5 +1,6 @@
 """Hypergraph model: parsing, well-shapedness, connectivity, edge paths."""
 
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -50,6 +51,12 @@ def test_constructor_validation():
         Hypergraph(3, ((0, 1, 3),))  # vertex out of range
     with pytest.raises(ValueError, match=r"edge 0 has vertices outside \[0, 3\)"):
         Hypergraph(3, ((-1, 1, 2),))
+
+
+def test_trusted_build_sets_every_field():
+    G = Hypergraph._trusted(5, ((0, 1, 2), (2, 3, 4)))
+    assert set(vars(G)) == {f.name for f in dataclasses.fields(Hypergraph)}
+    assert G == TWO_EDGES and hash(G) == hash(TWO_EDGES)
 
 
 def test_make_hypergraph_canonicalizes():
