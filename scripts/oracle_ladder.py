@@ -7,7 +7,10 @@ source: the seconds of `orbit_bfs` (the full orbit) and of
 it), each once on a fresh copy of the hypergraph (first query, nothing
 cached) and then repeated on the same copy (repeated query, the
 instance's engine warm).  States per second divide the orbit size by
-those seconds.  One JSON line per rung; stdlib only.
+those seconds.  `stored` says whether the instance has at most
+`dynamics.TABLE_STATES` states, so that its engine stores each row once;
+above the bound every row is summed afresh on each visit.  One JSON line
+per rung; stdlib only.
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py
     PYTHONPATH=src python3 scripts/oracle_ladder.py --seed 2 --repeats 5
@@ -22,12 +25,13 @@ import statistics
 import sys
 import time
 
-from zpwalk.dynamics import TABLE_STATES, oracle_escape, orbit_bfs
+from zpwalk.dynamics import oracle_escape, orbit_bfs, state_space
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import Hypergraph
 
-#: (vertices, edges, modulus): 2186, 19 682 and 78 124 orbit states
-LADDER = ((7, 3, 3), (9, 4, 3), (7, 3, 5))
+#: (vertices, edges, modulus): 2186, 19 682, 78 124 and 177 146 orbit
+#: states; the last two are above the stored-row bound
+LADDER = ((7, 3, 3), (9, 4, 3), (7, 3, 5), (11, 5, 3))
 
 
 def _seconds(fn) -> float:
@@ -42,7 +46,7 @@ def measure(n: int, m: int, p: int, rng: random.Random, repeats: int) -> dict:
     orbit = orbit_bfs(G, p, w1)
     w2 = orbit.order[rng.randrange(len(orbit))]
     row = {"n": n, "m": m, "p": p, "states": len(orbit),
-           "table": p**n <= TABLE_STATES}
+           "stored": state_space(G, p).stored}
     queries = {"orbit_bfs": lambda H: orbit_bfs(H, p, w1),
                "oracle_escape": lambda H: oracle_escape(H, p, w1, w2)}
     for name, query in queries.items():

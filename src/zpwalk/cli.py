@@ -176,11 +176,11 @@ def _effective_mode(rep: _Reporter, G, args) -> str:
     return mode
 
 
-def _witness_from(decision, G, p, w1, w2, max_states: int, cap: int) -> Schedule:
+def _witness_from(decision, G, p, w1, w2) -> Schedule:
     for cert in (decision.oracle_certificate, decision.certificate):
         if cert is not None and cert.kind == "schedule":
             return Schedule(tuple(Move(v, e) for v, e in cert.data["moves"]))
-    return synthesize_schedule(G, p, w1, w2, max_states=max_states, cap=cap)
+    return synthesize_schedule(G, p, w1, w2)
 
 
 def _cmd_check_good(rep: _Reporter, args) -> int:
@@ -228,7 +228,7 @@ def _cmd_reach(rep: _Reporter, args) -> int:
     _report_decision(rep, decision)
     rep.say("reachable" if decision.answer else "unreachable")
     if decision.answer and args.witness:
-        schedule = _witness_from(decision, G, p, w1, w2, args.max_states, args.cap)
+        schedule = _witness_from(decision, G, p, w1, w2)
         rep.stats["witness_moves"] = len(schedule)
         rep.input["witness"] = True
         rep.stats["witness"] = format_schedule(schedule).splitlines()
@@ -279,7 +279,7 @@ def _cmd_orbit(rep: _Reporter, args) -> int:
 
 def _cmd_schedule(rep: _Reporter, args) -> int:
     p, G, w1, w2 = _load_pair(rep, args)
-    schedule = synthesize_schedule(G, p, w1, w2, max_states=args.max_states, cap=args.cap)
+    schedule = synthesize_schedule(G, p, w1, w2)
     rep.answer = True
     rep.method = "synthesis"
     rep.stats["moves"] = len(schedule)

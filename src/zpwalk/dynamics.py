@@ -12,14 +12,11 @@ deterministic expansion order (moves sorted by (edge, vertex)), hard
 caps instead of truncation.  Each oracle expands an orbit once: the
 recurrence oracle walks back from its target by un-moves inside it.
 
-Both searches run over the state keys of one engine per (G, p), cached
-on G (state_space).  Up to TABLE_STATES = 2^16 states a key is the
-state's base-p code, and every move and un-move of a state is worked
-out once, when the state is first expanded, into a flat int table that
-every later query on the instance reads.  Above the bound the keys are
-the state tuples, expanded afresh on each visit.  Both engines list a
-state's moves in the same order, so orbits, visit orders and witness
-schedules are the same whichever one runs.
+Both searches run on one engine per (G, p), cached on G (state_space),
+whose key for a state is its base-p code at every size.  A state's moves
+and un-moves are summed from per-chunk parts of its code; up to
+TABLE_STATES = 2^16 states each row is worked out once, into a flat int
+table that every later query on the instance reads.
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, mul
 
 from .errors import IllegalMove, ParseError, StateSpaceTooLarge
 from .hypergraph import Hypergraph
@@ -37,7 +34,7 @@ State = tuple[int, ...]
 
 DEFAULT_MAX_STATES = 2_000_000
 
-#: instances with at most this many states (p^n) search one successor table
+#: instances with at most this many states (p^n) store their search rows
 TABLE_STATES = 2**16
 
 #: row entry of a move, or un-move, that is not legal in the state
@@ -147,65 +144,20 @@ def all_moves(G: Hypergraph) -> tuple[Move, ...]:
     return tuple(Move(v, i) for i, e in enumerate(G.edges) for v in e)
 
 
-class _TupleSpace:
-    """State keys are the state tuples themselves, expanded on every visit."""
-
-    def __init__(self, G: Hypergraph, p: int):
-        self.moves = all_moves(G)
-        steps = [(move.vertex, tuple(u for u in G.edges[move.edge] if u != move.vertex))
-                 for move in self.moves]
-        self.successors = _tuple_reader(p, steps, 1)
-        self.unmoves = _tuple_reader(p, steps, -1)
-
-    def key(self, w: State) -> State:
-        return tuple(w)
-
-    def state(self, key: State) -> State:
-        return key
-
-
-def _tuple_reader(p: int, steps, sign: int):
-    """Per move in all_moves order, the state the move leads to (sign 1)
-    or the state it takes to this one (sign -1), or ILLEGAL.
-
-    A move nets -1 at its vertex v and +1 at the rest of its edge, and
-    is legal iff v is charged; undoing it is legal iff v holds a value
-    other than p-1 (see has_predecessor).  Either way v does not wrap.
-    """
-    blocked = 0 if sign == 1 else p - 1
-
-    def row(w: State) -> list:
-        out = []
-        for v, others in steps:
-            if w[v] == blocked:
-                out.append(ILLEGAL)
-                continue
-            nxt = list(w)
-            for u in others:
-                nxt[u] = (nxt[u] + sign) % p
-            nxt[v] -= sign
-            out.append(tuple(nxt))
-        return out
-
-    return row
-
-
 class _CodeTable:
     """State keys are base-p codes, vertex 0 the most significant digit,
-    so code i is the i-th state of itertools.product(range(p), repeat=n).
-
-    A code splits into its high digits (vertices below n - n//2) and its
-    low ones: code = hi * len(low) + lo, and the state is high[hi] +
-    low[lo].
+    so code i is the i-th state of itertools.product(range(p), repeat=n);
+    Python ints carry codes past 2^63.  Rows are stored when there are at
+    most TABLE_STATES states, and summed afresh on each read above it.
     """
 
     def __init__(self, G: Hypergraph, p: int):
-        self.p, self.n = p, G.n
+        n = G.n
+        self.p, self.n = p, n
         self.moves = all_moves(G)
         self._edges = G.edges
-        cut = G.n - G.n // 2
-        self._halves = (list(product(range(p), repeat=cut)),
-                        list(product(range(p), repeat=G.n - cut)))
+        # p >= 2, so the first test keeps p ** n from growing with huge n
+        self.stored = n < TABLE_STATES.bit_length() and p ** n <= TABLE_STATES
 
     def key(self, w: State) -> int:
         """The code of w, or ILLEGAL when w is not a state of this instance."""
@@ -217,9 +169,7 @@ class _CodeTable:
         return code if len(w) == self.n else ILLEGAL
 
     def state(self, code: int) -> State:
-        high, low = self._halves
-        hi, lo = divmod(code, len(low))
-        return high[hi] + low[lo]
+        return _digits(self.p, self.n, code)
 
     # each direction is built on its first use; its reader holds no
     # reference back to the table
@@ -227,85 +177,122 @@ class _CodeTable:
     @cached_property
     def successors(self):
         """code -> per move in all_moves order, the code it leads to or ILLEGAL."""
-        return _row_reader(self.p, self._edges, self.moves, self._halves, 1)
+        return _row_reader(self.p, self.n, self._edges, self.moves, self.stored, 1)
 
     @cached_property
     def unmoves(self):
         """code -> per move, the code that move takes to this one, or ILLEGAL."""
-        return _row_reader(self.p, self._edges, self.moves, self._halves, -1)
+        return _row_reader(self.p, self.n, self._edges, self.moves, self.stored, -1)
 
 
-def _row_reader(p: int, edges, moves, halves, sign: int):
+def _chunk_width(p: int, n: int) -> int:
+    """Digits per chunk: half of the n, so a stored table is two chunks,
+    but no more than log_p(TABLE_STATES), so that a chunk whose codes are
+    all met has no more parts than a stored table has rows; and at least
+    n/8, since a row costs one addition per chunk per move.
+    """
+    width = 1
+    while p ** (width + 1) <= TABLE_STATES:
+        width += 1
+    return max(min(width, -(-n // 2)), -(-n // 8))
+
+
+def _digits(p: int, digits: int, c: int) -> State:
+    """The base-p digits of c < p^digits, the most significant first."""
+    out = [0] * digits
+    for i in range(digits - 1, -1, -1):
+        c, out[i] = divmod(c, p)
+    return tuple(out)
+
+
+def _row_reader(p: int, n: int, edges, moves, stored: bool, sign: int):
     """One direction of a _CodeTable: moves (sign 1) or un-moves (sign -1).
 
-    The rows of all codes live in one flat int array, len(moves) entries
-    a code, each filled when its code is first read.  A move changes each
-    digit on its own, without carries, so the code it leads to is the
-    sum of one part per half of the digits: the half's new digits, in
-    place.  The parts are tabled per half code, so filling a row is one
-    addition per move.  A mover whose digit would wrap (a move from 0, an
-    un-move from p-1; see has_predecessor) is illegal; its half's part is
-    -size there, which leaves the sum negative.
+    A move changes each digit on its own, without carries, so the code
+    it leads to is the sum of one part per chunk of digits (_chunk_width):
+    the chunk's new digits, in place.  A chunk's parts are filled the
+    first time its chunk code is read, and only for the moves whose edge
+    meets the chunk; the other moves leave it as it is.  A mover whose
+    digit would wrap (a move from 0, an un-move from p-1; see
+    has_predecessor) is illegal; its chunk's part is -p^n there, which
+    leaves the sum negative.  Stored rows live in one flat int array,
+    len(moves) entries a code, each filled when its code is first read.
     """
-    high, low = halves
-    size, k, span = len(high) * len(low), len(moves), len(low)
-    high_parts = _parts(p, edges, moves, high, 0, sign, span, size)
-    low_parts = _parts(p, edges, moves, low, len(high[0]), sign, 1, size)
+    k, size, width = len(moves), p ** n, _chunk_width(p, n)
+    readers = []  # per chunk, the least significant first: its codes, parts met, filler
+    for first in reversed(range(0, n, width)):
+        digits = min(width, n - first)
+        readers.append((p ** digits, {}, _part_filler(p, edges, moves, first, digits,
+                                                      p ** (n - first - digits), sign, size)))
+
+    def summed(code: int) -> list:
+        sums = None
+        for radix, parts, fill in readers:
+            code, c = divmod(code, radix)
+            part = parts.get(c)
+            if part is None:
+                part = parts[c] = fill(c)
+            sums = part if sums is None else map(add, sums, part)
+        return [c if c >= 0 else ILLEGAL for c in sums]
+
+    if not stored:
+        return summed
     rows = array("i", [ILLEGAL]) * (size * k)
     filled = bytearray(size)
 
     def row(code: int) -> array:
         base = code * k
         if not filled[code]:
-            hi, lo = divmod(code, span)
-            rows[base:base + k] = array("i", [
-                c if c >= 0 else ILLEGAL for c in map(add, high_parts[hi], low_parts[lo])])
+            rows[base:base + k] = array("i", summed(code))
             filled[code] = 1
         return rows[base:base + k]
 
     return row
 
 
-def _parts(p: int, edges, moves, codes, first: int, sign: int, scale: int, size: int):
-    """Per digit tuple of the vertices first, first+1, ...: per move, the
-    tuple's new code times scale, or -size when the mover wraps."""
-    span = range(first, first + len(codes[0]))
-    parts = []
-    for digits in codes:
-        part = []
-        for move in moves:
-            after = list(digits)
-            for u in edges[move.edge]:
-                if u in span:
-                    after[u - first] = (after[u - first] + sign) % p
-            v = move.vertex
-            if v in span:
-                # the mover nets -sign: +sign as an edge vertex, -2 sign itself
-                d = after[v - first] = digits[v - first] - sign
-                if not 0 <= d < p:
-                    part.append(-size)
+def _part_filler(p: int, edges, moves, first: int, digits: int, scale: int, sign: int,
+                 size: int):
+    """Chunk code -> per move, the chunk's new digits in place, or -size
+    when the mover is in the chunk and would wrap."""
+    blocked = 0 if sign == 1 else p - 1  # a mover steps by -sign, and not from here
+    wraps = p - 1 - blocked  # another edge vertex steps by sign, and wraps from here
+    # per digit of the chunk, the first vertex first, its place value
+    weights = list(accumulate(repeat(p, digits - 1), mul, initial=scale))[::-1]
+    step = [sign * w for w in weights]
+    wrap = [-sign * (p - 1) * w for w in weights]
+    span = range(first, first + digits)
+    meets = []  # (move index, mover's offset or None, the other edge vertices' offsets)
+    for j, move in enumerate(moves):
+        others = [u - first for u in edges[move.edge] if u in span and u != move.vertex]
+        mover = move.vertex - first if move.vertex in span else None
+        if others or mover is not None:
+            meets.append((j, mover, others))
+
+    def fill(c: int) -> list:
+        now = _digits(p, digits, c)
+        base = c * scale
+        part = [base] * len(moves)
+        for j, mover, others in meets:
+            delta = 0
+            for i in others:
+                delta += wrap[i] if now[i] == wraps else step[i]
+            if mover is not None:
+                if now[mover] == blocked:
+                    part[j] = -size
                     continue
-            code = 0
-            for x in after:
-                code = code * p + x
-            part.append(code * scale)
-        parts.append(tuple(part))
-    return parts
+                delta -= step[mover]
+            part[j] = base + delta
+        return part
+
+    return fill
 
 
-def state_space(G: Hypergraph, p: int) -> _CodeTable | _TupleSpace:
-    """The search engine of (G, p), built on first use and cached on G.
-
-    Up to TABLE_STATES states it is a _CodeTable, above it a _TupleSpace;
-    both order every row by all_moves, so visit orders do not depend on
-    which one runs.
-    """
+def state_space(G: Hypergraph, p: int) -> _CodeTable:
+    """The search engine of (G, p), built on first use and cached on G."""
     spaces = G.state_spaces
     space = spaces.get(p)
     if space is None:
-        # p >= 2, so the first test keeps p ** n from growing with huge n
-        small = G.n < TABLE_STATES.bit_length() and p ** G.n <= TABLE_STATES
-        space = spaces[p] = (_CodeTable if small else _TupleSpace)(G, p)
+        space = spaces[p] = _CodeTable(G, p)
     return space
 
 
@@ -316,21 +303,30 @@ class OrbitResult:
     `in` and extract_schedule read them directly.  order, the
     deterministic visit order, and predecessor, which maps each state to
     the (previous state, move) pair that first discovered it (None for
-    the start), are built as states only when read.
+    the start), are built as states only when read, each state stepped
+    from the one that discovered it.
     """
 
-    def __init__(self, start: State, space, keys: list, links: dict):
+    def __init__(self, G: Hypergraph, p: int, start: State, space, links: dict):
         self.start = start
-        self._space, self._keys, self._links = space, keys, links
+        self._G, self._p, self._space, self._links = G, p, space, links
+
+    @cached_property
+    def _states(self) -> dict:
+        states, moves = {}, self._space.moves
+        for key, link in self._links.items():  # in visit order: a key's link is older
+            states[key] = self.start if link is None else apply_move(
+                self._G, self._p, states[link[0]], moves[link[1]])
+        return states
 
     @cached_property
     def order(self) -> tuple[State, ...]:
-        return tuple(map(self._space.state, self._keys))
+        return tuple(self._states.values())
 
     @cached_property
     def predecessor(self) -> dict[State, tuple[State, Move] | None]:
-        state, moves = self._space.state, self._space.moves
-        return {state(key): None if link is None else (state(link[0]), moves[link[1]])
+        states, moves = self._states, self._space.moves
+        return {states[key]: None if link is None else (states[link[0]], moves[link[1]])
                 for key, link in self._links.items()}
 
     def __contains__(self, w: State) -> bool:
@@ -349,13 +345,11 @@ def orbit_bfs(
 ) -> OrbitResult:
     """All states reachable from start (including it).
 
-    Breadth first, each state's moves in all_moves order, over the keys
-    of state_space(G, p): codes of one successor table per (G, p) up to
-    TABLE_STATES states, state tuples expanded afresh above it; the
-    visit order is the same either way.  Refuses with StateSpaceTooLarge
-    rather than returning a truncated set.  With stop_at, returns as
-    soon as that state is discovered (the partial result still has valid
-    predecessor links for it).
+    Breadth first, each state's moves in all_moves order, over the codes
+    of state_space(G, p).  Refuses with StateSpaceTooLarge rather than
+    returning a truncated set.  With stop_at, returns as soon as that
+    state is discovered (the partial result still has valid predecessor
+    links for it).
     """
     start = validate_state(p, G.n, start)
     space = state_space(G, p)
@@ -365,7 +359,7 @@ def orbit_bfs(
     links: dict = {origin: None}
     order = [origin]
     if goal == origin:
-        return OrbitResult(start, space, order, links)
+        return OrbitResult(G, p, start, space, links)
     for key in order:  # the visit list is the queue: it grows while it is read
         for k, nxt in enumerate(successors(key)):
             if nxt in links or nxt == ILLEGAL:
@@ -377,8 +371,8 @@ def orbit_bfs(
             links[nxt] = (key, k)
             order.append(nxt)
             if nxt == goal:
-                return OrbitResult(start, space, order, links)
-    return OrbitResult(start, space, order, links)
+                return OrbitResult(G, p, start, space, links)
+    return OrbitResult(G, p, start, space, links)
 
 
 def extract_schedule(orbit: OrbitResult, target: State) -> Schedule:
@@ -454,7 +448,7 @@ def oracle_escape(
     space = orbit._space
     target = space.key(w2)
     # the orbit states not yet known to reach w2, kept in visit order
-    unreached = dict.fromkeys(orbit._keys)
+    unreached = dict.fromkeys(orbit._links)
     del unreached[target]
     todo, unmoves = [target], space.unmoves
     while todo:

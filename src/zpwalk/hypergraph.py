@@ -67,7 +67,8 @@ class Hypergraph:
 
     @cached_property
     def state_spaces(self) -> dict:
-        """The dynamics' search engine per modulus (dynamics.state_space)."""
+        """The dynamics' search engine per modulus, over base-p state codes at
+        every size (dynamics.state_space)."""
         return {}
 
     @cached_property
