@@ -27,7 +27,6 @@ from .decision import (
 )
 from .dynamics import (
     DEFAULT_MAX_STATES,
-    EMPTY_SCHEDULE,
     Move,
     OrbitResult,
     Schedule,
@@ -48,15 +47,12 @@ from .dynamics import (
 )
 from .errors import (
     EnumerationTooLarge,
-    HypothesisViolated,
     IllegalMove,
     Infeasible,
     InternalSynthesisFailure,
     InvalidModulus,
     MismatchError,
     NoInverse,
-    NoPath,
-    NonzeroRequired,
     NormUndefined,
     NotGood,
     PairNotGood,
@@ -70,7 +66,6 @@ from .errors import (
 )
 from .generate import feasible, gen_good_hypergraph
 from .hypergraph import (
-    EdgePath,
     GoodnessReport,
     Hypergraph,
     Violation,
@@ -79,19 +74,13 @@ from .hypergraph import (
     is_good,
     make_hypergraph,
     parse_hypergraph,
-    shortest_edge_path,
-    vertex_edges,
 )
 from .selftest import SelftestReport, iter_small_good_hypergraphs, run_selftest
 from .synthesis import (
-    BACKWARD,
-    FORWARD,
     double_move_trick,
     is_good_pair,
-    propagate_path,
     single_edge_schedule,
     synthesize_schedule,
-    undo_on_edge,
 )
 from .zp_algebra import (
     DEFAULT_ENUMERATION_CAP,

@@ -391,7 +391,7 @@ def _add_decision_flags(sub, with_witness: bool = False) -> None:
             "--cap",
             type=_at_least(0),
             default=DEFAULT_ENUMERATION_CAP,
-            help="accepted for compatibility; witness synthesis enumerates nothing",
+            help=argparse.SUPPRESS,  # parsed for old command lines; nothing reads it
         )
 
 
@@ -449,10 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--from", dest="from_state", required=True, metavar="STATE")
     sub.add_argument("--to", dest="to_state", required=True, metavar="STATE")
     sub.add_argument("--witness", action="store_true", help=argparse.SUPPRESS)
+    # parsed for old command lines; synthesis searches and enumerates nothing
     sub.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES,
-                     help="accepted for compatibility; synthesis searches no states")
+                     help=argparse.SUPPRESS)
     sub.add_argument("--cap", type=_at_least(0), default=DEFAULT_ENUMERATION_CAP,
-                     help="accepted for compatibility; synthesis enumerates nothing")
+                     help=argparse.SUPPRESS)
     sub.set_defaults(handler=_cmd_schedule)
 
     sub = commands.add_parser("verify", help="replay a schedule file and check its endpoint")
@@ -480,11 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also sweep the irregular triangle where only the necessity filter is sound",
     )
-    sub.add_argument(
-        "--necessary-only",
-        action="store_true",
-        help="accepted for symmetry: irregular instances are only ever checked with the sound filter",
-    )
+    # parsed for old command lines: irregular instances are only ever
+    # checked with the sound filter
+    sub.add_argument("--necessary-only", action="store_true", help=argparse.SUPPRESS)
     sub.add_argument("--quiet", action="store_true", help="no progress lines")
     sub.set_defaults(handler=_cmd_selftest)
 

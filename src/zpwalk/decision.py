@@ -23,10 +23,10 @@ itself and must match exactly.  _lever states this rule once, and
 _closed_form_solution reads G.structure's search directly: it settles
 solvability and builds a solution along the spanning edge tree in
 O(n + sum |e|).
-Synthesis asks the same rule through necessity_filter, and counts
-single-edge moves in closed form too.  build_system stays as the plain
-matrix that the self-tests and the test suite eliminate to check the
-closed forms against.
+Synthesis asks the same reachability rule (_algebraic_reach), and
+counts single-edge moves in closed form too.  build_system stays as the
+plain matrix that the self-tests and the test suite eliminate to check
+the closed forms against.
 
 decide_reachability and decide_recurrence implement the corrected rules
 through one mode dispatch (_decide): each can cross-check itself against
@@ -338,13 +338,8 @@ def necessity_filter(G: Hypergraph, p: int, w1: State, w2: State) -> Decision | 
     Returns a negative Decision, or None when inconclusive.
     """
     validate_modulus(p)
-    return _necessity(G, p, dynamics.validate_state(p, G.n, w1),
+    verdict = _solved(G, p, dynamics.validate_state(p, G.n, w1),
                       dynamics.validate_state(p, G.n, w2))
-
-
-def _necessity(G: Hypergraph, p: int, w1: State, w2: State) -> Decision | None:
-    """necessity_filter on states already validated against G and p."""
-    verdict = _solved(G, p, w1, w2)
     return None if verdict.answer else verdict
 
 

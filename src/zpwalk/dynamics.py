@@ -58,9 +58,6 @@ class Schedule:
         return iter(self.moves)
 
 
-EMPTY_SCHEDULE = Schedule(())
-
-
 def validate_state(p: int, n: int, w) -> State:
     w = tuple(w)
     if len(w) != n:

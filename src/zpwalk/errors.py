@@ -43,10 +43,6 @@ class ParseError(ZpwalkError):
         super().__init__(message)
 
 
-class NoPath(ZpwalkError):
-    """No edge path exists between the requested endpoints."""
-
-
 class IllegalMove(ZpwalkError):
     """A move is not applicable in the current state."""
 
@@ -79,14 +75,6 @@ class UnreachableTarget(ZpwalkError):
 
 class PairNotGood(ZpwalkError):
     """The two anchor vertices cannot host the alternating double-move trick."""
-
-
-class HypothesisViolated(ZpwalkError):
-    """State does not satisfy the preconditions of a path propagation."""
-
-
-class NonzeroRequired(ZpwalkError):
-    """Operation requires a vertex with nonzero charge."""
 
 
 class SynthesisIncomplete(ZpwalkError):

@@ -1,4 +1,4 @@
-"""Hypergraph model: parsing, structure, well-shapedness, edge paths.
+"""Hypergraph model: parsing, structure, well-shapedness.
 
 Vertices are 0-indexed ints; edges are addressed by their position in the
 edge list, which is the position schedules and solver variables use.  The
@@ -16,13 +16,13 @@ cached too.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import lt
 
-from .errors import NoPath, ParseError
+from .errors import ParseError
 from .zp_algebra import MAX_MODULUS, is_odd_prime
 
 #: more vertices are refused by the parser and the generator
@@ -174,11 +174,6 @@ def make_hypergraph(n: int, edges) -> Hypergraph:
     return Hypergraph(n, tuple(tuple(sorted(set(e))) for e in edges))
 
 
-def vertex_edges(G: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    """For each vertex, the (sorted) indices of edges containing it."""
-    return G.structure.incidence
-
-
 def parse_hypergraph(text: str) -> tuple[int, Hypergraph]:
     """Parse the hypergraph file format.
 
@@ -283,49 +278,3 @@ def connected_components(G: Hypergraph) -> tuple[tuple[int, ...], ...]:
     sorted by their smallest vertex; each is a sorted tuple.
     """
     return G.structure.components
-
-
-@dataclass(frozen=True)
-class EdgePath:
-    """A walk through edges e_1..e_k entered at start_vertex.
-
-    connectors[i] is the shared vertex used to step from edges[i] to
-    edges[i+1] (so there are k-1 of them).
-    """
-
-    start_vertex: int
-    edges: tuple[int, ...]
-    connectors: tuple[int, ...]
-
-
-def shortest_edge_path(G: Hypergraph, from_vertex: int, to_edge: int) -> EdgePath:
-    """Fewest-edges path from an edge containing from_vertex to to_edge.
-
-    BFS over the edge-intersection graph, neighbours read off the
-    incidence lists; ties break toward lower edge indices, and
-    multi-vertex intersections (possible off the well-shaped family) use
-    the lowest shared vertex as connector.
-    """
-    if not 0 <= from_vertex < G.n:
-        raise ValueError(f"from_vertex {from_vertex} outside [0, {G.n})")
-    if not 0 <= to_edge < G.m:
-        raise ValueError(f"to_edge {to_edge} outside [0, {G.m})")
-    incidence = G.structure.incidence
-    prev: dict[int, int | None] = dict.fromkeys(incidence[from_vertex])
-    queue: deque[int] = deque(prev)
-    while queue and to_edge not in prev:
-        cur = queue.popleft()
-        for j in sorted({j for v in G.edges[cur] for j in incidence[v]}):
-            if j not in prev:
-                prev[j] = cur
-                queue.append(j)
-    if to_edge not in prev:
-        raise NoPath(f"no edge path from vertex {from_vertex} to edge {to_edge}")
-    chain = [to_edge]
-    while prev[chain[-1]] is not None:
-        chain.append(prev[chain[-1]])
-    chain.reverse()
-    connectors = tuple(
-        min(set(G.edges[a]) & set(G.edges[b])) for a, b in zip(chain, chain[1:])
-    )
-    return EdgePath(from_vertex, tuple(chain), connectors)

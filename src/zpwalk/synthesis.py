@@ -9,29 +9,32 @@ toolbox, bottom up:
     vertex of the edge, so (p+1)/2 or (p-1)/2 rounds add exactly +1 or
     -1.  Works whenever the anchor values are a "good pair" (not both 0,
     not both p-1).
-  * single_edge_schedule -- full synthesis on one edge.  A minimum-norm
-    solution of the move-counting system prescribes how often each
-    vertex must move; the descent executes those moves directly while
-    legal and otherwise spends trick rounds to emulate one forced move
-    at a charge-less vertex.  Four emulation gadgets plus two terminal
-    batches cover every blocked shape; the dispatch is exhaustive, which
-    the test suite checks by exhausting small instances.
-  * propagate_path -- carries one unit of charge along a chain of
-    edges; the backward variant then re-solves each edge of the chain so
-    that everything except the endpoints is restored.
+  * the single-edge phase (_on_edge; single_edge_schedule on a one-edge
+    hypergraph) -- moves only on one edge until it holds its goal
+    values.  _single_edge_counts gives, in closed form, how often each
+    vertex of the edge must move (the minimum-norm solution of the
+    edge's move-counting system); the descent executes those moves
+    directly while legal and otherwise spends trick rounds to emulate
+    one forced move at a charge-less vertex.  Four emulation gadgets
+    plus two terminal batches cover every blocked shape; the dispatch is
+    exhaustive, which the test suite checks by exhausting small
+    instances.
+  * _walk -- carries one unit of charge from the nearest charged vertex
+    onto a given set of vertices, one move per edge along a
+    breadth-first path.
   * synthesize_schedule -- on a well-shaped hypergraph, follows the
-    paper's induction over the edges in one loop.  One breadth-first
-    search over edges, rooted at a lever (an edge with |e| != 2 mod p)
-    when there is one, orders the edges that reach a new vertex; an edge
-    that reaches none is never moved on.  Peeling from the last edge
-    inward, each level splits its instance into a single-edge pre-phase,
-    the rest of the instance, and a single-edge post-phase, with values
-    on the peeled edge chosen in closed form so that all three are
-    reachable.  Only a zero source or a saturated target on the peeled
-    edge stands in the way; a walk of one move per edge brings one unit
-    over from the nearest charged vertex, on the state or, mirrored, on
-    the target.  Decision's closed-form rule (necessity_filter) checks
-    solvability once on G; nothing eliminates or searches.
+    paper's induction over the edges in one loop, the peel.  One
+    breadth-first search over edges, rooted at a lever (an edge with
+    |e| != 2 mod p) when there is one, orders the edges that reach a new
+    vertex; an edge that reaches none is never moved on.  Peeling from
+    the last edge inward, each level splits its instance into a
+    single-edge pre-phase, the rest of the instance, and a single-edge
+    post-phase, with values on the peeled edge chosen in closed form so
+    that all three are reachable.  Only a zero source or a saturated
+    target on the peeled edge stands in the way; a walk brings one unit
+    over, on the state or, mirrored, on the target.  Decision's
+    reachability rule (_algebraic_reach) refuses the unreachable pairs
+    once on G; nothing eliminates or searches.
 
 Every construction writes into one _Builder, which holds one mutable
 state in G's own ids, simulates each move on it once, as it is added,
@@ -46,31 +49,25 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .decision import _lever, _necessity
+from .decision import _algebraic_reach, _lever
 from .dynamics import (
     DEFAULT_MAX_STATES,
     Move,
     Schedule,
     State,
     _step,
-    has_predecessor,
     replay_schedule,
     validate_state,
 )
 from .errors import (
-    HypothesisViolated,
     InternalSynthesisFailure,
-    NonzeroRequired,
     NotGood,
     PairNotGood,
     UnreachableTarget,
     Unsolvable,
 )
-from .hypergraph import EdgePath, Hypergraph, is_good
+from .hypergraph import Hypergraph, is_good
 from .zp_algebra import DEFAULT_ENUMERATION_CAP, mod_inverse, validate_modulus
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 
 def is_good_pair(p: int, a: int, b: int) -> bool:
@@ -321,137 +318,12 @@ def _on_edge(b: _Builder, edge: int, target) -> None:
     _descend_single_edge(b, edge, goal)
 
 
-def undo_on_edge(G: Hypergraph, p: int, w1: State, w2: State, edge: int) -> Schedule:
-    """Schedule from w2 back to w1 moving only on the given edge.
-
-    The states must agree everywhere off the edge (ValueError).  Raises
-    NonzeroRequired when w2 carries no charge on the edge, and the usual
-    single-edge errors when the restriction is not reachable.
-    """
-    validate_modulus(p)
-    if not 0 <= edge < G.m:
-        raise ValueError(f"edge {edge} outside [0, {G.m})")
-    w1 = validate_state(p, G.n, w1)
-    w2 = validate_state(p, G.n, w2)
-    members = set(G.edges[edge])
-    mismatched = [v for v in range(G.n) if v not in members and w1[v] != w2[v]]
-    if mismatched:
-        raise ValueError(
-            f"states differ at vertex {mismatched[0]}, which edge {edge} cannot touch"
-        )
-    if w1 != w2 and all(w2[v] == 0 for v in G.edges[edge]):
-        raise NonzeroRequired("the edge carries no charge in the state to undo from")
-    b = _Builder(G, p, w2)
-    _on_edge(b, edge, w1)
-    return Schedule(tuple(b.moves))
-
-
-def _validate_path(G: Hypergraph, path: EdgePath) -> None:
-    edges = path.edges
-    if not edges:
-        raise ValueError("empty edge path")
-    for ei in edges:
-        if not 0 <= ei < G.m:
-            raise ValueError(f"edge {ei} outside [0, {G.m})")
-    if len(set(edges)) != len(edges):
-        raise ValueError("edge path repeats an edge")
-    if len(path.connectors) != len(edges) - 1:
-        raise ValueError(
-            f"{len(edges)} edges need {len(edges) - 1} connectors, got {len(path.connectors)}"
-        )
-    sets = [set(G.edges[ei]) for ei in edges]
-    if path.start_vertex not in sets[0]:
-        raise ValueError(f"start vertex {path.start_vertex} is not on edge {edges[0]}")
-    for i, c in enumerate(path.connectors):
-        shared = sets[i] & sets[i + 1]
-        if c not in shared:
-            raise ValueError(f"connector {c} is not shared by edges {edges[i]} and {edges[i + 1]}")
-        if shared != {c}:
-            raise HypothesisViolated("consecutive path edges overlap beyond their connector")
-    for i in range(len(edges)):
-        for j in range(i + 2, len(edges)):
-            if sets[i] & sets[j]:
-                raise HypothesisViolated("non-consecutive path edges intersect")
-    if len(edges) >= 2 and path.start_vertex in sets[1]:
-        raise HypothesisViolated("the start vertex reappears as the first connector")
-
-
-def propagate_path(
-    G: Hypergraph,
-    p: int,
-    w: State,
-    path: EdgePath,
-    direction: str,
-    end_vertex: int | None = None,
-) -> Schedule:
-    """Carry charge along a chain of edges.
-
-    Precondition: the start vertex holds charge and every other vertex
-    on the path's edges is zero (HypothesisViolated otherwise).
-
-    Forward: one move per edge, entering each edge at the previous
-    connector.  Net effect: -1 at the start vertex, +1 at every
-    non-connector vertex of the path, connectors restored to zero.
-
-    Backward (end_vertex required, on the last edge, different from the
-    vertex that entered it): after the forward sweep, re-solves each
-    edge from the last to the first so the net effect is just -1 at the
-    start vertex and +1 at end_vertex, everything else restored.
-    """
-    validate_modulus(p)
-    w = validate_state(p, G.n, w)
-    _validate_path(G, path)
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
-    edges = path.edges
-    k = len(edges)
-    v1 = path.start_vertex
-    union = {u for ei in edges for u in G.edges[ei]}
-    if w[v1] == 0:
-        raise HypothesisViolated("the start vertex carries no charge")
-    dirty = sorted(u for u in union if u != v1 and w[u] != 0)
-    if dirty:
-        raise HypothesisViolated(f"path vertex {dirty[0]} must be zero before propagation")
-    movers = [v1] + list(path.connectors)
-    if direction == FORWARD and end_vertex is not None:
-        raise ValueError("end_vertex only applies to backward propagation")
-    if direction == BACKWARD:
-        if end_vertex is None:
-            raise ValueError("backward propagation needs end_vertex")
-        if end_vertex not in G.edges[edges[-1]] or end_vertex == movers[-1]:
-            raise ValueError(
-                f"end_vertex must lie on edge {edges[-1]} and differ from vertex {movers[-1]}"
-            )
-    b = _Builder(G, p, w)
-    for i in range(k):
-        b.emit(Move(movers[i], edges[i]))
-    expected = list(w)
-    expected[v1] = (expected[v1] - 1) % p
-    if direction == FORWARD:
-        connectors = set(path.connectors)
-        for u in union:
-            if u != v1 and u not in connectors:
-                expected[u] = (expected[u] + 1) % p
-    else:
-        for i in range(k - 1, -1, -1):
-            target = {u: 0 for u in G.edges[edges[i]]}
-            if i == k - 1:
-                target[end_vertex] = 1
-            if i == 0:
-                target[v1] = (w[v1] - 1) % p
-            _on_edge(b, edges[i], target)
-        expected[end_vertex] = (expected[end_vertex] + 1) % p
-    if b.state != expected:
-        raise InternalSynthesisFailure(f"{direction} propagation missed its net effect")
-    return Schedule(tuple(b.moves))
-
-
-def _check_ends(G: Hypergraph, p: int, w1: State, w2: State) -> None:
-    """UnreachableTarget when no move leaves w1 or none lands on w2 (w1 != w2)."""
-    if all(x == 0 for x in w1):
-        raise UnreachableTarget("the all-zero state admits no moves")
-    if not has_predecessor(G, p, w2):
-        raise UnreachableTarget("the target state has no predecessor")
+#: decision's negative certificate kinds, as the error synthesis raises for each
+_REFUSALS = {
+    "absorbing_source": (UnreachableTarget, "the all-zero state admits no moves"),
+    "garden_of_eden": (UnreachableTarget, "the target state has no predecessor"),
+    "unsolvability": (Unsolvable, "the move-counting system has no solution"),
+}
 
 
 def synthesize_schedule(
@@ -479,10 +351,11 @@ def synthesize_schedule(
     w2 = validate_state(p, G.n, w2)
     b = _Builder(G, p, w1)
     if w1 != w2:
-        _check_ends(G, p, w1, w2)
-        # the one solvability check; every phase below is valid by construction
-        if _necessity(G, p, w1, w2) is not None:
-            raise Unsolvable("the move-counting system has no solution")
+        # decision's one reachability rule; every phase below is valid by construction
+        verdict = _algebraic_reach(G, p, w1, w2)
+        if not verdict.answer:
+            error, message = _REFUSALS[verdict.certificate.kind]
+            raise error(message)
         try:
             _peel(b, w2)
         except (Unsolvable, UnreachableTarget) as err:

@@ -353,6 +353,33 @@ def test_witness_needs_no_search_budget(tmp_path, capsys):
         "2,2,2,0,2,2", p, G.n)
 
 
+def test_unread_knobs_are_hidden_from_help_and_still_parse(e5, capsys):
+    pair = [e5, "--from", "1,0,0,0,0", "--to", "0,1,1,1,1"]
+    quick = ["--max-n", "0", "--generated", "0", "--schedule-targets", "0", "--quiet"]
+    knobs = [  # command line without the knob, the knob, a value refused or None
+        (["reach", *pair, "--witness"], "--cap", "-1"),
+        (["schedule", *pair], "--max-states", "-1"),
+        (["schedule", *pair], "--cap", "-1"),
+        (["selftest", *quick], "--necessary-only", None),
+    ]
+    for argv, knob, refused in knobs:
+        with pytest.raises(SystemExit) as err:
+            main([argv[0], "--help"])
+        assert err.value.code == 0
+        assert knob not in capsys.readouterr().out
+        code = main(argv)
+        plain = capsys.readouterr().out
+        given = [*argv, knob] if refused is None else [*argv, knob, "7"]
+        assert main(given) == code == 0
+        if argv[0] != "selftest":  # its report carries a timing
+            assert capsys.readouterr().out == plain
+        if refused is not None:
+            with pytest.raises(SystemExit) as err:
+                main([*argv, knob, refused])
+            assert err.value.code == 2
+            assert "must be at least" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ json
 
 

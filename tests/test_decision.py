@@ -44,7 +44,6 @@ from zpwalk.hypergraph import (
     connected_components,
     is_good,
     make_hypergraph,
-    vertex_edges,
 )
 from zpwalk.synthesis import synthesize_schedule
 from zpwalk.zp_algebra import MAX_MODULUS, gaussian_solve, is_odd_prime
@@ -206,7 +205,7 @@ def test_one_structural_search_per_hypergraph(monkeypatch):
             necessity_filter(G, p, w1, w2)
     assert is_good(G).good
     assert connected_components(G) == (tuple(range(13)),)
-    assert vertex_edges(G)[0] == (0, 4)
+    assert G.structure.incidence[0] == (0, 4)
     assert len(built) == 1 and built[0] is G
 
 

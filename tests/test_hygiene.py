@@ -1,6 +1,8 @@
-"""Source hygiene: every module of the package uses what it imports.
+"""Source hygiene: every module of the package uses what it imports, and
+every private module-level name is read somewhere in the package.
 
-The package's own __init__ is left out: it imports to re-export.
+The package's own __init__ is left out of the import check: it imports
+to re-export.
 """
 
 import ast
@@ -10,8 +12,8 @@ import pytest
 
 import zpwalk
 
-MODULES = sorted(p for p in Path(zpwalk.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(zpwalk.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,11 +31,52 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (_x) that no other statement reads.
+
+    sources maps a module name to its text.  A name counts as read when
+    a top-level statement other than the one defining it, in any of the
+    modules, loads it or reads it as an attribute, so a helper that only
+    calls itself is still unread.
+    """
+    defined, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+            reads.append(read)
+            defined += [(module, name, len(reads) - 1) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return [f"{module}.{name}" for module, name, own in defined
+            if not any(name in read for k, read in enumerate(reads) if k != own)]
+
+
 def test_the_check_sees_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os.path\nfrom collections import deque, Counter as C\n"
               "x: C = os.sep\n")
     assert unused_imports(source) == ["deque (line 3)"]
+
+
+def test_the_check_sees_unread_private_names():
+    sources = {
+        "a": ("_LIMIT = 3\n_SPARE: int = 4\n"
+              "def _dead(k):\n    return _dead(k - 1) if k else _LIMIT\n"
+              "def _kept():\n    return 1\nclass _Box:\n    pass\n"),
+        "b": "from a import _kept\nimport a\nx = _kept() + a._SPARE\n",
+    }
+    assert unread_private_names(sources) == ["a._dead", "a._Box"]
 
 
 def test_the_package_modules_are_found():
@@ -43,3 +86,7 @@ def test_the_package_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []

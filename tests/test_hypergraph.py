@@ -1,27 +1,23 @@
-"""Hypergraph model: parsing, well-shapedness, connectivity, edge paths."""
+"""Hypergraph model: parsing, well-shapedness, connectivity."""
 
 import dataclasses
 import itertools
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zpwalk import generate, hypergraph
-from zpwalk.errors import Infeasible, NoPath, ParseError
+from zpwalk.errors import Infeasible, ParseError
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import (
     MAX_VERTICES,
-    EdgePath,
     Hypergraph,
     connected_components,
     format_hypergraph,
     is_good,
     make_hypergraph,
     parse_hypergraph,
-    shortest_edge_path,
-    vertex_edges,
 )
 from zpwalk.selftest import iter_small_good_hypergraphs
 
@@ -66,7 +62,7 @@ def test_make_hypergraph_canonicalizes():
 
 
 def test_vertex_edges():
-    assert vertex_edges(CHAIN3) == ((0,), (0,), (0, 1), (1,), (1, 2), (2,), (2,))
+    assert CHAIN3.structure.incidence == ((0,), (0,), (0, 1), (1,), (1, 2), (2,), (2,))
 
 
 # ----------------------------------------------------------- file format
@@ -302,79 +298,6 @@ def test_structure_is_cached_and_keeps_equality():
     G, H = CHAIN3, make_hypergraph(CHAIN3.n, CHAIN3.edges)
     assert G.structure is G.structure and is_good(G) is is_good(G)
     assert G == H and hash(G) == hash(H) and repr(G) == repr(H)
-
-
-# ------------------------------------------------------------ edge paths
-
-
-def test_shortest_edge_path_direct():
-    path = shortest_edge_path(CHAIN3, 0, 0)
-    assert path == EdgePath(0, (0,), ())
-
-
-def test_shortest_edge_path_chain():
-    path = shortest_edge_path(CHAIN3, 0, 2)
-    assert path.edges == (0, 1, 2)
-    assert path.connectors == (2, 4)
-    assert path.start_vertex == 0
-
-
-def test_shortest_edge_path_avoid():
-    # diamond: two equally short routes from edge 0 to edge 3; the lower
-    # edge index wins the tie
-    G = make_hypergraph(9, [(0, 1, 2), (2, 3, 4), (2, 7, 8), (4, 5, 6)])
-    direct = shortest_edge_path(G, 0, 3)
-    assert direct.edges == (0, 1, 3)
-
-
-def test_shortest_edge_path_no_route():
-    G = make_hypergraph(7, [(0, 1, 2), (4, 5, 6)])
-    with pytest.raises(NoPath):
-        shortest_edge_path(G, 0, 1)
-    with pytest.raises(NoPath):
-        shortest_edge_path(G, 3, 0)  # vertex 3 touches no edge
-
-
-def reference_edge_path(G, from_vertex, to_edge):
-    """The plain BFS: every dequeued edge tests all m edges for overlap."""
-    sets = [set(e) for e in G.edges]
-    prev = {i: None for i in range(G.m) if from_vertex in sets[i]}
-    queue = deque(prev)
-    while queue:
-        cur = queue.popleft()
-        if cur == to_edge:
-            chain = [cur]
-            while prev[chain[-1]] is not None:
-                chain.append(prev[chain[-1]])
-            chain.reverse()
-            connectors = tuple(min(sets[a] & sets[b]) for a, b in zip(chain, chain[1:]))
-            return EdgePath(from_vertex, tuple(chain), connectors)
-        for j in range(G.m):
-            if j not in prev and sets[cur] & sets[j]:
-                prev[j] = cur
-                queue.append(j)
-    return None
-
-
-def test_shortest_edge_path_matches_plain_bfs():
-    rng = random.Random(99)
-    for _ in range(200):
-        G = arbitrary_hypergraph(rng)
-        for v in range(G.n):
-            for l in range(G.m):
-                want = reference_edge_path(G, v, l)
-                if want is None:
-                    with pytest.raises(NoPath):
-                        shortest_edge_path(G, v, l)
-                else:
-                    assert shortest_edge_path(G, v, l) == want
-
-
-def test_shortest_edge_path_bounds():
-    with pytest.raises(ValueError):
-        shortest_edge_path(CHAIN3, -1, 0)
-    with pytest.raises(ValueError):
-        shortest_edge_path(CHAIN3, 0, 9)
 
 
 # ------------------------------------------------------- input ceilings

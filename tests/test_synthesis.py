@@ -26,8 +26,6 @@ from zpwalk.dynamics import (
     replay_schedule,
 )
 from zpwalk.errors import (
-    HypothesisViolated,
-    NonzeroRequired,
     NotGood,
     PairNotGood,
     UnreachableTarget,
@@ -35,17 +33,13 @@ from zpwalk.errors import (
     ZpwalkError,
 )
 from zpwalk.generate import gen_good_hypergraph
-from zpwalk.hypergraph import EdgePath, make_hypergraph
+from zpwalk.hypergraph import make_hypergraph
 from zpwalk.synthesis import (
-    BACKWARD,
-    FORWARD,
     _single_edge_counts,
     double_move_trick,
     is_good_pair,
-    propagate_path,
     single_edge_schedule,
     synthesize_schedule,
-    undo_on_edge,
 )
 from zpwalk.zp_algebra import gaussian_solve, system_norm
 
@@ -130,24 +124,15 @@ def test_trick_argument_validation():
         double_move_trick(E4, 3, (1, 1, 0, 0), 1, 0, 1, +1)  # edge range
 
 
-# ------------------------------------------------------------- edge undo
+# ---------------------------------------------------- moving back on one edge
 
 
 def test_undo_one_move():
     w1 = (1, 0, 0, 0)
     w2 = apply_move(E4, 3, w1, Move(0, 0))
     assert w2 == (0, 1, 1, 1)
-    back = undo_on_edge(E4, 3, w1, w2, 0)
+    back = single_edge_schedule(E4, 3, w2, w1)
     assert replay_schedule(E4, 3, w2, back) == w1
-
-
-def test_undo_trivial_and_errors():
-    assert undo_on_edge(E4, 3, (1, 0, 0, 0), (1, 0, 0, 0), 0).moves == ()
-    with pytest.raises(NonzeroRequired):
-        undo_on_edge(E4, 3, (1, 0, 0, 0), (0, 0, 0, 0), 0)
-    with pytest.raises(ValueError):
-        # differ off the edge
-        undo_on_edge(CHAIN2, 3, (1, 0, 0, 0, 1), (0, 1, 1, 0, 0), 0)
 
 
 def test_undo_random_move_bursts():
@@ -167,59 +152,39 @@ def test_undo_random_move_bursts():
             w = apply_move(G, p, w, rng.choice(legal))
         if w == w1 or all(x == 0 for x in w):
             continue
-        back = undo_on_edge(G, p, w1, w, 0)
+        back = single_edge_schedule(G, p, w, w1)
         assert replay_schedule(G, p, w, back) == w1
 
 
-# ------------------------------------------------------- path propagation
+# ------------------------------------------- carrying charge along chains
 
 
 def test_propagate_forward_worked_example():
-    path = EdgePath(0, (0, 1), (2,))
+    # one move per edge carries a unit over the connector
     w = (2, 0, 0, 0, 0)
-    sched = propagate_path(CHAIN2, 3, w, path, FORWARD)
-    assert sched.moves == (Move(0, 0), Move(2, 1))
+    sched = synthesize_schedule(CHAIN2, 3, w, (1, 1, 0, 1, 1))
     assert replay_schedule(CHAIN2, 3, w, sched) == (1, 1, 0, 1, 1)
 
 
 def test_propagate_backward_worked_example():
-    path = EdgePath(0, (0, 1), (2,))
     w = (1, 0, 0, 0, 0)
-    sched = propagate_path(CHAIN2, 3, w, path, BACKWARD, end_vertex=4)
+    sched = synthesize_schedule(CHAIN2, 3, w, (0, 0, 0, 0, 1))
     assert replay_schedule(CHAIN2, 3, w, sched) == (0, 0, 0, 0, 1)
 
 
 def test_propagate_single_edge_path():
-    path = EdgePath(1, (0,), ())
-    sched = propagate_path(CHAIN2, 3, (0, 2, 0, 0, 0), path, FORWARD)
-    assert sched.moves == (Move(1, 0),)
-
-
-def test_propagate_preconditions():
-    path = EdgePath(0, (0, 1), (2,))
-    with pytest.raises(HypothesisViolated):
-        propagate_path(CHAIN2, 3, (0, 0, 0, 0, 0), path, FORWARD)  # no charge
-    with pytest.raises(HypothesisViolated):
-        propagate_path(CHAIN2, 3, (1, 1, 0, 0, 0), path, FORWARD)  # dirty
-    with pytest.raises(ValueError):
-        propagate_path(CHAIN2, 3, (1, 0, 0, 0, 0), path, FORWARD, end_vertex=4)
-    with pytest.raises(ValueError):
-        propagate_path(CHAIN2, 3, (1, 0, 0, 0, 0), path, BACKWARD)  # no end
-    with pytest.raises(ValueError):
-        # end_vertex must differ from the vertex entering the last edge
-        propagate_path(CHAIN2, 3, (1, 0, 0, 0, 0), path, BACKWARD, end_vertex=2)
+    w = (0, 2, 0, 0, 0)
+    sched = synthesize_schedule(CHAIN2, 3, w, (1, 1, 1, 0, 0))
+    assert replay_schedule(CHAIN2, 3, w, sched) == (1, 1, 1, 0, 0)
 
 
 def test_propagate_longer_chains():
     G = make_hypergraph(9, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)])
-    path = EdgePath(1, (0, 1, 2, 3), (2, 4, 6))
+    w = (0, 2, 0, 0, 0, 0, 0, 0, 0)
     for p in (3, 5):
-        w = (0, 2, 0, 0, 0, 0, 0, 0, 0)
-        fwd = propagate_path(G, p, w, path, FORWARD)
-        out = replay_schedule(G, p, w, fwd)
-        assert out == (1, 1, 0, 1, 0, 1, 0, 1, 1)
-        back = propagate_path(G, p, w, path, BACKWARD, end_vertex=8)
-        assert replay_schedule(G, p, w, back) == (0, 1, 0, 0, 0, 0, 0, 0, 1)
+        for w2 in ((1, 1, 0, 1, 0, 1, 0, 1, 1), (0, 1, 0, 0, 0, 0, 0, 0, 1)):
+            sched = synthesize_schedule(G, p, w, w2)
+            assert replay_schedule(G, p, w, sched) == w2
 
 
 # ------------------------------------------------------ single-edge synth
