@@ -8,8 +8,7 @@ the outcome, not the path taken to it:
      well-shaped for check-good)
   2  usage error: unparseable input, infeasible request, modulus or
      shape violation, algebraic mode on an irregular hypergraph
-  3  a resource bound was hit (state cap, enumeration cap, synthesis
-     gave up)
+  3  the search oracle hit its state cap (--max-states)
   4  internal disagreement between the algebraic rule and the search
      oracle -- always a bug, please capture the instance
 
@@ -47,17 +46,10 @@ from .dynamics import (
     replay_schedule,
 )
 from .errors import (
-    EnumerationTooLarge,
     IllegalMove,
-    Infeasible,
     InternalSynthesisFailure,
-    InvalidModulus,
     MismatchError,
-    NotGood,
-    ParseError,
-    ShapeError,
     StateSpaceTooLarge,
-    SynthesisIncomplete,
     UnreachableTarget,
     Unsolvable,
     ZpwalkError,
@@ -74,8 +66,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_MISMATCH = 4
 
-_USAGE_ERRORS = (ParseError, NotGood, InvalidModulus, ShapeError, Infeasible, ValueError)
-_RESOURCE_ERRORS = (StateSpaceTooLarge, EnumerationTooLarge, SynthesisIncomplete)
 _NEGATIVE_ERRORS = (UnreachableTarget, Unsolvable, IllegalMove)
 
 
@@ -231,8 +221,9 @@ def _cmd_reach(rep: _Reporter, args) -> int:
         schedule = _witness_from(decision, G, p, w1, w2)
         rep.stats["witness_moves"] = len(schedule)
         rep.input["witness"] = True
-        rep.stats["witness"] = format_schedule(schedule).splitlines()
-        rep.say(format_schedule(schedule).rstrip("\n"))
+        text = format_schedule(schedule)
+        rep.stats["witness"] = text.splitlines()
+        rep.say(text.rstrip("\n"))
     return EXIT_YES if decision.answer else EXIT_NO
 
 
@@ -283,10 +274,10 @@ def _cmd_schedule(rep: _Reporter, args) -> int:
     rep.answer = True
     rep.method = "synthesis"
     rep.stats["moves"] = len(schedule)
-    rep.stats["schedule"] = format_schedule(schedule).splitlines()
-    text = format_schedule(schedule).rstrip("\n")
+    text = format_schedule(schedule)
+    rep.stats["schedule"] = text.splitlines()
     if text:
-        rep.say(text)
+        rep.say(text.rstrip("\n"))
     rep.say(f"# {len(schedule)} moves")
     return EXIT_YES
 
@@ -505,20 +496,14 @@ def main(argv=None) -> int:
     except (MismatchError, InternalSynthesisFailure) as err:
         rep.fail(err)
         code = EXIT_MISMATCH
-    except _RESOURCE_ERRORS as err:
+    except StateSpaceTooLarge as err:
         rep.fail(err)
         code = EXIT_RESOURCE
     except _NEGATIVE_ERRORS as err:
         rep.fail(err)
         rep.answer = False
         code = EXIT_NO
-    except _USAGE_ERRORS as err:
-        rep.fail(err)
-        code = EXIT_USAGE
-    except OSError as err:
-        rep.fail(err)
-        code = EXIT_USAGE
-    except ZpwalkError as err:  # anything else from the library is a usage problem
+    except (ZpwalkError, ValueError, OSError) as err:  # anything else is a usage problem
         rep.fail(err)
         code = EXIT_USAGE
     rep.emit()

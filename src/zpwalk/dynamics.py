@@ -9,14 +9,16 @@ decision layer is pickier.
 The oracles in this module are the ground truth the rest of the package
 is judged against, so their rules are plain: exact visited sets,
 deterministic expansion order (moves sorted by (edge, vertex)), hard
-caps instead of truncation.  Each oracle expands an orbit once: the
-recurrence oracle walks back from its target by un-moves inside it.
+caps instead of truncation.  Each oracle expands an orbit once.  The
+recurrence oracle then sweeps the orbit's mirror image forward from its
+target's mirror: undoing a move on w is the same move on p-1-w, mirrored
+back, so the search has one direction.
 
 Both searches run on one engine per (G, p), cached on G (state_space),
 whose key for a state is its base-p code at every size.  A state's moves
-and un-moves are summed from per-chunk parts of its code; up to
-TABLE_STATES = 2^16 states each row is worked out once, into a flat int
-table that every later query on the instance reads.
+are summed from per-chunk parts of its code; up to TABLE_STATES = 2^16
+states each row is worked out once, into a flat int table that every
+later query on the instance reads.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ DEFAULT_MAX_STATES = 2_000_000
 #: instances with at most this many states (p^n) store their search rows
 TABLE_STATES = 2**16
 
-#: row entry of a move, or un-move, that is not legal in the state
+#: row entry of a move that is not legal in the state
 ILLEGAL = -1
 
 
@@ -144,8 +146,10 @@ def all_moves(G: Hypergraph) -> tuple[Move, ...]:
 class _CodeTable:
     """State keys are base-p codes, vertex 0 the most significant digit,
     so code i is the i-th state of itertools.product(range(p), repeat=n);
-    Python ints carry codes past 2^63.  Rows are stored when there are at
-    most TABLE_STATES states, and summed afresh on each read above it.
+    Python ints carry codes past 2^63.  The mirror p-1-w of a state, whose
+    moves are w's un-moves, has code p^n - 1 - key(w): digit by digit, with
+    no carries.  Rows are stored when there are at most TABLE_STATES
+    states, and summed afresh on each read above it.
     """
 
     def __init__(self, G: Hypergraph, p: int):
@@ -168,18 +172,13 @@ class _CodeTable:
     def state(self, code: int) -> State:
         return _digits(self.p, self.n, code)
 
-    # each direction is built on its first use; its reader holds no
-    # reference back to the table
-
     @cached_property
     def successors(self):
-        """code -> per move in all_moves order, the code it leads to or ILLEGAL."""
-        return _row_reader(self.p, self.n, self._edges, self.moves, self.stored, 1)
+        """code -> per move in all_moves order, the code it leads to or ILLEGAL.
 
-    @cached_property
-    def unmoves(self):
-        """code -> per move, the code that move takes to this one, or ILLEGAL."""
-        return _row_reader(self.p, self.n, self._edges, self.moves, self.stored, -1)
+        Built on first use; the reader holds no reference back to the table.
+        """
+        return _row_reader(self.p, self.n, self._edges, self.moves, self.stored)
 
 
 def _chunk_width(p: int, n: int) -> int:
@@ -202,16 +201,15 @@ def _digits(p: int, digits: int, c: int) -> State:
     return tuple(out)
 
 
-def _row_reader(p: int, n: int, edges, moves, stored: bool, sign: int):
-    """One direction of a _CodeTable: moves (sign 1) or un-moves (sign -1).
+def _row_reader(p: int, n: int, edges, moves, stored: bool):
+    """The successor rows of a _CodeTable.
 
     A move changes each digit on its own, without carries, so the code
     it leads to is the sum of one part per chunk of digits (_chunk_width):
     the chunk's new digits, in place.  A chunk's parts are filled the
     first time its chunk code is read, and only for the moves whose edge
-    meets the chunk; the other moves leave it as it is.  A mover whose
-    digit would wrap (a move from 0, an un-move from p-1; see
-    has_predecessor) is illegal; its chunk's part is -p^n there, which
+    meets the chunk; the other moves leave it as it is.  A move whose
+    mover holds 0 is illegal; its chunk's part is -p^n there, which
     leaves the sum negative.  Stored rows live in one flat int array,
     len(moves) entries a code, each filled when its code is first read.
     """
@@ -220,7 +218,7 @@ def _row_reader(p: int, n: int, edges, moves, stored: bool, sign: int):
     for first in reversed(range(0, n, width)):
         digits = min(width, n - first)
         readers.append((p ** digits, {}, _part_filler(p, edges, moves, first, digits,
-                                                      p ** (n - first - digits), sign, size)))
+                                                      p ** (n - first - digits), size)))
 
     def summed(code: int) -> list:
         sums = None
@@ -247,16 +245,13 @@ def _row_reader(p: int, n: int, edges, moves, stored: bool, sign: int):
     return row
 
 
-def _part_filler(p: int, edges, moves, first: int, digits: int, scale: int, sign: int,
-                 size: int):
+def _part_filler(p: int, edges, moves, first: int, digits: int, scale: int, size: int):
     """Chunk code -> per move, the chunk's new digits in place, or -size
-    when the mover is in the chunk and would wrap."""
-    blocked = 0 if sign == 1 else p - 1  # a mover steps by -sign, and not from here
-    wraps = p - 1 - blocked  # another edge vertex steps by sign, and wraps from here
+    when the mover is in the chunk and holds 0."""
+    top = p - 1  # the digit an edge vertex other than the mover wraps from, to 0
     # per digit of the chunk, the first vertex first, its place value
     weights = list(accumulate(repeat(p, digits - 1), mul, initial=scale))[::-1]
-    step = [sign * w for w in weights]
-    wrap = [-sign * (p - 1) * w for w in weights]
+    wrap = [-top * w for w in weights]
     span = range(first, first + digits)
     meets = []  # (move index, mover's offset or None, the other edge vertices' offsets)
     for j, move in enumerate(moves):
@@ -272,12 +267,12 @@ def _part_filler(p: int, edges, moves, first: int, digits: int, scale: int, sign
         for j, mover, others in meets:
             delta = 0
             for i in others:
-                delta += wrap[i] if now[i] == wraps else step[i]
+                delta += wrap[i] if now[i] == top else weights[i]
             if mover is not None:
-                if now[mover] == blocked:
+                if now[mover] == 0:
                     part[j] = -size
                     continue
-                delta -= step[mover]
+                delta -= weights[mover]
             part[j] = base + delta
         return part
 
@@ -296,12 +291,11 @@ def state_space(G: Hypergraph, p: int) -> _CodeTable:
 class OrbitResult:
     """BFS closure of a start state under legal moves.
 
-    The search keeps the engine's state keys (see state_space): len,
-    `in` and extract_schedule read them directly.  order, the
-    deterministic visit order, and predecessor, which maps each state to
-    the (previous state, move) pair that first discovered it (None for
-    the start), are built as states only when read, each state stepped
-    from the one that discovered it.
+    The search keeps the engine's state keys (see state_space) and, per
+    key, the (previous key, move index) link that first discovered it
+    (None for the start): len, `in` and extract_schedule read them
+    directly.  order, the deterministic visit order, is built as states
+    only when read, each state stepped from the one that discovered it.
     """
 
     def __init__(self, G: Hypergraph, p: int, start: State, space, links: dict):
@@ -309,22 +303,12 @@ class OrbitResult:
         self._G, self._p, self._space, self._links = G, p, space, links
 
     @cached_property
-    def _states(self) -> dict:
+    def order(self) -> tuple[State, ...]:
         states, moves = {}, self._space.moves
         for key, link in self._links.items():  # in visit order: a key's link is older
             states[key] = self.start if link is None else apply_move(
                 self._G, self._p, states[link[0]], moves[link[1]])
-        return states
-
-    @cached_property
-    def order(self) -> tuple[State, ...]:
-        return tuple(self._states.values())
-
-    @cached_property
-    def predecessor(self) -> dict[State, tuple[State, Move] | None]:
-        states, moves = self._states, self._space.moves
-        return {states[key]: None if link is None else (states[link[0]], moves[link[1]])
-                for key, link in self._links.items()}
+        return tuple(states.values())
 
     def __contains__(self, w: State) -> bool:
         return self._space.key(w) in self._links
@@ -390,10 +374,11 @@ def extract_schedule(orbit: OrbitResult, target: State) -> Schedule:
 def has_predecessor(G: Hypergraph, p: int, w: State) -> bool:
     """Is w the image of any legal move?  (False = garden-of-Eden state.)
 
-    Undoing a move at (v, e) forces the prior state: every vertex of e
-    had one unit less and v two more, so v held w[v] + 1 before moving.
-    The move was legal exactly when that is nonzero, so w has a
-    predecessor iff some vertex on an edge holds a value other than p-1.
+    Undoing the move (v, e) on w is the same move on the mirror p-1-w,
+    mirrored back: every vertex of e had one unit less and v two more.
+    It is legal exactly when v is nonzero in the mirror, so w has a
+    predecessor iff some vertex on an edge holds a value other than p-1,
+    just as the zero state, the mirror of all p-1, has no move.
     """
     return any(w[v] != p - 1 for e in G.edges for v in e)
 
@@ -432,26 +417,26 @@ def oracle_escape(
 
     The escape state is None exactly when w2 is recurrent from w1; when
     w2 is outside the orbit it is w1 itself.  One forward orbit, then a
-    sweep backwards from w2 by un-moves kept inside the orbit: undoing
-    (v, e) takes one unit from every vertex of e and gives v two, and is
-    legal iff v holds a value other than p-1 (see has_predecessor).  The
-    orbit is closed under moves, so the sweep crosses off exactly the
-    orbit states that can reach w2; the first one left, in visit order,
-    is the escape state.
+    forward sweep from the mirror p-1-w2 over the mirrors of the orbit's
+    states: a move on the mirror of s is an un-move on s (see
+    has_predecessor).  The orbit is closed under moves, so the sweep
+    crosses off exactly the mirrors of the orbit states that can reach
+    w2; the first one left, in visit order, mirrors the escape state.
     """
     orbit = orbit_bfs(G, p, w1, max_states=max_states)
     if w2 not in orbit:
         return orbit, w1
     space = orbit._space
-    target = space.key(w2)
-    # the orbit states not yet known to reach w2, kept in visit order
-    unreached = dict.fromkeys(orbit._links)
+    top = space.p ** space.n - 1  # the mirror of code c is top - c
+    target = top - space.key(w2)
+    # the mirrors of the orbit states not yet known to reach w2, in visit order
+    unreached = dict.fromkeys(map(top.__sub__, orbit._links))
     del unreached[target]
-    todo, unmoves = [target], space.unmoves
+    todo, successors = [target], space.successors
     while todo:
-        for s in unmoves(todo.pop()):
+        for s in successors(todo.pop()):
             if s in unreached:
                 del unreached[s]
                 todo.append(s)
     escape = next(iter(unreached), None)
-    return orbit, None if escape is None else space.state(escape)
+    return orbit, None if escape is None else space.state(top - escape)

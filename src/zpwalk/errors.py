@@ -80,9 +80,10 @@ class PairNotGood(ZpwalkError):
 class SynthesisIncomplete(ZpwalkError):
     """Constructive synthesis gave up without a schedule.
 
-    Synthesis runs no search and no recursion, so on the well-shaped
-    family it does not give up; the type stays for the callers that
-    report a give-up (the self-test's tally, the CLI's exit code 3).
+    Nothing in the package raises it: synthesis runs no search and no
+    recursion, so on the well-shaped family it does not give up.  The
+    type stays for the tallies that would count a give-up (the
+    self-test's, scripts/synthesis_completeness.py's and the benchmark's).
     """
 
 

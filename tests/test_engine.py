@@ -3,21 +3,26 @@
 The engine keys every state by its base-p code.  Every test on the
 small instances runs twice, with rows stored (up to the module's size
 bound) and with every row summed afresh (the bound patched to 0).  Rows,
-orbits, escape states and state-cap refusals are compared with plain
-references written out here from apply_move alone; instances natively
-above the bound are compared with the same references, which expand
-each state only when they visit it.
+orbits, links, escape states and state-cap refusals are compared with
+plain references written out here from apply_move alone; instances
+natively above the bound are compared with the same references, which
+expand each state only when they visit it.  The engine has no un-move
+rows: the successor row of a state's mirror p-1-w, mirrored back, is
+checked against un-moves found by trial.
 """
 
 import functools
 import itertools
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 from zpwalk import dynamics
 from zpwalk.dynamics import (
     ILLEGAL,
+    Schedule,
     all_moves,
     apply_move,
     extract_schedule,
@@ -43,6 +48,8 @@ CASES = [(G, p) for G in [E3, E5, TWO_EDGES, TRIANGLE] + GENERATED for p in (2, 
 #: rung (78 125 states), 3^301 states, and E3 at the largest modulus
 LARGE = [(gen_good_hypergraph(7, 3, seed=2325348894), 5),
          (gen_good_hypergraph(301, 100, seed=15), 3), (E3, MAX_MODULUS)]
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 #: TABLE_STATES per engine mode: rows stored in the table, or summed on every read
 ENGINES = {"table": 2**16, "summed": 0}
@@ -107,6 +114,22 @@ def plain_bfs(G, p, start, max_states=None, stop_at=None):
     return order, links
 
 
+def plain_schedule(links, t):
+    """The moves along the plain search's links from its start to t."""
+    path = []
+    while links[t] is not None:
+        t, move = links[t]
+        path.append(move)
+    return Schedule(tuple(reversed(path)))
+
+
+def assert_links_match(orbit, order, links):
+    """orbit visits the plain search's order and reaches each state by its links."""
+    assert orbit.order == tuple(order)
+    for w in order:
+        assert extract_schedule(orbit, w) == plain_schedule(links, w), w
+
+
 def plain_escape(G, p, w1, w2):
     """The first orbit state that cannot reach w2, from inverted forward steps."""
     order, _ = plain_bfs(G, p, w1)
@@ -147,16 +170,18 @@ def test_the_bound_is_on_the_number_of_states(monkeypatch):
 
 
 def assert_rows_match(space, G, p, w):
+    """w's row holds its moves, and its mirror's row, mirrored, its un-moves."""
     key = space.key(w)
     assert space.state(key) == w
-    forward, backward = space.successors(key), space.unmoves(key)
-    assert len(forward) == len(backward) == len(space.moves)
-    for move, nxt, prior in zip(space.moves, forward, backward):
+    forward = space.successors(key)
+    assert len(forward) == len(space.moves)
+    for move, nxt in zip(space.moves, forward):
         expected = step(G, p, w, move)
         assert nxt == (ILLEGAL if expected is None else space.key(expected)), (G, p, w, move)
-        expected = trial_unmove(G, p, w, move)
-        assert prior == (ILLEGAL if expected is None else space.key(expected)), (
-            G, p, w, move)
+    top = p**G.n - 1
+    unmoved = [None if c == ILLEGAL else space.state(top - c)
+               for c in space.successors(top - key)]
+    assert unmoved == [trial_unmove(G, p, w, move) for move in space.moves], (G, p, w)
 
 
 def test_rows_match_the_definition(engine):
@@ -188,16 +213,15 @@ def test_orbits_match_a_plain_search(engine):
             order, links = plain_bfs(G, p, start)
             orbit = orbit_bfs(G, p, start)
             assert orbit.start == start
-            assert orbit.order == tuple(order), (G, p, start)
-            assert orbit.predecessor == links
+            assert_links_match(orbit, order, links)
             assert len(orbit) == len(order)
             assert all(w in orbit for w in order)
             assert list(start) in orbit  # any sequence of residues is looked up
             for t in {order[0], order[-1], *rng.sample(order, min(4, len(order)))}:
                 i = order.index(t)
                 partial = orbit_bfs(G, p, start, stop_at=t)
+                assert_links_match(partial, *plain_bfs(G, p, start, stop_at=t))
                 assert partial.order == tuple(order[:i + 1])
-                assert partial.predecessor == plain_bfs(G, p, start, stop_at=t)[1]
                 assert replay_schedule(G, p, start, extract_schedule(partial, t)) == t
             outside = next((w for w in itertools.product(range(p), repeat=G.n)
                             if w not in links), None)
@@ -240,8 +264,9 @@ def test_repeated_queries_read_the_same_rows(engine):
     space = state_space(G, 3)
     again = orbit_bfs(G, 3, (1, 0, 2, 0, 1))
     assert state_space(G, 3) is space
-    assert again.order == first.order and again.predecessor == first.predecessor
-    assert extract_schedule(again, first.order[-1]) == extract_schedule(first, first.order[-1])
+    assert again.order == first.order
+    for w in first.order:
+        assert extract_schedule(again, w) == extract_schedule(first, w)
 
 
 @pytest.mark.parametrize("G, p", LARGE, ids=["7v-p5", "301v-p3", "E3-pmax"])
@@ -258,16 +283,28 @@ def test_instances_above_the_bound_match_a_plain_search(G, p):
     if p**G.n <= 5**7:
         order, links = plain_bfs(G, p, start)
         orbit = orbit_bfs(G, p, start)
-        assert orbit.order == tuple(order) and orbit.predecessor == links
+        assert_links_match(orbit, order, links)
         assert all(w in orbit for w in order)
     # two moves out: found while the second state's row is read
     first = successors(G, p, start)[0][1]
     for t in (first, successors(G, p, first)[-1][1]):
         order, links = plain_bfs(G, p, start, stop_at=t)
         partial = orbit_bfs(G, p, start, stop_at=t)
-        assert partial.order == tuple(order) and partial.predecessor == links
+        assert_links_match(partial, order, links)
         assert all(w in partial for w in order)
         assert replay_schedule(G, p, start, extract_schedule(partial, t)) == t
         k = len(space.moves)
         for cap in sorted({1, 2, k, k + 1, len(order) - 1, len(order)} - {0}):
             assert_trips_alike(G, p, start, cap, t)
+
+
+def test_the_oracle_ladder_measures_its_first_rung():
+    ladder = runpy.run_path(str(SCRIPTS / "oracle_ladder.py"))
+    n, m, p = ladder["LADDER"][0]
+    row = ladder["measure"](n, m, p, random.Random(1), 1)
+    timings = {f"{query}.{kind}" for query in ("orbit_bfs", "oracle_escape")
+               for kind in ("first_s", "repeat_s", "first_states_per_s",
+                            "repeat_states_per_s")}
+    assert set(row) == {"n", "m", "p", "states", "stored"} | timings
+    assert (row["n"], row["m"], row["p"]) == (7, 3, 3)
+    assert row["states"] == 2186 and row["stored"] is True

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from zpwalk import dynamics, selftest
+from zpwalk.decision import build_system
 from zpwalk.errors import IllegalMove, Unsolvable
 from zpwalk.hypergraph import Hypergraph, is_good
 from zpwalk.selftest import (
@@ -18,6 +19,7 @@ from zpwalk.selftest import (
     iter_small_good_hypergraphs,
     run_selftest,
 )
+from zpwalk.zp_algebra import gaussian_solve
 
 
 def test_small_family_enumeration():
@@ -196,3 +198,19 @@ def test_a_refused_pair_the_rule_accepts_is_a_divergence(monkeypatch):
     assert report.divergences and not report.ok
     assert all("failed: the move-counting system has no solution" in d
                for d in report.divergences)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_the_single_edge_system_has_at_most_p_solutions(p):
+    """The structural sweep's minimum-norm check enumerates a single
+    edge's balance system, 2I - J, whose kernel is at most a line: it
+    cannot meet the enumeration cap (EnumerationTooLarge)."""
+    rng = random.Random(p)
+    for n in range(3, 9):
+        G = Hypergraph(n, (tuple(range(n)),))
+        for _ in range(4):
+            w1 = tuple(rng.randrange(p) for _ in range(n))
+            for w2 in (w1, tuple(rng.randrange(p) for _ in range(n))):
+                space = gaussian_solve(build_system(G, p, w1, w2).system)
+                assert space.solvable or w2 != w1
+                assert not space.solvable or space.count <= p, (n, p, w1, w2)
