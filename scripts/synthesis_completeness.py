@@ -17,10 +17,7 @@ The tiers, at p = 3 unless named:
   * unit chains of 3-edges with m = 100, 1 000 and 10 000 at p = 3 and
     5, one unit carried from one end to the other.
 
-Every call passes max_states = 5000 and cap = 3000.  Synthesis since
-the one-edge-order loop ignores both; on a checkout whose synthesis
-still falls back to search they bound that search, so the script
-compares the two as it is.  --tier runs only the named tiers.
+--tier runs only the named tiers.
 """
 
 from __future__ import annotations
@@ -36,9 +33,6 @@ from zpwalk.errors import SynthesisIncomplete
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import make_hypergraph
 from zpwalk.synthesis import synthesize_schedule
-
-MAX_STATES = 5000
-CAP = 3000
 
 #: (name, n, m, pairs, source kind)
 RANDOM_TIERS = (
@@ -80,7 +74,7 @@ def run_tier(name: str, cases) -> dict:
         line["pairs"] += 1
         start = time.process_time()
         try:
-            schedule = synthesize_schedule(G, p, w1, w2, max_states=MAX_STATES, cap=CAP)
+            schedule = synthesize_schedule(G, p, w1, w2)
         except SynthesisIncomplete:
             line["SynthesisIncomplete"] += 1
         else:

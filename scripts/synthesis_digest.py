@@ -10,7 +10,7 @@ checked by running this on both and comparing:
 
     PYTHONPATH=src python3 scripts/synthesis_digest.py --seed 1
 
-The family, with max_states = cap = 2000:
+The family:
   * 300 random well-shaped instances with n <= 31 and p in {3, 5}; the
     target is a random balance-solvable one, a random state, or the
     source holds one unit on one to three vertices (so that synthesis
@@ -34,8 +34,6 @@ from zpwalk.errors import ZpwalkError
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import make_hypergraph
 from zpwalk.synthesis import single_edge_schedule, synthesize_schedule
-
-LIMIT = 2000
 
 
 def class_target(rng: random.Random, G, p: int, w1, skip=None) -> tuple[int, ...]:
@@ -104,9 +102,8 @@ def main(argv: list[str] | None = None) -> int:
     outcomes: Counter[str] = Counter()
     moves = 0
     for synth, G, p, w1, w2 in cases(random.Random(args.seed)):
-        kwargs = {"max_states": LIMIT, "cap": LIMIT} if synth is synthesize_schedule else {}
         try:
-            schedule = synth(G, p, w1, w2, **kwargs)
+            schedule = synth(G, p, w1, w2)
         except ZpwalkError as err:
             outcome = type(err).__name__
             digest.update(f"{outcome}\n".encode())

@@ -82,8 +82,8 @@ class SynthesisIncomplete(ZpwalkError):
 
     Nothing in the package raises it: synthesis runs no search and no
     recursion, so on the well-shaped family it does not give up.  The
-    type stays for the tallies that would count a give-up (the
-    self-test's, scripts/synthesis_completeness.py's and the benchmark's).
+    self-test counts one as a divergence; the type stays for the tallies
+    of scripts/synthesis_completeness.py and the benchmark.
     """
 
 

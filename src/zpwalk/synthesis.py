@@ -14,11 +14,12 @@ toolbox, bottom up:
     values.  _single_edge_counts gives, in closed form, how often each
     vertex of the edge must move (the minimum-norm solution of the
     edge's move-counting system); the descent executes those moves
-    directly while legal and otherwise spends trick rounds to emulate
-    one forced move at a charge-less vertex.  Four emulation gadgets
-    plus two terminal batches cover every blocked shape; the dispatch is
-    exhaustive, which the test suite checks by exhausting small
-    instances.
+    directly while legal and otherwise emulates one forced move at a
+    charge-less vertex.  A bracket of two tricks lends it the unit and
+    takes it back (2p + 1 moves); only when every other vertex holds
+    p-1, or every other one p-2, does one of two terminal shapes remain.
+    The dispatch is exhaustive, which the test suite checks by
+    exhausting small instances.
   * _walk -- carries one unit of charge from the nearest charged vertex
     onto a given set of vertices, one move per edge along a
     breadth-first path.
@@ -150,6 +151,18 @@ class _Builder:
                for u, x in zip(e, before)):
             raise InternalSynthesisFailure("alternating rounds missed their advertised net effect")
 
+    def bracket(self, edge: int, v: int, a: int, c: int, x: int) -> None:
+        """x moves at an empty vertex v, on a unit lent by anchors a, c.
+
+        trick(-1) gives v the value p-1 and trick(+1) takes the loan back:
+        2p + x moves.  Needs x < p; the anchors may not both hold 0, p-1,
+        p-x or p-1-x.
+        """
+        self.trick(edge, a, c, -1)
+        for _ in range(x):
+            self.emit(Move(v, edge))
+        self.trick(edge, a, c, +1)
+
 
 def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedule:
     """Witness schedule w1 -> w2 on a hypergraph with exactly one edge.
@@ -197,8 +210,10 @@ def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
 def _descend_single_edge(b: _Builder, edge: int, goal: State) -> None:
     """Core single-edge descent of the edge's values to goal, moving only on it.
 
-    counts and the vertices the gadgets pick are positions on the edge:
-    position i is vertex e[i] of G.
+    A counted move is made directly when legal and otherwise emulated
+    with exactly its net effect, so only an emulation's cost depends on
+    how it is done.  counts and the vertices picked are positions on the
+    edge: position i is vertex e[i] of G.
     """
     p, e, w = b.p, b.G.edges[edge], b.state
     k = len(e)
@@ -231,69 +246,47 @@ def _descend_single_edge(b: _Builder, edge: int, goal: State) -> None:
             counts[v] = 0
             continue
         # Some count remains but every counted vertex is empty: emulate a
-        # single move at the lowest such vertex with trick rounds.
+        # single move at the lowest such vertex.  Any two other vertices
+        # whose values are not both 0, both p-2 or both p-1 can lend it a
+        # unit with a bracket; without such a pair, every vertex but i0
+        # holds one value, p-1 or p-2, since the zero state is inert.
         i0 = next(v for v in range(k) if counts[v] > 0)
         others = [v for v in range(k) if v != i0]
-        high = [j for j in others if w[e[j]] == p - 1]
-        if high:
-            # Drain a full-valued vertex, then give two rounds back.
-            j = high[0]
+        a, value = others[0], w[e[others[0]]]
+        c = next((j for j in others if w[e[j]] != value), others[1])
+        if w[e[c]] != value or value not in (0, p - 2, p - 1):
+            b.bracket(edge, e[i0], e[a], e[c], 1)
+        elif value == p - 1:
+            # [0 @ i0, p-1 elsewhere]: drain a full vertex, then give two
+            # rounds back.
             for _ in range(p - 1):
-                b.emit(Move(e[j], edge))
+                b.emit(Move(e[a], edge))
             for _ in range(2):
-                b.trick(edge, e[i0], e[j], +1)
-        else:
-            flexible = [j for j in others if w[e[j]] not in (0, p - 2)]
-            if flexible:
-                j = flexible[0]
-                u = next(v for v in range(k) if v != i0 and v != j)
-                r = 0 if w[e[u]] != 0 else 1
-                for _ in range(r):
-                    b.trick(edge, e[i0], e[j], +1)
-                for _ in range(p - 2):
-                    b.trick(edge, e[j], e[u], +1)
-                b.emit(Move(e[u], edge))
-                for _ in range(2 - r):
-                    b.trick(edge, e[i0], e[j], +1)
+                b.trick(edge, e[i0], e[a], +1)
+        elif value == p - 2:
+            # Exactly [0 @ i0, p-2 elsewhere]; finish in one batch.
+            x = counts[i0]
+            if total != x or x < 2:
+                raise InternalSynthesisFailure("descent misread a blocked state")
+            if x >= 3:
+                b.bracket(edge, e[i0], e[a], e[others[1]], x)
+            elif p == 3:
+                b.trick(edge, e[i0], e[a], -1)
+                b.emit(Move(e[a], edge))
+                b.trick(edge, e[i0], e[a], -1)
             else:
-                # Everything except i0 sits at 0 or p-2.
-                zeros = [z for z in others if w[e[z]] == 0]
-                mids = [j for j in others if w[e[j]] == p - 2]
-                if zeros and mids:
-                    z, j = zeros[0], mids[0]
-                    b.trick(edge, e[z], e[j], -1)
-                    b.emit(Move(e[i0], edge))
-                    b.trick(edge, e[z], e[j], +1)
-                elif mids:
-                    # Exactly [0 @ i0, p-2 elsewhere]; finish in one batch.
-                    x = counts[i0]
-                    if total != x or x < 2:
-                        raise InternalSynthesisFailure("descent misread a blocked state")
-                    j, j2 = others[0], others[1]
-                    if x >= 3:
-                        b.trick(edge, e[j], e[j2], -1)
-                        for _ in range(x):
-                            b.emit(Move(e[i0], edge))
-                        b.trick(edge, e[j], e[j2], +1)
-                    elif p == 3:
-                        b.trick(edge, e[i0], e[j], -1)
-                        b.emit(Move(e[j], edge))
-                        b.trick(edge, e[i0], e[j], -1)
-                    else:
-                        # x == 2, p >= 5: solve the value-mirrored problem
-                        # on a scratch builder, where the descent terminates
-                        # directly, and emit its moves reversed.  A move is exactly as legal on the
-                        # mirrored successor as on the original state, so
-                        # the reversed move list is legal here.
-                        scratch = _Builder(b.G, p, w)
-                        for i, v in enumerate(e):
-                            scratch.state[v] = (p - 1 - w[v] + (x if i == i0 else -x)) % p
-                        _on_edge(scratch, edge, {v: p - 1 - w[v] for v in e})
-                        b.emit_all(reversed(scratch.moves))
-                    counts[i0] = 0
-                    continue
-                else:
-                    raise InternalSynthesisFailure("descent reached the inert zero state")
+                # x == 2, p >= 5: a move is as legal on the mirrored
+                # successor as on the state, so the value-mirrored problem,
+                # which a scratch builder descends directly, runs reversed.
+                scratch = _Builder(b.G, p, w)
+                for i, v in enumerate(e):
+                    scratch.state[v] = (p - 1 - w[v] + (x if i == i0 else -x)) % p
+                _on_edge(scratch, edge, {v: p - 1 - w[v] for v in e})
+                b.emit_all(reversed(scratch.moves))
+            counts[i0] = 0
+            continue
+        else:
+            raise InternalSynthesisFailure("descent reached the inert zero state")
         counts[i0] -= 1
     if any(w[v] != x for v, x in zip(e, goal)):
         raise InternalSynthesisFailure("single-edge descent finished off target")

@@ -178,7 +178,6 @@ def test_sweep_tallies_are_pinned(sweep_report):
         witness_positive=782,
         certified_negative=418,
         synthesis_incomplete=0,
-        synthesis_incomplete_small=0,
         nongood_pairs_checked=729,
         nongood_solvable_unreachable=51,
     )
@@ -245,9 +244,8 @@ def test_criterion_4_closed_forms():
 def test_criterion_5_schedule_soundness(sweep_report):
     r = sweep_report
     # the big sweep: every schedule any layer produced was replay-checked
-    # externally, and nothing in the enumerable family was given up on
+    # externally, and a give-up on any pair the rule accepts is a divergence
     assert r.schedules_replayed >= 10_000
-    assert r.synthesis_incomplete_small == 0
     assert r.divergences == []
 
     # the three producers once more, compactly, from cold
@@ -313,8 +311,7 @@ def test_criterion_5_schedule_soundness(sweep_report):
 
     return (
         f"{r.schedules_replayed} sweep schedules + {replayed} cold-start "
-        f"schedules replayed, {r.synthesis_incomplete_small} give-ups in "
-        f"the enumerable family"
+        f"schedules replayed, {len(r.divergences)} divergences"
     )
 
 

@@ -8,6 +8,7 @@ state space allows.
 
 import itertools
 import random
+import re
 import runpy
 from pathlib import Path
 
@@ -202,21 +203,36 @@ def test_single_edge_worked_examples():
 
 
 def test_single_edge_exhaustive_vs_oracle():
-    """Totality on the precondition domain, p=3, k in {3,4}: every pair
-    either synthesizes and replays, or raises the matching negative."""
-    for k in (3, 4):
+    """Totality on the precondition domain, p=3 with k in {3,4} and p=5
+    with k=3: every pair either synthesizes and replays, or raises the
+    matching negative."""
+    for p, k in ((3, 3), (3, 4), (5, 3)):
         G = single_edge(k)
-        for w1 in itertools.product(range(3), repeat=k):
-            orbit = orbit_bfs(G, 3, w1)
-            for w2 in itertools.product(range(3), repeat=k):
+        for w1 in itertools.product(range(p), repeat=k):
+            orbit = orbit_bfs(G, p, w1)
+            for w2 in itertools.product(range(p), repeat=k):
                 reachable = w2 in orbit
                 try:
-                    sched = single_edge_schedule(G, 3, w1, w2)
+                    sched = single_edge_schedule(G, p, w1, w2)
                 except (UnreachableTarget, Unsolvable):
-                    assert not reachable, (w1, w2)
+                    assert not reachable, (p, w1, w2)
                     continue
-                assert reachable, (w1, w2)
-                assert replay_schedule(G, 3, w1, sched) == w2
+                assert reachable, (p, w1, w2)
+                assert replay_schedule(G, p, w1, sched) == w2
+
+
+@pytest.mark.parametrize("p, w1, w2", [
+    (3, (0, 0, 2), (1, 2, 0)),
+    (5, (0, 0, 1), (1, 4, 2)),
+])
+def test_single_edge_emulated_move_is_one_bracket(p, w1, w2):
+    # one move counted at the empty vertex 1: the other two lend it a
+    # unit (trick -1), it moves, and they take the unit back (trick +1)
+    assert _single_edge_counts(p, w1, w2) == [0, 1, 0]
+    G = single_edge(3)
+    sched = single_edge_schedule(G, p, w1, w2)
+    assert replay_schedule(G, p, w1, sched) == w2
+    assert len(sched) == 2 * p + 1
 
 
 def test_single_edge_p5_sampled():
@@ -579,6 +595,14 @@ def test_peel_shapes_match_the_rule(name, monkeypatch):
 def test_peel_order_roots_at_the_lever():
     G, p = PEEL_SHAPES["lever-root"]
     assert [i for i, _ in synthesis._peel_order(G, p)] == [3, 0, 1, 2]
+
+
+def test_schedule_lengths_script_smoke(capsys):
+    main = runpy.run_path(str(SCRIPTS / "schedule_lengths.py"))["main"]
+    assert main(["--instances", "2", "--pairs", "3"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"2 instances, \d+ schedule pairs; overall mean overhead "
+                        r"\d+\.\d\dx, worst \d+\.\dx", summary), summary
 
 
 def test_completeness_tiers_need_no_give_up():
