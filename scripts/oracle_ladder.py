@@ -10,7 +10,8 @@ instance's engine warm).  States per second divide the orbit size by
 those seconds.  `stored` says whether the instance has at most
 `dynamics.TABLE_STATES` states, so that its engine stores each row once;
 above the bound every row is summed afresh on each visit.  One JSON line
-per rung; stdlib only.
+per rung, and all of them, with the seed and the repeats, in
+`BENCH_oracle_ladder.json` at the root of the repository; stdlib only.
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py
     PYTHONPATH=src python3 scripts/oracle_ladder.py --seed 2 --repeats 5
@@ -24,14 +25,19 @@ import random
 import statistics
 import sys
 import time
+from pathlib import Path
 
 from zpwalk.dynamics import oracle_escape, orbit_bfs, state_space
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import Hypergraph
 
-#: (vertices, edges, modulus): 2186, 19 682, 78 124 and 177 146 orbit
-#: states; the last two are above the stored-row bound
-LADDER = ((7, 3, 3), (9, 4, 3), (7, 3, 5), (11, 5, 3))
+#: (vertices, edges, modulus): 2186, 19 682, 78 124, 177 146 and 59 048
+#: orbit states; the third and fourth are above the stored-row bound, the
+#: last is the largest stored instance at p = 3
+LADDER = ((7, 3, 3), (9, 4, 3), (7, 3, 5), (11, 5, 3), (10, 4, 3))
+
+#: where main writes its rows
+OUT = Path(__file__).resolve().parent.parent / "BENCH_oracle_ladder.json"
 
 
 def _seconds(fn) -> float:
@@ -69,8 +75,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
     rng = random.Random(args.seed)
+    rows = []
     for n, m, p in LADDER:
-        print(json.dumps(measure(n, m, p, rng, args.repeats)), flush=True)
+        rows.append(measure(n, m, p, rng, args.repeats))
+        print(json.dumps(rows[-1]), flush=True)
+    OUT.write_text(json.dumps({"seed": args.seed, "repeats": args.repeats, "rows": rows},
+                              indent=1) + "\n")
     return 0
 
 

@@ -17,13 +17,12 @@ back, so the search has one direction.
 Both searches run on one engine per (G, p), cached on G (state_space),
 whose key for a state is its base-p code at every size.  A state's moves
 are summed from per-chunk parts of its code; up to TABLE_STATES = 2^16
-states each row is worked out once, into a flat int table that every
-later query on the instance reads.
+states each row is worked out once, on its first read, into a dict of
+rows that every later query on the instance reads with one lookup.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -148,17 +147,18 @@ class _CodeTable:
     so code i is the i-th state of itertools.product(range(p), repeat=n);
     Python ints carry codes past 2^63.  The mirror p-1-w of a state, whose
     moves are w's un-moves, has code p^n - 1 - key(w): digit by digit, with
-    no carries.  Rows are stored when there are at most TABLE_STATES
-    states, and summed afresh on each read above it.
+    no carries.  Rows are kept, from their first read on, when there are
+    at most TABLE_STATES states, and summed afresh on each read above it.
     """
 
     def __init__(self, G: Hypergraph, p: int):
         n = G.n
         self.p, self.n = p, n
         self.moves = all_moves(G)
-        self._edges = G.edges
         # p >= 2, so the first test keeps p ** n from growing with huge n
         self.stored = n < TABLE_STATES.bit_length() and p ** n <= TABLE_STATES
+        #: code -> per move in all_moves order, the code it leads to or ILLEGAL
+        self.successors = _row_reader(p, n, G.edges, self.moves, self.stored)
 
     def key(self, w: State) -> int:
         """The code of w, or ILLEGAL when w is not a state of this instance."""
@@ -171,14 +171,6 @@ class _CodeTable:
 
     def state(self, code: int) -> State:
         return _digits(self.p, self.n, code)
-
-    @cached_property
-    def successors(self):
-        """code -> per move in all_moves order, the code it leads to or ILLEGAL.
-
-        Built on first use; the reader holds no reference back to the table.
-        """
-        return _row_reader(self.p, self.n, self._edges, self.moves, self.stored)
 
 
 def _chunk_width(p: int, n: int) -> int:
@@ -201,8 +193,8 @@ def _digits(p: int, digits: int, c: int) -> State:
     return tuple(out)
 
 
-def _row_reader(p: int, n: int, edges, moves, stored: bool):
-    """The successor rows of a _CodeTable.
+def _row_reader(p: int, n: int, edges, moves, stored: bool) -> dict:
+    """The successor rows of a _CodeTable: a dict from code to row tuple.
 
     A move changes each digit on its own, without carries, so the code
     it leads to is the sum of one part per chunk of digits (_chunk_width):
@@ -210,39 +202,40 @@ def _row_reader(p: int, n: int, edges, moves, stored: bool):
     first time its chunk code is read, and only for the moves whose edge
     meets the chunk; the other moves leave it as it is.  A move whose
     mover holds 0 is illegal; its chunk's part is -p^n there, which
-    leaves the sum negative.  Stored rows live in one flat int array,
-    len(moves) entries a code, each filled when its code is first read.
+    leaves the sum negative.  The dict sums a missing row on the read and,
+    when rows are stored, keeps it, so every later read is one lookup.
     """
-    k, size, width = len(moves), p ** n, _chunk_width(p, n)
+    size, width = p ** n, _chunk_width(p, n)
     readers = []  # per chunk, the least significant first: its codes, parts met, filler
     for first in reversed(range(0, n, width)):
         digits = min(width, n - first)
         readers.append((p ** digits, {}, _part_filler(p, edges, moves, first, digits,
                                                       p ** (n - first - digits), size)))
+    return _Rows(readers, stored)
 
-    def summed(code: int) -> list:
-        sums = None
-        for radix, parts, fill in readers:
-            code, c = divmod(code, radix)
+
+class _Rows(dict):
+    """_row_reader's dict.  Stored rows share one int object per code, so a
+    search matches its keys by identity; one class serves every engine,
+    since a class object is a reference cycle only full collections free."""
+
+    __slots__ = ("_readers", "_stored", "_codes")
+
+    def __init__(self, readers: list, stored: bool):
+        self._readers, self._stored, self._codes = readers, stored, {}
+
+    def __missing__(self, code: int) -> tuple:
+        sums, rest = None, code
+        for radix, parts, fill in self._readers:
+            rest, c = divmod(rest, radix)
             part = parts.get(c)
             if part is None:
                 part = parts[c] = fill(c)
             sums = part if sums is None else map(add, sums, part)
-        return [c if c >= 0 else ILLEGAL for c in sums]
-
-    if not stored:
-        return summed
-    rows = array("i", [ILLEGAL]) * (size * k)
-    filled = bytearray(size)
-
-    def row(code: int) -> array:
-        base = code * k
-        if not filled[code]:
-            rows[base:base + k] = array("i", summed(code))
-            filled[code] = 1
-        return rows[base:base + k]
-
-    return row
+        row = tuple([c if c >= 0 else ILLEGAL for c in sums])
+        if self._stored:
+            row = self[code] = tuple(map(self._codes.setdefault, row, row))
+        return row
 
 
 def _part_filler(p: int, edges, moves, first: int, digits: int, scale: int, size: int):
@@ -328,21 +321,21 @@ def orbit_bfs(
 
     Breadth first, each state's moves in all_moves order, over the codes
     of state_space(G, p).  Refuses with StateSpaceTooLarge rather than
-    returning a truncated set.  With stop_at, returns as soon as that
-    state is discovered (the partial result still has valid predecessor
-    links for it).
+    returning a truncated set.  With stop_at, a state checked like start,
+    returns as soon as it is discovered (the partial result still has
+    valid predecessor links for it).
     """
     start = validate_state(p, G.n, start)
     space = state_space(G, p)
     successors = space.successors
     origin = space.key(start)
-    goal = ILLEGAL if stop_at is None else space.key(stop_at)
+    goal = ILLEGAL if stop_at is None else space.key(validate_state(p, G.n, stop_at))
     links: dict = {origin: None}
     order = [origin]
     if goal == origin:
         return OrbitResult(G, p, start, space, links)
     for key in order:  # the visit list is the queue: it grows while it is read
-        for k, nxt in enumerate(successors(key)):
+        for k, nxt in enumerate(successors[key]):
             if nxt in links or nxt == ILLEGAL:
                 continue
             if len(links) >= max_states:
@@ -423,6 +416,7 @@ def oracle_escape(
     crosses off exactly the mirrors of the orbit states that can reach
     w2; the first one left, in visit order, mirrors the escape state.
     """
+    w2 = validate_state(p, G.n, w2)
     orbit = orbit_bfs(G, p, w1, max_states=max_states)
     if w2 not in orbit:
         return orbit, w1
@@ -434,7 +428,7 @@ def oracle_escape(
     del unreached[target]
     todo, successors = [target], space.successors
     while todo:
-        for s in successors(todo.pop()):
+        for s in successors[todo.pop()]:
             if s in unreached:
                 del unreached[s]
                 todo.append(s)

@@ -148,7 +148,7 @@ def iter_small_good_hypergraphs(max_n: int = 6):
 def _enumerate_digraph(G: Hypergraph, p: int):
     """All p^n states with their legal-move successor lists.
 
-    Its move step is its own, not the search engine's table: the engine
+    Its move step is its own, not the search engine's rows: the engine
     is diffed against it, and a shared step would let one bug pass on
     both sides.
     """
@@ -331,7 +331,7 @@ def _structural_sweep(
     space = state_space(G, p)
     keys = [space.key(w) for w in states]
     for i, key in enumerate(keys):
-        if [s for s in space.successors(key) if s != ILLEGAL] != [keys[j] for j in succ[i]]:
+        if [s for s in space.successors[key] if s != ILLEGAL] != [keys[j] for j in succ[i]]:
             report.divergences.append(
                 f"{label}: the search engine's successors of {states[i]} differ from "
                 f"the enumerated digraph's"

@@ -129,6 +129,24 @@ def test_validate_state_accepts_int_subclasses():
     assert validate_state(3, 3, [Residue(2), 0, Residue(1)]) == (2, 0, 1)
 
 
+@pytest.mark.parametrize("target, message", [
+    ((0, 1, 1), "state has 3 entries, hypergraph has 5 vertices"),
+    ((0, 1, 1, 0, 3), "state entry 3 is not a residue in [0, 3)"),
+], ids=["length", "range"])
+def test_the_oracles_refuse_a_malformed_target(target, message):
+    """A target that is not a state is a usage error, not a search for it."""
+    start = (1, 0, 0, 0, 0)
+    with pytest.raises(ParseError) as err:
+        orbit_bfs(TWO_EDGES, 3, start, stop_at=target)
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        oracle_reachable(TWO_EDGES, 3, start, target)
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        oracle_recurrent(TWO_EDGES, 3, start, target)
+    assert str(err.value) == message
+
+
 def test_schedule_text_round_trip():
     sched = Schedule((Move(2, 0), Move(4, 1), Move(2, 1)))
     text = format_schedule(sched)

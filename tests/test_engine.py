@@ -13,6 +13,7 @@ checked against un-moves found by trial.
 
 import functools
 import itertools
+import json
 import random
 import runpy
 from pathlib import Path
@@ -173,14 +174,14 @@ def assert_rows_match(space, G, p, w):
     """w's row holds its moves, and its mirror's row, mirrored, its un-moves."""
     key = space.key(w)
     assert space.state(key) == w
-    forward = space.successors(key)
+    forward = space.successors[key]
     assert len(forward) == len(space.moves)
     for move, nxt in zip(space.moves, forward):
         expected = step(G, p, w, move)
         assert nxt == (ILLEGAL if expected is None else space.key(expected)), (G, p, w, move)
     top = p**G.n - 1
     unmoved = [None if c == ILLEGAL else space.state(top - c)
-               for c in space.successors(top - key)]
+               for c in space.successors[top - key]]
     assert unmoved == [trial_unmove(G, p, w, move) for move in space.moves], (G, p, w)
 
 
@@ -269,6 +270,21 @@ def test_repeated_queries_read_the_same_rows(engine):
         assert extract_schedule(again, w) == extract_schedule(first, w)
 
 
+def test_a_stored_engine_keeps_one_row_per_code_it_reads(monkeypatch):
+    start = (1, 0, 2, 0, 1)
+    G = fresh(TWO_EDGES)
+    orbit = orbit_bfs(G, 3, start)
+    rows = state_space(G, 3).successors
+    assert list(rows) == list(orbit._links)  # one row per visited code, in visit order
+    orbit_bfs(G, 3, start)
+    assert len(rows) == len(orbit)
+    monkeypatch.setattr(dynamics, "TABLE_STATES", 0)
+    G = fresh(TWO_EDGES)
+    orbit_bfs(G, 3, start)
+    oracle_escape(G, 3, start, orbit.order[-1])
+    assert len(state_space(G, 3).successors) == 0
+
+
 @pytest.mark.parametrize("G, p", LARGE, ids=["7v-p5", "301v-p3", "E3-pmax"])
 def test_instances_above_the_bound_match_a_plain_search(G, p):
     G = fresh(G)
@@ -298,7 +314,7 @@ def test_instances_above_the_bound_match_a_plain_search(G, p):
             assert_trips_alike(G, p, start, cap, t)
 
 
-def test_the_oracle_ladder_measures_its_first_rung():
+def test_the_oracle_ladder_measures_its_first_rung(tmp_path, monkeypatch, capsys):
     ladder = runpy.run_path(str(SCRIPTS / "oracle_ladder.py"))
     n, m, p = ladder["LADDER"][0]
     row = ladder["measure"](n, m, p, random.Random(1), 1)
@@ -308,3 +324,15 @@ def test_the_oracle_ladder_measures_its_first_rung():
     assert set(row) == {"n", "m", "p", "states", "stored"} | timings
     assert (row["n"], row["m"], row["p"]) == (7, 3, 3)
     assert row["states"] == 2186 and row["stored"] is True
+    n, m, p = ladder["LADDER"][-1]  # the last rung is stored, at the bound
+    assert (n, m, p) == (10, 4, 3) and p**n <= dynamics.TABLE_STATES < p**(n + 1)
+    # main writes every rung's row, with the seed and repeats, to one file
+    scope = ladder["main"].__globals__
+    monkeypatch.setitem(scope, "LADDER", ladder["LADDER"][:1])
+    monkeypatch.setitem(scope, "OUT", tmp_path / "BENCH_oracle_ladder.json")
+    assert ladder["main"](["--seed", "2", "--repeats", "1"]) == 0
+    bench = json.loads((tmp_path / "BENCH_oracle_ladder.json").read_text())
+    assert set(bench) == {"seed", "repeats", "rows"}
+    assert (bench["seed"], bench["repeats"]) == (2, 1)
+    assert [set(r) for r in bench["rows"]] == [set(row)]
+    assert json.loads(capsys.readouterr().out) == bench["rows"][0]
