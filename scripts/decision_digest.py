@@ -6,7 +6,7 @@ many answers carried each certificate kind (or ended in each error
 type), and one sha256 over everything the layer returned: the answer
 and certificate data of algebraic decide_reachability,
 decide_recurrence and classify_state, necessity_filter's verdict,
-is_good's violations and connected_components.  Two checkouts that
+is_good's violations and G.structure.components.  Two checkouts that
 print the same lines decide identically on this family, so a change
 that must keep the decisions bit-identical is checked by running this
 on both and comparing:
@@ -42,7 +42,7 @@ from zpwalk.decision import (
 )
 from zpwalk.errors import ZpwalkError
 from zpwalk.generate import gen_good_hypergraph
-from zpwalk.hypergraph import connected_components, is_good, make_hypergraph
+from zpwalk.hypergraph import is_good, make_hypergraph
 
 PRIMES = (3, 5, 7)
 
@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         graphs += 1
         report = is_good(G)
         good += report.good
-        digest.update(repr((G, p, report.violations, connected_components(G))).encode())
+        digest.update(repr((G, p, report.violations, G.structure.components)).encode())
         for w1, w2 in pairs(rng, G, p):
             for name, call in (
                 ("reach", lambda: decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC)),

@@ -69,7 +69,6 @@ from .hypergraph import (
     GoodnessReport,
     Hypergraph,
     Violation,
-    connected_components,
     format_hypergraph,
     is_good,
     make_hypergraph,
@@ -77,7 +76,6 @@ from .hypergraph import (
 )
 from .selftest import SelftestReport, iter_small_good_hypergraphs, run_selftest
 from .synthesis import (
-    double_move_trick,
     is_good_pair,
     single_edge_schedule,
     synthesize_schedule,

@@ -58,7 +58,6 @@ from .generate import gen_good_hypergraph
 from .hypergraph import check_modulus, format_hypergraph, is_good, parse_hypergraph
 from .selftest import run_selftest
 from .synthesis import synthesize_schedule
-from .zp_algebra import DEFAULT_ENUMERATION_CAP
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -381,7 +380,6 @@ def _add_decision_flags(sub, with_witness: bool = False) -> None:
         sub.add_argument(
             "--cap",
             type=_at_least(0),
-            default=DEFAULT_ENUMERATION_CAP,
             help=argparse.SUPPRESS,  # parsed for old command lines; nothing reads it
         )
 
@@ -443,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     # parsed for old command lines; synthesis searches and enumerates nothing
     sub.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES,
                      help=argparse.SUPPRESS)
-    sub.add_argument("--cap", type=_at_least(0), default=DEFAULT_ENUMERATION_CAP,
-                     help=argparse.SUPPRESS)
+    sub.add_argument("--cap", type=_at_least(0), help=argparse.SUPPRESS)
     sub.set_defaults(handler=_cmd_schedule)
 
     sub = commands.add_parser("verify", help="replay a schedule file and check its endpoint")

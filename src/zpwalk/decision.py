@@ -26,7 +26,8 @@ O(n + sum |e|).
 Synthesis asks the same reachability rule (_algebraic_reach), and
 counts single-edge moves in closed form too.  build_system stays as the
 plain matrix that the self-tests and the test suite eliminate to check
-the closed forms against.
+the closed forms against; the judge's own ground truth (zp_algebra)
+does not read it.
 
 decide_reachability and decide_recurrence implement the corrected rules
 through one mode dispatch (_decide): each can cross-check itself against

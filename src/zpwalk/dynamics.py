@@ -6,8 +6,9 @@ increments every other vertex of the edge (all mod p).  Everything here
 works for any prime p >= 2 and any hypergraph; only the algebraic
 decision layer is pickier.
 
-The oracles in this module are the ground truth the rest of the package
-is judged against, so their rules are plain: exact visited sets,
+The oracles in this module answer by exhaustive search, and selftest
+judges them, as it judges the algebra, against the enumerated state
+digraph in zp_algebra.  Their rules are plain: exact visited sets,
 deterministic expansion order (moves sorted by (edge, vertex)), hard
 caps instead of truncation.  Each oracle expands an orbit once.  The
 recurrence oracle then sweeps the orbit's mirror image forward from its

@@ -270,11 +270,3 @@ def is_good(G: Hypergraph) -> GoodnessReport:
     """Connected, every edge of size >= 3, pairwise intersections <= 1."""
     return G.goodness
 
-
-def connected_components(G: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    """Vertex partition induced by the edges.
-
-    Isolated vertices come back as singleton components.  Components are
-    sorted by their smallest vertex; each is a sorted tuple.
-    """
-    return G.structure.components

@@ -1,12 +1,14 @@
 """Self-verification sweeps that check every layer against ground truth.
 
 The decision layer answers reachability and recurrence questions with
-linear algebra.  This module rebuilds the answers from first principles
-on instances small enough to enumerate -- the full state digraph, its
-strongly connected components, and the conserved linear functionals --
-and cross-checks the algebraic answers, the breadth-first oracle, and
-the schedule synthesizer against that ground truth and against each
-other.  Instances too large to enumerate exhaustively get sampled orbit
+closed forms.  The ground truth lives in zp_algebra, rebuilt from the
+move definition alone: the full state digraph and its strongly
+connected components on instances small enough to enumerate, the
+conserved linear functionals, and the definitional predecessor check.
+This module holds only the sweeps, which call both sides: they
+cross-check the algebraic answers, the breadth-first oracle and the
+schedule synthesizer against that ground truth and against each other.
+Instances too large to enumerate exhaustively get sampled orbit
 comparisons and witness-based checks: positive answers must replay,
 negative answers must carry a certificate that can be verified
 independently (a conserved functional separating the two states, a
@@ -35,7 +37,6 @@ from .decision import (
 from .dynamics import (
     ILLEGAL,
     State,
-    all_moves,
     oracle_reachable,
     oracle_recurrent,
     orbit_bfs,
@@ -54,7 +55,16 @@ from .errors import (
 from .generate import gen_good_hypergraph
 from .hypergraph import Hypergraph, is_good
 from .synthesis import _single_edge_counts, synthesize_schedule
-from .zp_algebra import gaussian_solve, make_system, system_norm
+from .zp_algebra import (
+    condense,
+    conserved_functionals,
+    enumerate_digraph,
+    functional_values,
+    gaussian_solve,
+    no_move_produces,
+    recurrent,
+    system_norm,
+)
 
 #: primes the small well-shaped family is checked at
 PRIMES = (3, 5)
@@ -145,116 +155,6 @@ def iter_small_good_hypergraphs(max_n: int = 6):
                     yield Hypergraph(n, tuple(sorted((e1, e2))))
 
 
-def _enumerate_digraph(G: Hypergraph, p: int):
-    """All p^n states with their legal-move successor lists.
-
-    Its move step is its own, not the search engine's rows: the engine
-    is diffed against it, and a shared step would let one bug pass on
-    both sides.
-    """
-    states = list(itertools.product(range(p), repeat=G.n))
-    index = {s: i for i, s in enumerate(states)}
-    moves = [(m.vertex, G.edges[m.edge]) for m in all_moves(G)]
-    succ: list[list[int]] = [[] for _ in states]
-    for i, w in enumerate(states):
-        for v, e in moves:
-            if w[v] == 0:
-                continue
-            nxt = list(w)
-            for u in e:
-                nxt[u] = (nxt[u] + 1) % p
-            nxt[v] = (nxt[v] - 2) % p
-            succ[i].append(index[tuple(nxt)])
-    return states, index, succ
-
-
-def _condense(succ: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Strongly connected components and what each one reaches (iterative Tarjan).
-
-    Returns comp, the component id of every node, and reach, per
-    component a bitmask of the components it reaches, itself included.
-    Tarjan closes a component only after every component it reaches,
-    so one pass completes each mask from its successors' masks.  A
-    node's position on the stack serves as its Tarjan index: the stack
-    holds the open nodes in the order they were found.
-    """
-    comp = [-1] * len(succ)
-    pos = [-1] * len(succ)
-    low = [0] * len(succ)
-    reach: list[int] = []
-    stack: list[int] = []
-    for root in range(len(succ)):
-        if pos[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ptr = work.pop()
-            if ptr == 0:
-                pos[node] = low[node] = len(stack)
-                stack.append(node)
-            if ptr < len(succ[node]):
-                work.append((node, ptr + 1))
-                nxt = succ[node][ptr]
-                if pos[nxt] == -1:
-                    work.append((nxt, 0))
-                elif comp[nxt] == -1:
-                    low[node] = min(low[node], pos[nxt])
-                continue
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == pos[node]:
-                members = stack[pos[node]:]
-                del stack[pos[node]:]
-                for x in members:
-                    comp[x] = len(reach)
-                mask = 1 << len(reach)
-                for x in members:
-                    for y in succ[x]:
-                        if comp[y] != comp[x]:
-                            mask |= reach[comp[y]]
-                reach.append(mask)
-    return comp, reach
-
-
-def _recurrent(comp: list[int], reach: list[int], i: int, j: int) -> bool:
-    """Does every node that i reaches reach j?  Every component i reaches must."""
-    mask, target = reach[comp[i]], 1 << comp[j]
-    return all(reach[c] & target for c in range(mask.bit_length()) if mask >> c & 1)
-
-
-def _conserved_functionals(G: Hypergraph, p: int):
-    """Basis of linear functionals y with y . (move effect) = 0 for all moves.
-
-    Two states in the same walk must agree on every such functional, so
-    differing functional values certify unreachability independently of
-    the balance-system solver's bookkeeping.
-    """
-    zero = (0,) * G.n
-    rows = build_system(G, p, zero, zero).system.rows
-    ncols = len(rows[0]) if rows else 0
-    transposed = tuple(tuple(rows[v][c] for v in range(G.n)) for c in range(ncols))
-    space = gaussian_solve(make_system(transposed, (0,) * ncols, p, ncols=G.n))
-    return space.kernel_basis
-
-
-def _functional_values(basis, w: State, p: int) -> tuple[int, ...]:
-    return tuple(sum(y[v] * w[v] for v in range(len(w))) % p for y in basis)
-
-
-def _no_move_produces(G: Hypergraph, p: int, w: State) -> bool:
-    """Definitional predecessor check, independent of the dynamics module."""
-    for mv in all_moves(G):
-        e = G.edges[mv.edge]
-        prior = list(w)
-        for u in e:
-            prior[u] = (prior[u] - 1) % p
-        prior[mv.vertex] = (prior[mv.vertex] + 2) % p
-        if prior[mv.vertex] != 0:
-            return False
-    return True
-
-
 def _random_state(G: Hypergraph, p: int, rng: random.Random, nonzero: bool = False) -> State:
     w = tuple(rng.randrange(p) for _ in range(G.n))
     if nonzero and not any(w):
@@ -287,12 +187,12 @@ def _verify_negative(G, p, w1, w2, decision, basis, report) -> None:
                 f"{G.n}v/{G.m}e p={p}: absorbing_source certificate for charged source {w1}"
             )
     elif kind == "garden_of_eden":
-        if not _no_move_produces(G, p, w2):
+        if not no_move_produces(G, p, w2):
             report.divergences.append(
                 f"{G.n}v/{G.m}e p={p}: garden_of_eden certificate but {w2} has a producer"
             )
     elif kind == "unsolvability":
-        if _functional_values(basis, w1, p) == _functional_values(basis, w2, p):
+        if functional_values(basis, w1, p) == functional_values(basis, w2, p):
             report.divergences.append(
                 f"{G.n}v/{G.m}e p={p}: unsolvability certificate yet no conserved "
                 f"functional separates {w1} from {w2}"
@@ -325,8 +225,8 @@ def _structural_sweep(
     its engine's successor rows are diffed against the enumerated ones.
     """
     label = f"{G.n}v/{G.m}e p={p} edges={G.edges}"
-    states, index, succ = _enumerate_digraph(G, p)
-    comp, reach = _condense(succ)
+    states, index, succ = enumerate_digraph(G, p)
+    comp, reach = condense(succ)
     # the search engine's rows against the plain step they replace
     space = state_space(G, p)
     keys = [space.key(w) for w in states]
@@ -342,10 +242,10 @@ def _structural_sweep(
     zero = (0,) * n
     ge = (p - 1,) * n
     zi, gi = index[zero], index[ge]
-    basis = _conserved_functionals(G, p)
+    basis = conserved_functionals(G, p)
     classes: dict[tuple[int, ...], list[int]] = {}
     for i, w in enumerate(states):
-        classes.setdefault(_functional_values(basis, w, p), []).append(i)
+        classes.setdefault(functional_values(basis, w, p), []).append(i)
 
     if succ[zi]:
         report.divergences.append(f"{label}: the zero state has outgoing moves")
@@ -373,7 +273,7 @@ def _structural_sweep(
         w1, w2 = rng.choice(states), rng.choice(states)
         space = gaussian_solve(build_system(G, p, w1, w2).system)
         solvable = space.solvable
-        same_class = _functional_values(basis, w1, p) == _functional_values(basis, w2, p)
+        same_class = functional_values(basis, w1, p) == functional_values(basis, w2, p)
         if solvable != same_class:
             report.divergences.append(
                 f"{label}: balance solvability disagrees with conserved functionals "
@@ -412,7 +312,7 @@ def _structural_sweep(
     for _ in range(recur_oracle_pairs):
         w1 = _random_state(G, p, rng, nonzero=True)
         w2 = rng.choice([zero, ge, rng.choice(states), rng.choice(states)])
-        truth = _recurrent(comp, reach, index[w1], index[w2])
+        truth = recurrent(comp, reach, index[w1], index[w2])
         got = decide_recurrence(G, p, w1, w2, mode=MODE_ALGEBRAIC).answer
         if got != truth:
             report.divergences.append(
@@ -544,7 +444,7 @@ def _witness_checks(
 ) -> None:
     """Witness or certify sampled decisions on one generated instance."""
     n = G.n
-    basis = _conserved_functionals(G, p)
+    basis = conserved_functionals(G, p)
     zero = (0,) * n
     saturated = (p - 1,) * n
     charged = (1,) + tuple(rng.randrange(1, p) for _ in range(n - 1))

@@ -4,11 +4,11 @@ decide_reachability answers yes/no; this module produces the actual move
 schedule for the yes answers, without searching the state space.  The
 toolbox, bottom up:
 
-  * double_move_trick -- alternating moves at two anchor vertices of one
-    edge; each round restores the anchors and adds +2 to every other
-    vertex of the edge, so (p+1)/2 or (p-1)/2 rounds add exactly +1 or
-    -1.  Works whenever the anchor values are a "good pair" (not both 0,
-    not both p-1).
+  * the double-move trick (_Builder.trick) -- alternating moves at two
+    anchor vertices of one edge; each round restores the anchors and
+    adds +2 to every other vertex of the edge, so (p+1)/2 or (p-1)/2
+    rounds add exactly +1 or -1.  Works whenever the anchor values are a
+    "good pair" (is_good_pair: not both 0, not both p-1).
   * the single-edge phase (_on_edge; single_edge_schedule on a one-edge
     hypergraph) -- moves only on one edge until it holds its goal
     values.  _single_edge_counts gives, in closed form, how often each
@@ -68,7 +68,7 @@ from .errors import (
     Unsolvable,
 )
 from .hypergraph import Hypergraph, is_good
-from .zp_algebra import DEFAULT_ENUMERATION_CAP, mod_inverse, validate_modulus
+from .zp_algebra import mod_inverse, validate_modulus
 
 
 def is_good_pair(p: int, a: int, b: int) -> bool:
@@ -82,29 +82,6 @@ def is_good_pair(p: int, a: int, b: int) -> bool:
         if not 0 <= x < p:
             raise ValueError(f"value {x} is not a residue in [0, {p})")
     return (a, b) != (0, 0) and (a, b) != (p - 1, p - 1)
-
-
-def double_move_trick(
-    G: Hypergraph, p: int, w: State, edge: int, a: int, b: int, direction: int
-) -> Schedule:
-    """Alternating rounds at anchors a, b of an edge.
-
-    Net effect: +direction (mod p) at every vertex of the edge except the
-    anchors, which come back to their starting values.  direction is +1
-    or -1; the anchor values must form a good pair (PairNotGood).
-    """
-    validate_modulus(p)
-    w = validate_state(p, G.n, w)
-    if not 0 <= edge < G.m:
-        raise ValueError(f"edge {edge} outside [0, {G.m})")
-    members = G.edges[edge]
-    if a == b or a not in members or b not in members:
-        raise ValueError(f"anchors ({a}, {b}) must be two distinct vertices of edge {edge}")
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction}")
-    builder = _Builder(G, p, w)
-    builder.trick(edge, a, b, direction)
-    return Schedule(tuple(builder.moves))
 
 
 @dataclass
@@ -134,7 +111,9 @@ class _Builder:
             self.emit(move)
 
     def trick(self, edge: int, a: int, b: int, direction: int) -> None:
-        """double_move_trick's rounds, checked against their net effect."""
+        """Alternating rounds at anchors a, b: +direction (+1 or -1) at every
+        other vertex of the edge, anchors restored; PairNotGood unless the
+        anchor values are a good pair.  Checked against that net effect."""
         p, w, e = self.p, self.state, self.G.edges[edge]
         if not is_good_pair(p, w[a], w[b]):
             raise PairNotGood(
@@ -325,7 +304,7 @@ def synthesize_schedule(
     w1: State,
     w2: State,
     max_states: int = DEFAULT_MAX_STATES,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    cap: int | None = None,
 ) -> Schedule:
     """Synthesize a replayable schedule from w1 to w2 on a well-shaped hypergraph.
 

@@ -1,10 +1,17 @@
-"""Linear algebra over Z_p for odd primes p.
+"""Linear algebra over Z_p for odd primes p, and the judge's ground truth.
 
 Everything here is exact integer arithmetic on canonical residues in
-[0, p).  Determinism matters: the balance systems we solve feed schedule
-synthesis, and replays must reproduce bit-for-bit, so pivoting and
+[0, p).  The decisions eliminate nothing: elimination, solution
+enumeration and minimum-norm solutions serve selftest and the test
+suite, which check the closed forms against them.  Pivoting and
 enumeration orders are fixed (leftmost pivot column, lowest pivot row,
-lexicographic free-coefficient sweeps).
+lexicographic free-coefficient sweeps), so runs reproduce bit-for-bit.
+
+The ground truth -- the enumerated state digraph, its condensation, the
+conserved functionals, the predecessor check -- is built from G.n,
+G.edges and the move rule alone, and this module imports only errors
+from the package: a step shared with what it judges would let one bug
+pass on both sides.
 """
 
 from __future__ import annotations
@@ -214,3 +221,121 @@ def system_norm(
             best = key
     assert best is not None
     return best
+
+
+# -- ground truth: the walk rebuilt from G.n, G.edges and the move rule -------
+
+
+def enumerate_digraph(G, p: int):
+    """All p^n states with their legal-move successor lists.
+
+    States come in itertools.product order, and each successor list in
+    (edge, vertex) order of its legal moves, so the search engine's rows
+    can be diffed against it entry by entry.
+    """
+    states = list(itertools.product(range(p), repeat=G.n))
+    index = {s: i for i, s in enumerate(states)}
+    moves = [(v, e) for e in G.edges for v in e]
+    succ: list[list[int]] = [[] for _ in states]
+    for i, w in enumerate(states):
+        for v, e in moves:
+            if w[v] == 0:
+                continue
+            nxt = list(w)
+            for u in e:
+                nxt[u] = (nxt[u] + 1) % p
+            nxt[v] = (nxt[v] - 2) % p
+            succ[i].append(index[tuple(nxt)])
+    return states, index, succ
+
+
+def condense(succ: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Strongly connected components and what each one reaches (iterative Tarjan).
+
+    Returns comp, the component id of every node, and reach, per
+    component a bitmask of the components it reaches, itself included.
+    Tarjan closes a component only after every component it reaches,
+    so one pass completes each mask from its successors' masks.  A
+    node's position on the stack serves as its Tarjan index: the stack
+    holds the open nodes in the order they were found.
+    """
+    comp = [-1] * len(succ)
+    pos = [-1] * len(succ)
+    low = [0] * len(succ)
+    reach: list[int] = []
+    stack: list[int] = []
+    for root in range(len(succ)):
+        if pos[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, ptr = work.pop()
+            if ptr == 0:
+                pos[node] = low[node] = len(stack)
+                stack.append(node)
+            if ptr < len(succ[node]):
+                work.append((node, ptr + 1))
+                nxt = succ[node][ptr]
+                if pos[nxt] == -1:
+                    work.append((nxt, 0))
+                elif comp[nxt] == -1:
+                    low[node] = min(low[node], pos[nxt])
+                continue
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == pos[node]:
+                members = stack[pos[node]:]
+                del stack[pos[node]:]
+                for x in members:
+                    comp[x] = len(reach)
+                mask = 1 << len(reach)
+                for x in members:
+                    for y in succ[x]:
+                        if comp[y] != comp[x]:
+                            mask |= reach[comp[y]]
+                reach.append(mask)
+    return comp, reach
+
+
+def recurrent(comp: list[int], reach: list[int], i: int, j: int) -> bool:
+    """Does every node that i reaches reach j?  Every component i reaches must."""
+    mask, target = reach[comp[i]], 1 << comp[j]
+    return all(reach[c] & target for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+def conserved_functionals(G, p: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of linear functionals y with y . (move effect) = 0 for all moves.
+
+    The move effects are the rows, one per (edge, vertex) incidence:
+    +1 on every other vertex of e and p - 1 at v.  Two states in the same
+    walk must agree on every functional of their kernel, so differing
+    values certify unreachability independently of the balance matrix.
+    """
+    rows = []
+    for e in G.edges:
+        for v in e:
+            row = [0] * G.n
+            for u in e:
+                row[u] = 1
+            row[v] = p - 1
+            rows.append(row)
+    return gaussian_solve(make_system(rows, (0,) * len(rows), p, ncols=G.n)).kernel_basis
+
+
+def functional_values(basis, w: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The value of each functional of basis at the state w."""
+    return tuple(sum(y[v] * w[v] for v in range(len(w))) % p for y in basis)
+
+
+def no_move_produces(G, p: int, w: tuple[int, ...]) -> bool:
+    """Definitional predecessor check: undoing any move on w leaves its mover at 0."""
+    for e in G.edges:
+        for v in e:
+            prior = list(w)
+            for u in e:
+                prior[u] = (prior[u] - 1) % p
+            prior[v] = (prior[v] + 2) % p
+            if prior[v] != 0:
+                return False
+    return True

@@ -25,19 +25,20 @@ from zpwalk.dynamics import (
 )
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import make_hypergraph, parse_hypergraph
-from zpwalk.selftest import (
-    _condense,
-    _enumerate_digraph,
-    iter_small_good_hypergraphs,
-    run_selftest,
-)
+from zpwalk.selftest import iter_small_good_hypergraphs, run_selftest
 from zpwalk.synthesis import (
-    double_move_trick,
+    _Builder,
     is_good_pair,
     single_edge_schedule,
     synthesize_schedule,
 )
-from zpwalk.zp_algebra import enumerate_solutions, gaussian_solve, mod_inverse
+from zpwalk.zp_algebra import (
+    condense,
+    enumerate_digraph,
+    enumerate_solutions,
+    gaussian_solve,
+    mod_inverse,
+)
 
 
 def criterion(num: int, label: str):
@@ -260,8 +261,9 @@ def test_criterion_5_schedule_soundness(sweep_report):
                     continue
                 w = (a, b, rng.randrange(p), rng.randrange(p))
                 for direction in (+1, -1):
-                    sched = double_move_trick(G4, p, w, 0, 0, 1, direction)
-                    out = replay_schedule(G4, p, w, sched)
+                    builder = _Builder(G4, p, w)
+                    builder.trick(0, 0, 1, direction)
+                    out = replay_schedule(G4, p, w, builder.moves)
                     assert out == tuple(
                         w[u] if u < 2 else (w[u] + direction) % p for u in range(4)
                     )
@@ -324,8 +326,8 @@ def test_criterion_6_classification_closed_form():
     for p, k in ((3, 5), (3, 8), (5, 7)):
         assert (k - 2) % p == 0
         G = make_hypergraph(k, [tuple(range(k))])
-        states, index, succ = _enumerate_digraph(G, p)
-        comp, reach = _condense(succ)
+        states, index, succ = enumerate_digraph(G, p)
+        comp, reach = condense(succ)
         produced = {j for outs in succ for j in outs}
         # ground truth, straight from the full digraph: transient means
         # some walk enters w and some walk leaves its strongly connected

@@ -41,7 +41,6 @@ from zpwalk.errors import MismatchError, NotGood
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import (
     Hypergraph,
-    connected_components,
     is_good,
     make_hypergraph,
 )
@@ -151,7 +150,7 @@ def test_closed_form_matches_elimination_on_any_hypergraph():
         seen["|e| = 0 mod p"] += any(k % p == 0 for k in sizes)
         seen["shared pair"] += any(len(set(a) & set(b)) > 1
                                    for a, b in itertools.combinations(G.edges, 2))
-        seen["disconnected"] += len(connected_components(G)) > 1
+        seen["disconnected"] += len(G.structure.components) > 1
         seen["isolated"] += any(not any(v in e for e in G.edges) for v in range(G.n))
         seen[f"p = {p}"] += 1
         rank = _rank(G, p)
@@ -204,7 +203,7 @@ def test_one_structural_search_per_hypergraph(monkeypatch):
             classify_state(G, p, w1, mode=MODE_ALGEBRAIC)
             necessity_filter(G, p, w1, w2)
     assert is_good(G).good
-    assert connected_components(G) == (tuple(range(13)),)
+    assert G.structure.components == (tuple(range(13)),)
     assert G.structure.incidence[0] == (0, 4)
     assert len(built) == 1 and built[0] is G
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses what it imports, and
-every private module-level name is read somewhere in the package.
+"""Source hygiene: every module of the package uses what it imports,
+every private module-level name is read somewhere in the package, and
+the judge shares no step with what it judges.
 
 The package's own __init__ is left out of the import check: it imports
 to re-export.
@@ -62,6 +63,57 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             if not any(name in read for k, read in enumerate(reads) if k != own)]
 
 
+#: the judge's ground truth, which may import nothing from the package but errors
+GROUND_TRUTH = "zp_algebra"
+#: the modules that answer, and the only names they may take from the ground truth's module
+ANSWERING = ("decision", "synthesis", "dynamics", "hypergraph")
+SHARED = {"MAX_MODULUS", "is_odd_prime", "validate_modulus", "mod_inverse", "ZpMatrixSystem"}
+
+
+def package_imports(source: str):
+    """(module, name, line) per name a source takes from the package.
+
+    `from .m import x` and `from zpwalk.m import x` give (m, x);
+    `from . import m` and `import zpwalk.m` give (m, None), the whole
+    module.
+    """
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if parts[0] != "zpwalk":
+                    continue
+                parts = parts[1:]
+            for alias in node.names:
+                if parts:
+                    yield parts[0], alias.name, node.lineno
+                else:
+                    yield alias.name, None, node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "zpwalk" and len(parts) > 1:
+                    yield parts[1], None, node.lineno
+
+
+def import_rule_violations(sources: dict[str, str]) -> list[str]:
+    """Imports that let the judge and what it judges share a step.
+
+    sources maps a module name to its text.  The ground truth may take
+    only errors from the package; an answering module may take only the
+    SHARED names from the ground truth's module.  Other modules, the
+    sweeps among them, call both sides and are exempt.
+    """
+    found = []
+    for module, source in sources.items():
+        for origin, name, line in package_imports(source):
+            if (module == GROUND_TRUTH and origin != "errors") or (
+                    module in ANSWERING and origin == GROUND_TRUTH and name not in SHARED):
+                found.append(f"{module} imports {name or 'the module'} from {origin} "
+                             f"(line {line})")
+    return found
+
+
 def test_the_check_sees_unused_imports():
     source = ("from __future__ import annotations\n"
               "import os.path\nfrom collections import deque, Counter as C\n"
@@ -79,6 +131,23 @@ def test_the_check_sees_unread_private_names():
     assert unread_private_names(sources) == ["a._dead", "a._Box"]
 
 
+def test_the_check_sees_a_shared_step():
+    sources = {
+        "zp_algebra": ("from .errors import ShapeError\nfrom .dynamics import all_moves\n"
+                       "from zpwalk import hypergraph\n"),
+        "synthesis": ("from .zp_algebra import mod_inverse, validate_modulus\n"
+                      "from .zp_algebra import gaussian_solve\n"),
+        "decision": "from . import zp_algebra\nfrom .dynamics import orbit_bfs\n",
+        "selftest": "from .zp_algebra import enumerate_digraph, gaussian_solve\n",
+    }
+    assert import_rule_violations(sources) == [
+        "zp_algebra imports all_moves from dynamics (line 2)",
+        "zp_algebra imports the module from hypergraph (line 3)",
+        "synthesis imports gaussian_solve from zp_algebra (line 2)",
+        "decision imports the module from zp_algebra (line 1)",
+    ]
+
+
 def test_the_package_modules_are_found():
     assert {"decision.py", "dynamics.py", "hypergraph.py"} <= {p.name for p in MODULES}
 
@@ -90,3 +159,7 @@ def test_every_import_is_used(path):
 
 def test_every_private_name_is_read():
     assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_the_judge_shares_no_step_with_what_it_judges():
+    assert import_rule_violations({p.stem: p.read_text() for p in MODULES}) == []

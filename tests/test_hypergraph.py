@@ -13,7 +13,6 @@ from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import (
     MAX_VERTICES,
     Hypergraph,
-    connected_components,
     format_hypergraph,
     is_good,
     make_hypergraph,
@@ -238,9 +237,9 @@ def test_generated_instances_are_good():
 
 
 def test_connected_components():
-    assert connected_components(CHAIN3) == ((0, 1, 2, 3, 4, 5, 6),)
+    assert CHAIN3.structure.components == ((0, 1, 2, 3, 4, 5, 6),)
     without_middle = Hypergraph(CHAIN3.n, (CHAIN3.edges[0], CHAIN3.edges[2]))
-    assert connected_components(without_middle) == (
+    assert without_middle.structure.components == (
         (0, 1, 2),
         (3,),
         (4, 5, 6),
@@ -249,7 +248,7 @@ def test_connected_components():
 
 def test_isolated_vertices_are_singletons():
     G = make_hypergraph(5, [(0, 1, 2)])
-    assert connected_components(G) == ((0, 1, 2), (3,), (4,))
+    assert G.structure.components == ((0, 1, 2), (3,), (4,))
 
 
 def arbitrary_hypergraph(rng):
@@ -284,7 +283,7 @@ def test_connected_components_match_union_find():
     rng = random.Random(4242)
     for _ in range(400):
         G = arbitrary_hypergraph(rng)
-        comps = connected_components(G)
+        comps = G.structure.components
         assert comps == union_find_components(G), G
         structure = G.structure
         assert all(structure.component[v] == c for c, comp in enumerate(comps) for v in comp)

@@ -11,15 +11,12 @@ from zpwalk.errors import IllegalMove, Unsolvable
 from zpwalk.hypergraph import Hypergraph, is_good
 from zpwalk.selftest import (
     SelftestReport,
-    _condense,
-    _enumerate_digraph,
     _nongood_sweep,
-    _recurrent,
     _structural_sweep,
     iter_small_good_hypergraphs,
     run_selftest,
 )
-from zpwalk.zp_algebra import gaussian_solve
+from zpwalk.zp_algebra import condense, enumerate_digraph, gaussian_solve, recurrent
 
 
 def test_small_family_enumeration():
@@ -70,12 +67,12 @@ def _dfs_reach(succ, start):
 def _check_condensation(succ, pairs):
     """The condensation's reach, recurrence and closed-component answers
     against per-node searches, on every node and the given node pairs."""
-    comp, reach = _condense(succ)
+    comp, reach = condense(succ)
     forward = [_dfs_reach(succ, i) for i in range(len(succ))]
     for i, j in pairs:
         assert bool(reach[comp[i]] >> comp[j] & 1) == (j in forward[i]), (i, j)
-        recurrent = all(j in forward[k] for k in forward[i])
-        assert _recurrent(comp, reach, i, j) == recurrent, (i, j)
+        every_walk_returns = all(j in forward[k] for k in forward[i])
+        assert recurrent(comp, reach, i, j) == every_walk_returns, (i, j)
     for i in range(len(succ)):
         closed = all(i in forward[k] for k in forward[i])
         assert (reach[comp[i]] == 1 << comp[i]) == closed, i
@@ -120,7 +117,7 @@ def test_condensation_matches_per_node_search_on_random_digraphs(seed):
     (((0, 1, 2), (2, 3, 4)), 5, 3),
 ])
 def test_condensation_matches_per_node_search_on_state_digraphs(edges, n, p):
-    states, _, succ = _enumerate_digraph(Hypergraph(n, edges), p)
+    states, _, succ = enumerate_digraph(Hypergraph(n, edges), p)
     rng = random.Random(n * p)
     pairs = [(rng.randrange(len(states)), rng.randrange(len(states))) for _ in range(400)]
     _check_condensation(succ, pairs)

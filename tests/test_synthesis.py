@@ -19,6 +19,7 @@ from zpwalk import decision, hypergraph, synthesis
 from zpwalk.decision import build_system
 from zpwalk.dynamics import (
     Move,
+    Schedule,
     _step,
     all_moves,
     apply_move,
@@ -36,8 +37,8 @@ from zpwalk.errors import (
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import make_hypergraph
 from zpwalk.synthesis import (
+    _Builder,
     _single_edge_counts,
-    double_move_trick,
     is_good_pair,
     single_edge_schedule,
     synthesize_schedule,
@@ -75,18 +76,25 @@ def test_good_pair_validation():
 # ------------------------------------------------------- double-move trick
 
 
+def trick(G, p, w, edge, a, b, direction):
+    """The double-move trick's rounds from w, as a schedule."""
+    builder = _Builder(G, p, w)
+    builder.trick(edge, a, b, direction)
+    return Schedule(tuple(builder.moves))
+
+
 def test_trick_worked_examples():
     w = (1, 1, 0, 0)
-    up = double_move_trick(E4, 3, w, 0, 0, 1, +1)
+    up = trick(E4, 3, w, 0, 0, 1, +1)
     assert up.moves == (Move(0, 0), Move(1, 0), Move(0, 0), Move(1, 0))
     assert replay_schedule(E4, 3, w, up) == (1, 1, 1, 1)
 
-    down = double_move_trick(E4, 3, w, 0, 0, 1, -1)
+    down = trick(E4, 3, w, 0, 0, 1, -1)
     assert len(down.moves) == 2
     assert replay_schedule(E4, 3, w, down) == (1, 1, 2, 2)
 
     with pytest.raises(PairNotGood):
-        double_move_trick(E4, 3, (0, 0, 1, 1), 0, 0, 1, +1)
+        trick(E4, 3, (0, 0, 1, 1), 0, 0, 1, +1)
 
 
 def test_trick_exhaustive_sweep():
@@ -104,9 +112,9 @@ def test_trick_exhaustive_sweep():
                         for direction in (+1, -1):
                             if not is_good_pair(p, va, vb):
                                 with pytest.raises(PairNotGood):
-                                    double_move_trick(G, p, w, 0, a, b, direction)
+                                    trick(G, p, w, 0, a, b, direction)
                                 continue
-                            sched = double_move_trick(G, p, w, 0, a, b, direction)
+                            sched = trick(G, p, w, 0, a, b, direction)
                             out = replay_schedule(G, p, w, sched)
                             expected = tuple(
                                 w[u] if u in (a, b) else (w[u] + direction) % p
@@ -114,15 +122,6 @@ def test_trick_exhaustive_sweep():
                             )
                             assert out == expected
                             assert {mv.vertex for mv in sched.moves} == {a, b}
-
-
-def test_trick_argument_validation():
-    with pytest.raises(ValueError):
-        double_move_trick(E4, 3, (1, 1, 0, 0), 0, 0, 0, +1)  # anchors equal
-    with pytest.raises(ValueError):
-        double_move_trick(E4, 3, (1, 1, 0, 0), 0, 0, 1, +2)  # direction
-    with pytest.raises(ValueError):
-        double_move_trick(E4, 3, (1, 1, 0, 0), 1, 0, 1, +1)  # edge range
 
 
 # ---------------------------------------------------- moving back on one edge

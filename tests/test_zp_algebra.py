@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zpwalk import zp_algebra
+from zpwalk.decision import build_system
 from zpwalk.errors import (
     EnumerationTooLarge,
     InvalidModulus,
@@ -20,14 +21,19 @@ from zpwalk.errors import (
     NormUndefined,
     ShapeError,
 )
+from zpwalk.hypergraph import Hypergraph
+from zpwalk.selftest import iter_small_good_hypergraphs
 from zpwalk.zp_algebra import (
     MAX_MODULUS,
     ZpMatrixSystem,
+    conserved_functionals,
+    enumerate_digraph,
     enumerate_solutions,
     gaussian_solve,
     is_odd_prime,
     make_system,
     mod_inverse,
+    no_move_produces,
     system_norm,
     validate_modulus,
 )
@@ -241,3 +247,40 @@ def test_scaling_rhs_scales_solutions(system, c):
         x = tuple((c * xi) % system.p for xi in space.particular)
         for row, b in zip(scaled.rows, scaled.rhs):
             assert sum(a * xi for a, xi in zip(row, x)) % system.p == b % system.p
+
+
+# ------------------------------------------------- the judge's ground truth
+
+TRIANGLE = Hypergraph(3, ((0, 1), (0, 2), (1, 2)))
+EDGELESS = Hypergraph(4, ())
+
+
+def balance_functionals(G, p):
+    """Reference: the kernel of the transposed balance matrix (build_system)."""
+    zero = (0,) * G.n
+    rows = build_system(G, p, zero, zero).system.rows
+    ncols = len(rows[0]) if rows else 0
+    transposed = tuple(tuple(rows[v][c] for v in range(G.n)) for c in range(ncols))
+    return gaussian_solve(make_system(transposed, (0,) * ncols, p, ncols=G.n)).kernel_basis
+
+
+def test_move_effect_functionals_are_the_balance_kernel():
+    """The judge's rows come from the move definition, not from the balance
+    matrix; its kernel must still be the same basis, bit for bit."""
+    cases = [(G, p) for G in iter_small_good_hypergraphs(6) for p in (3, 5)]
+    cases += [(G, p) for G in (TRIANGLE, EDGELESS) for p in (3, 5)]
+    assert len(cases) == 162
+    for G, p in cases:
+        assert conserved_functionals(G, p) == balance_functionals(G, p), (G, p)
+    assert conserved_functionals(EDGELESS, 3) == tuple(
+        tuple(int(u == v) for u in range(4)) for v in range(4))
+
+
+@pytest.mark.parametrize("G,p", [(TRIANGLE, 3), (EDGELESS, 3),
+                                 (Hypergraph(5, ((0, 1, 2), (2, 3, 4))), 3),
+                                 (Hypergraph(4, ((0, 1, 2, 3),)), 5)])
+def test_no_move_produces_exactly_the_unproduced_states(G, p):
+    states, _, succ = enumerate_digraph(G, p)
+    produced = {j for outs in succ for j in outs}
+    assert [no_move_produces(G, p, w) for w in states] == \
+           [i not in produced for i in range(len(states))]
