@@ -28,7 +28,9 @@ import sys
 import time
 
 from .decision import (
+    MODE_ALGEBRAIC,
     MODE_BOTH,
+    MODE_ORACLE,
     classify_state,
     decide_reachability,
     decide_recurrence,
@@ -158,9 +160,9 @@ def _effective_mode(rep: _Reporter, G, args) -> str:
     """Honor --allow-nongood: fall back to the search oracle when the
     default double-checking mode would refuse an irregular hypergraph."""
     mode = args.mode
-    if getattr(args, "allow_nongood", False) and mode == MODE_BOTH and not is_good(G).good:
+    if args.allow_nongood and mode == MODE_BOTH and not is_good(G).good:
         rep.say("irregular hypergraph: deciding by search only")
-        mode = "oracle"
+        mode = MODE_ORACLE
     rep.input["mode"] = mode
     return mode
 
@@ -357,11 +359,11 @@ def _at_least(lowest: int):
     return budget
 
 
-def _add_decision_flags(sub, with_witness: bool = False) -> None:
+def _add_decision_flags(sub) -> None:
     sub.add_argument(
         "--mode",
-        choices=("algebraic", "oracle", "both"),
-        default="both",
+        choices=(MODE_ALGEBRAIC, MODE_ORACLE, MODE_BOTH),
+        default=MODE_BOTH,
         help="decision procedure: linear algebra, breadth-first search, or both cross-checked (default)",
     )
     sub.add_argument(
@@ -375,13 +377,6 @@ def _add_decision_flags(sub, with_witness: bool = False) -> None:
         action="store_true",
         help="on an irregular hypergraph, decide by search instead of refusing",
     )
-    if with_witness:
-        sub.add_argument("--witness", action="store_true", help="also print a move schedule")
-        sub.add_argument(
-            "--cap",
-            type=_at_least(0),
-            help=argparse.SUPPRESS,  # parsed for old command lines; nothing reads it
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="only apply the sound unreachability filter (valid on any hypergraph)",
     )
-    _add_decision_flags(sub, with_witness=True)
+    _add_decision_flags(sub)
+    sub.add_argument("--witness", action="store_true", help="also print a move schedule")
+    # parsed for old command lines; nothing reads it
+    sub.add_argument("--cap", type=_at_least(0), help=argparse.SUPPRESS)
     sub.set_defaults(handler=_cmd_reach)
 
     sub = commands.add_parser("recur", help="does the target stay reachable along every walk?")

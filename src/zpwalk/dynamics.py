@@ -15,11 +15,11 @@ recurrence oracle then sweeps the orbit's mirror image forward from its
 target's mirror: undoing a move on w is the same move on p-1-w, mirrored
 back, so the search has one direction.
 
-Both searches run on one engine per (G, p), cached on G (state_space),
-whose key for a state is its base-p code at every size.  A state's moves
-are summed from per-chunk parts of its code; up to TABLE_STATES = 2^16
-states each row is worked out once, on its first read, into a dict of
-rows that every later query on the instance reads with one lookup.
+Both searches run on one engine per (G, p), cached on G (state_space):
+a dict from a state's base-p code, at every size, to its row of
+successor codes.  A missing row is summed from per-chunk parts of its
+code; up to TABLE_STATES = 2^16 states the dict keeps it, so every
+later query on the instance reads it with one lookup.
 """
 
 from __future__ import annotations
@@ -143,14 +143,30 @@ def all_moves(G: Hypergraph) -> tuple[Move, ...]:
     return tuple(Move(v, i) for i, e in enumerate(G.edges) for v in e)
 
 
-class _CodeTable:
-    """State keys are base-p codes, vertex 0 the most significant digit,
+class _CodeTable(dict):
+    """The search engine of (G, p): a dict from state code to row, the
+    code each move in all_moves order leads to, or ILLEGAL.
+
+    State keys are base-p codes, vertex 0 the most significant digit,
     so code i is the i-th state of itertools.product(range(p), repeat=n);
     Python ints carry codes past 2^63.  The mirror p-1-w of a state, whose
     moves are w's un-moves, has code p^n - 1 - key(w): digit by digit, with
-    no carries.  Rows are kept, from their first read on, when there are
-    at most TABLE_STATES states, and summed afresh on each read above it.
+    no carries.
+
+    A move changes each digit on its own, without carries, so the code
+    it leads to is the sum of one part per chunk of digits (_chunk_width):
+    the chunk's new digits, in place.  A chunk's parts are filled the
+    first time its chunk code is read, and only for the moves whose edge
+    meets the chunk; the other moves leave it as it is.  A move whose
+    mover holds 0 is illegal; its chunk's part is -p^n there, which
+    leaves the sum negative.  A missing row is summed on the read and,
+    with at most TABLE_STATES states (stored), kept: every later read is
+    one lookup, and kept rows share one int object per code, so a search
+    matches its keys by identity.  One class serves every engine, since
+    a class object is a reference cycle only full collections free.
     """
+
+    __slots__ = ("p", "n", "moves", "stored", "_readers", "_codes")
 
     def __init__(self, G: Hypergraph, p: int):
         n = G.n
@@ -158,8 +174,26 @@ class _CodeTable:
         self.moves = all_moves(G)
         # p >= 2, so the first test keeps p ** n from growing with huge n
         self.stored = n < TABLE_STATES.bit_length() and p ** n <= TABLE_STATES
-        #: code -> per move in all_moves order, the code it leads to or ILLEGAL
-        self.successors = _row_reader(p, n, G.edges, self.moves, self.stored)
+        self._codes = {}
+        size, width = p ** n, _chunk_width(p, n)
+        self._readers = []  # per chunk, the least significant first: its codes, parts met, filler
+        for first in reversed(range(0, n, width)):
+            digits = min(width, n - first)
+            self._readers.append((p ** digits, {}, _part_filler(
+                p, G.edges, self.moves, first, digits, p ** (n - first - digits), size)))
+
+    def __missing__(self, code: int) -> tuple:
+        sums, rest = None, code
+        for radix, parts, fill in self._readers:
+            rest, c = divmod(rest, radix)
+            part = parts.get(c)
+            if part is None:
+                part = parts[c] = fill(c)
+            sums = part if sums is None else map(add, sums, part)
+        row = tuple([c if c >= 0 else ILLEGAL for c in sums])
+        if self.stored:
+            row = self[code] = tuple(map(self._codes.setdefault, row, row))
+        return row
 
     def key(self, w: State) -> int:
         """The code of w, or ILLEGAL when w is not a state of this instance."""
@@ -192,51 +226,6 @@ def _digits(p: int, digits: int, c: int) -> State:
     for i in range(digits - 1, -1, -1):
         c, out[i] = divmod(c, p)
     return tuple(out)
-
-
-def _row_reader(p: int, n: int, edges, moves, stored: bool) -> dict:
-    """The successor rows of a _CodeTable: a dict from code to row tuple.
-
-    A move changes each digit on its own, without carries, so the code
-    it leads to is the sum of one part per chunk of digits (_chunk_width):
-    the chunk's new digits, in place.  A chunk's parts are filled the
-    first time its chunk code is read, and only for the moves whose edge
-    meets the chunk; the other moves leave it as it is.  A move whose
-    mover holds 0 is illegal; its chunk's part is -p^n there, which
-    leaves the sum negative.  The dict sums a missing row on the read and,
-    when rows are stored, keeps it, so every later read is one lookup.
-    """
-    size, width = p ** n, _chunk_width(p, n)
-    readers = []  # per chunk, the least significant first: its codes, parts met, filler
-    for first in reversed(range(0, n, width)):
-        digits = min(width, n - first)
-        readers.append((p ** digits, {}, _part_filler(p, edges, moves, first, digits,
-                                                      p ** (n - first - digits), size)))
-    return _Rows(readers, stored)
-
-
-class _Rows(dict):
-    """_row_reader's dict.  Stored rows share one int object per code, so a
-    search matches its keys by identity; one class serves every engine,
-    since a class object is a reference cycle only full collections free."""
-
-    __slots__ = ("_readers", "_stored", "_codes")
-
-    def __init__(self, readers: list, stored: bool):
-        self._readers, self._stored, self._codes = readers, stored, {}
-
-    def __missing__(self, code: int) -> tuple:
-        sums, rest = None, code
-        for radix, parts, fill in self._readers:
-            rest, c = divmod(rest, radix)
-            part = parts.get(c)
-            if part is None:
-                part = parts[c] = fill(c)
-            sums = part if sums is None else map(add, sums, part)
-        row = tuple([c if c >= 0 else ILLEGAL for c in sums])
-        if self._stored:
-            row = self[code] = tuple(map(self._codes.setdefault, row, row))
-        return row
 
 
 def _part_filler(p: int, edges, moves, first: int, digits: int, scale: int, size: int):
@@ -328,7 +317,6 @@ def orbit_bfs(
     """
     start = validate_state(p, G.n, start)
     space = state_space(G, p)
-    successors = space.successors
     origin = space.key(start)
     goal = ILLEGAL if stop_at is None else space.key(validate_state(p, G.n, stop_at))
     links: dict = {origin: None}
@@ -336,7 +324,7 @@ def orbit_bfs(
     if goal == origin:
         return OrbitResult(G, p, start, space, links)
     for key in order:  # the visit list is the queue: it grows while it is read
-        for k, nxt in enumerate(successors[key]):
+        for k, nxt in enumerate(space[key]):
             if nxt in links or nxt == ILLEGAL:
                 continue
             if len(links) >= max_states:
@@ -427,9 +415,9 @@ def oracle_escape(
     # the mirrors of the orbit states not yet known to reach w2, in visit order
     unreached = dict.fromkeys(map(top.__sub__, orbit._links))
     del unreached[target]
-    todo, successors = [target], space.successors
+    todo = [target]
     while todo:
-        for s in successors[todo.pop()]:
+        for s in space[todo.pop()]:
             if s in unreached:
                 del unreached[s]
                 todo.append(s)

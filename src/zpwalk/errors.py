@@ -82,8 +82,8 @@ class SynthesisIncomplete(ZpwalkError):
 
     Nothing in the package raises it: synthesis runs no search and no
     recursion, so on the well-shaped family it does not give up.  The
-    self-test counts one as a divergence; the type stays for the tallies
-    of scripts/synthesis_completeness.py and the benchmark.
+    type stays for the tallies of scripts/synthesis_completeness.py and
+    the benchmark.
     """
 
 

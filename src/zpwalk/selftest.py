@@ -48,7 +48,6 @@ from .errors import (
     InternalSynthesisFailure,
     MismatchError,
     NotGood,
-    SynthesisIncomplete,
     UnreachableTarget,
     Unsolvable,
 )
@@ -94,7 +93,7 @@ class SelftestReport:
     generated_instances: int = 0
     witness_positive: int = 0
     certified_negative: int = 0
-    #: stays 0 (a give-up is a divergence); perfbench's selftest tally reads it
+    #: stays 0 (nothing raises SynthesisIncomplete); perfbench's selftest tally reads it
     synthesis_incomplete: int = 0
     nongood_pairs_checked: int = 0
     nongood_solvable_unreachable: int = 0
@@ -231,7 +230,7 @@ def _structural_sweep(
     space = state_space(G, p)
     keys = [space.key(w) for w in states]
     for i, key in enumerate(keys):
-        if [s for s in space.successors[key] if s != ILLEGAL] != [keys[j] for j in succ[i]]:
+        if [s for s in space[key] if s != ILLEGAL] != [keys[j] for j in succ[i]]:
             report.divergences.append(
                 f"{label}: the search engine's successors of {states[i]} differ from "
                 f"the enumerated digraph's"
@@ -417,13 +416,12 @@ def _synthesis_sweep(
 def _witness_schedule(
     G: Hypergraph, p: int, w1: State, w2: State, report: SelftestReport
 ) -> bool:
-    """Synthesize and replay one schedule; False when synthesis gave up,
-    failed or refused the pair (each is a divergence on a pair the rule
-    accepts, not a crash of the sweep)."""
+    """Synthesize and replay one schedule; False when synthesis failed or
+    refused the pair (each is a divergence on a pair the rule accepts,
+    not a crash of the sweep)."""
     try:
         schedule = synthesize_schedule(G, p, w1, w2)
-    except (IllegalMove, InternalSynthesisFailure, SynthesisIncomplete, Unsolvable,
-            UnreachableTarget) as err:
+    except (IllegalMove, InternalSynthesisFailure, Unsolvable, UnreachableTarget) as err:
         report.divergences.append(
             f"{G.n}v/{G.m}e p={p}: synthesis for {w1} -> {w2} failed: {err}"
         )

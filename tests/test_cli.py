@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zpwalk import cli, generate, hypergraph
-from zpwalk.cli import build_parser, main
+from zpwalk.cli import EXIT_MISMATCH, build_parser, main
 from zpwalk.dynamics import parse_schedule, parse_state, replay_schedule
+from zpwalk.errors import InternalSynthesisFailure, MismatchError
 from zpwalk.hypergraph import format_hypergraph, make_hypergraph, parse_hypergraph
 
 TRIANGLE_FILE = "data/triangle.hg"  # three 2-edges: parses, is not well-shaped
@@ -72,6 +73,38 @@ def test_check_good_flags_the_triangle(capsys):
 def test_check_good_passes_regular_input(e3, capsys):
     assert main(["check-good", e3]) == 0
     assert "good" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, line", [
+    ("p 3\nvertices 4\nedge 0 1 2\nedge 0 1 3\n",
+     "  big_intersection: edges 0 and 1 share vertices [0, 1]"),
+    ("p 3\nvertices 6\nedge 0 1 2\nedge 3 4 5\n",
+     "  disconnected: separate components around vertices [0, 3]"),
+])
+def test_check_good_names_each_kind_of_violation(tmp_path, capsys, text, line):
+    f = tmp_path / "bad.hg"
+    f.write_text(text)
+    assert main(["check-good", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["not good (1 violations)", line]
+
+
+@pytest.mark.parametrize("argv, answer", [
+    (["reach", TRIANGLE_FILE, "--from", "1,1,1", "--to", "0,2,1"], "reachable"),
+    (["recur", TRIANGLE_FILE, "--from", "1,1,1", "--to", "2,2,2"],
+     "not recurrent: some walk loses the target for good"),
+    (["classify", TRIANGLE_FILE, "--state", "1,1,1"], "transient"),
+])
+def test_allow_nongood_decides_irregular_input_by_search(capsys, argv, answer):
+    """In the default mode --allow-nongood falls back to the oracle and
+    says so; the answer and exit code are the oracle's."""
+    oracle = main(argv + ["--mode", "oracle"])
+    capsys.readouterr()
+    assert main(argv + ["--allow-nongood"]) == oracle
+    assert capsys.readouterr().out.splitlines() == [
+        "irregular hypergraph: deciding by search only", answer]
+    assert main(["--json", *argv, "--allow-nongood"]) == oracle
+    report = json.loads(capsys.readouterr().out)
+    assert report["input"]["mode"] == "oracle" and report["method"] == "oracle"
 
 
 # ------------------------------------------------------- reach / recur
@@ -198,6 +231,17 @@ def test_schedule_unreachable_exits_negative(e5, capsys):
     code = main(["schedule", e5, "--from", "1,0,0,0,0", "--to", "0,1,0,0,1"])
     assert code == 1
     assert capsys.readouterr().err
+
+
+def test_verify_without_a_target_reports_the_final_state(e3, tmp_path, capsys):
+    sched = tmp_path / "one.sched"
+    sched.write_text("v 0 e 0\n")
+    assert main(["verify", e3, str(sched), "--from", "1,0,0"]) == 0
+    assert capsys.readouterr().out == "replays legally; final state 0,1,1\n"
+    assert main(["--json", "verify", e3, str(sched), "--from", "1,0,0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["answer"] is True and report["stats"]["final_state"] == "0,1,1"
+    assert "to" not in report["input"]
 
 
 def test_verify_illegal_schedule(e3, tmp_path, capsys):
@@ -380,6 +424,27 @@ def test_unread_knobs_are_hidden_from_help_and_still_parse(e5, capsys):
             assert "must be at least" in capsys.readouterr().err
 
 
+def test_internal_disagreement_is_exit_4(e5, monkeypatch, capsys):
+    """A decision's MismatchError and a synthesis replay failure are bugs,
+    reported as exit 4 with the error, never as an answer."""
+    def mismatch(*args, **kwargs):
+        raise MismatchError("algebra and search disagree")
+
+    def unreplayable(*args, **kwargs):
+        raise InternalSynthesisFailure("schedule fails replay")
+
+    monkeypatch.setattr(cli, "decide_reachability", mismatch)
+    monkeypatch.setattr(cli, "synthesize_schedule", unreplayable)
+    pair = ["--from", "1,0,0,0,0", "--to", "0,1,1,1,1"]
+    for argv, error in ((["reach", e5, *pair], "MismatchError"),
+                        (["schedule", e5, *pair], "InternalSynthesisFailure")):
+        assert main(argv) == EXIT_MISMATCH
+        assert f"error ({error})" in capsys.readouterr().err
+        assert main(["--json", *argv]) == EXIT_MISMATCH
+        report = json.loads(capsys.readouterr().out)
+        assert report["answer"] is None and report["error"]["type"] == error
+
+
 # ------------------------------------------------------------------ json
 
 
@@ -484,6 +549,18 @@ def test_selftest_smoke(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "divergences: none" in out
+
+
+def test_selftest_reports_progress_unless_quiet(capsys):
+    argv = ["selftest", "--max-n", "3", "--generated", "1", "--schedule-targets", "2"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-2:] == ["divergences: none", "selftest passed"]
+    progress = captured.err.splitlines()
+    assert progress and all(line.startswith("  .. ") for line in progress)
+    assert main(argv + ["--quiet"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "divergences: none" and captured.err == ""
 
 
 def test_selftest_json(capsys):

@@ -17,7 +17,6 @@ import pytest
 from zpwalk import decision, hypergraph
 from zpwalk.decision import (
     MODE_ALGEBRAIC,
-    Certificate,
     StateClass,
     _closed_form_solution,
     _rank,

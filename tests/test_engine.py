@@ -174,14 +174,14 @@ def assert_rows_match(space, G, p, w):
     """w's row holds its moves, and its mirror's row, mirrored, its un-moves."""
     key = space.key(w)
     assert space.state(key) == w
-    forward = space.successors[key]
+    forward = space[key]
     assert len(forward) == len(space.moves)
     for move, nxt in zip(space.moves, forward):
         expected = step(G, p, w, move)
         assert nxt == (ILLEGAL if expected is None else space.key(expected)), (G, p, w, move)
     top = p**G.n - 1
     unmoved = [None if c == ILLEGAL else space.state(top - c)
-               for c in space.successors[top - key]]
+               for c in space[top - key]]
     assert unmoved == [trial_unmove(G, p, w, move) for move in space.moves], (G, p, w)
 
 
@@ -274,7 +274,7 @@ def test_a_stored_engine_keeps_one_row_per_code_it_reads(monkeypatch):
     start = (1, 0, 2, 0, 1)
     G = fresh(TWO_EDGES)
     orbit = orbit_bfs(G, 3, start)
-    rows = state_space(G, 3).successors
+    rows = state_space(G, 3)
     assert list(rows) == list(orbit._links)  # one row per visited code, in visit order
     orbit_bfs(G, 3, start)
     assert len(rows) == len(orbit)
@@ -282,7 +282,7 @@ def test_a_stored_engine_keeps_one_row_per_code_it_reads(monkeypatch):
     G = fresh(TWO_EDGES)
     orbit_bfs(G, 3, start)
     oracle_escape(G, 3, start, orbit.order[-1])
-    assert len(state_space(G, 3).successors) == 0
+    assert len(state_space(G, 3)) == 0
 
 
 @pytest.mark.parametrize("G, p", LARGE, ids=["7v-p5", "301v-p3", "E3-pmax"])

@@ -1,6 +1,6 @@
-"""Source hygiene: every module of the package uses what it imports,
-every private module-level name is read somewhere in the package, and
-the judge shares no step with what it judges.
+"""Source hygiene: every module of the package, script and test uses
+what it imports, every private module-level name is read somewhere in
+the package, and the judge shares no step with what it judges.
 
 The package's own __init__ is left out of the import check: it imports
 to re-export.
@@ -15,6 +15,9 @@ import zpwalk
 
 PACKAGE = sorted(Path(zpwalk.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parent.parent
+#: the scripts and tests, whose imports are checked like the package's
+AUXILIARY = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -150,9 +153,12 @@ def test_the_check_sees_a_shared_step():
 
 def test_the_package_modules_are_found():
     assert {"decision.py", "dynamics.py", "hypergraph.py"} <= {p.name for p in MODULES}
+    assert {"scripts/oracle_ladder.py", "tests/test_hygiene.py"} <= {
+        p.relative_to(ROOT).as_posix() for p in AUXILIARY}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + AUXILIARY, ids=lambda p: (
+    p.name if p in MODULES else p.relative_to(ROOT).as_posix()))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

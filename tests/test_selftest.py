@@ -160,14 +160,13 @@ def test_the_triangle_pairs_build_one_table(table_builds):
 def test_a_wrong_table_row_is_a_divergence(monkeypatch):
     """The sweep diffs the engine's rows against its own enumeration."""
     G = Hypergraph(3, ((0, 1, 2),))
-    row = dynamics._row_reader
 
-    def skewed(*args):
-        rows = row(*args)
-        rows[13] = rows[14]
-        return rows
+    class Skewed(dynamics._CodeTable):
+        def __init__(self, G, p):
+            super().__init__(G, p)
+            self[13] = self[14]
 
-    monkeypatch.setattr(dynamics, "_row_reader", skewed)
+    monkeypatch.setattr(dynamics, "_CodeTable", Skewed)
     report = SelftestReport()
     _structural_sweep(G, 3, random.Random(3), report)
     assert any("search engine's successors of (1, 1, 1)" in d for d in report.divergences)
