@@ -19,7 +19,9 @@ Both searches run on one engine per (G, p), cached on G (state_space):
 a dict from a state's base-p code, at every size, to its row of
 successor codes.  A missing row is summed from per-chunk parts of its
 code; up to TABLE_STATES = 2^16 states the dict keeps it, so every
-later query on the instance reads it with one lookup.
+later query on the instance reads it with one lookup.  A search links
+each state it visits to its parent's key alone; the move between them
+is read back from the parent's row only when a schedule is extracted.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def parse_state(text: str, p: int, n: int) -> State:
 
 
 def format_state(w: State) -> str:
-    return ",".join(str(x) for x in w)
+    return ",".join(map(str, w))
 
 
 def _step(G: Hypergraph, p: int, w: list[int], move: Move) -> None:
@@ -274,24 +276,23 @@ def state_space(G: Hypergraph, p: int) -> _CodeTable:
 class OrbitResult:
     """BFS closure of a start state under legal moves.
 
-    The search keeps the engine's state keys (see state_space) and, per
-    key, the (previous key, move index) link that first discovered it
-    (None for the start): len, `in` and extract_schedule read them
-    directly.  order, the deterministic visit order, is built as states
-    only when read, each state stepped from the one that discovered it.
+    The search keeps the engine's state keys (see state_space), in visit
+    order, and per key its link: the key of the state that first
+    discovered it (None for the start).  len and `in` read them
+    directly.  The move behind a link is not stored: extract_schedule
+    reads it back as the first entry of the parent's row that equals the
+    key, since the key was unseen when its parent's row was expanded.
+    order, the deterministic visit order, is decoded to states only when
+    read.
     """
 
-    def __init__(self, G: Hypergraph, p: int, start: State, space, links: dict):
+    def __init__(self, start: State, space, links: dict):
         self.start = start
-        self._G, self._p, self._space, self._links = G, p, space, links
+        self._space, self._links = space, links
 
     @cached_property
     def order(self) -> tuple[State, ...]:
-        states, moves = {}, self._space.moves
-        for key, link in self._links.items():  # in visit order: a key's link is older
-            states[key] = self.start if link is None else apply_move(
-                self._G, self._p, states[link[0]], moves[link[1]])
-        return tuple(states.values())
+        return tuple(map(self._space.state, self._links))
 
     def __contains__(self, w: State) -> bool:
         return self._space.key(w) in self._links
@@ -322,33 +323,35 @@ def orbit_bfs(
     links: dict = {origin: None}
     order = [origin]
     if goal == origin:
-        return OrbitResult(G, p, start, space, links)
+        return OrbitResult(start, space, links)
+    links[ILLEGAL] = None  # seen, so a row entry costs one membership test
     for key in order:  # the visit list is the queue: it grows while it is read
-        for k, nxt in enumerate(space[key]):
-            if nxt in links or nxt == ILLEGAL:
+        for nxt in space[key]:
+            if nxt in links:
                 continue
-            if len(links) >= max_states:
+            if len(links) > max_states:  # the sentinel is one of them
                 raise StateSpaceTooLarge(
                     f"orbit exceeds {max_states} states; refusing to truncate"
                 )
-            links[nxt] = (key, k)
+            links[nxt] = key
             order.append(nxt)
             if nxt == goal:
-                return OrbitResult(G, p, start, space, links)
-    return OrbitResult(G, p, start, space, links)
+                del links[ILLEGAL]
+                return OrbitResult(start, space, links)
+    del links[ILLEGAL]
+    return OrbitResult(start, space, links)
 
 
 def extract_schedule(orbit: OrbitResult, target: State) -> Schedule:
     """Witness schedule start -> target from BFS predecessor links."""
     if target not in orbit:
         raise ValueError(f"state {target} not in the explored orbit")
-    links, moves = orbit._links, orbit._space.moves
+    links, space = orbit._links, orbit._space
     path: list[Move] = []
-    link = links[orbit._space.key(target)]
-    while link is not None:
-        key, k = link
-        path.append(moves[k])
-        link = links[key]
+    key = space.key(target)
+    while (parent := links[key]) is not None:
+        path.append(space.moves[space[parent].index(key)])
+        key = parent
     path.reverse()
     return Schedule(tuple(path))
 

@@ -235,17 +235,20 @@ def enumerate_digraph(G, p: int):
     """
     states = list(itertools.product(range(p), repeat=G.n))
     index = {s: i for i, s in enumerate(states)}
-    moves = [(v, e) for e in G.edges for v in e]
+    # the mover loses one unit net (+1 with its edge, -2 as the mover)
+    moves = [(v, [u for u in e if u != v]) for e in G.edges for v in e]
+    up = [(x + 1) % p for x in range(p)]
+    down = [(x - 1) % p for x in range(p)]
     succ: list[list[int]] = [[] for _ in states]
-    for i, w in enumerate(states):
-        for v, e in moves:
+    for w, row in zip(states, succ):
+        for v, others in moves:
             if w[v] == 0:
                 continue
             nxt = list(w)
-            for u in e:
-                nxt[u] = (nxt[u] + 1) % p
-            nxt[v] = (nxt[v] - 2) % p
-            succ[i].append(index[tuple(nxt)])
+            for u in others:
+                nxt[u] = up[w[u]]
+            nxt[v] = down[w[v]]
+            row.append(index[tuple(nxt)])
     return states, index, succ
 
 
@@ -257,7 +260,8 @@ def condense(succ: list[list[int]]) -> tuple[list[int], list[int]]:
     Tarjan closes a component only after every component it reaches,
     so one pass completes each mask from its successors' masks.  A
     node's position on the stack serves as its Tarjan index: the stack
-    holds the open nodes in the order they were found.
+    holds the open nodes in the order they were found.  The work stack
+    holds one iterator over its successors per open node of the search.
     """
     comp = [-1] * len(succ)
     pos = [-1] * len(succ)
@@ -267,34 +271,35 @@ def condense(succ: list[list[int]]) -> tuple[list[int], list[int]]:
     for root in range(len(succ)):
         if pos[root] != -1:
             continue
-        work = [(root, 0)]
+        pos[root] = low[root] = len(stack)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            node, ptr = work.pop()
-            if ptr == 0:
-                pos[node] = low[node] = len(stack)
-                stack.append(node)
-            if ptr < len(succ[node]):
-                work.append((node, ptr + 1))
-                nxt = succ[node][ptr]
+            node, todo = work[-1]
+            for nxt in todo:
                 if pos[nxt] == -1:
-                    work.append((nxt, 0))
-                elif comp[nxt] == -1:
+                    pos[nxt] = low[nxt] = len(stack)
+                    stack.append(nxt)
+                    work.append((nxt, iter(succ[nxt])))
+                    break
+                if comp[nxt] == -1:
                     low[node] = min(low[node], pos[nxt])
-                continue
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == pos[node]:
-                members = stack[pos[node]:]
-                del stack[pos[node]:]
-                for x in members:
-                    comp[x] = len(reach)
-                mask = 1 << len(reach)
-                for x in members:
-                    for y in succ[x]:
-                        if comp[y] != comp[x]:
-                            mask |= reach[comp[y]]
-                reach.append(mask)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == pos[node]:
+                    members = stack[pos[node]:]
+                    del stack[pos[node]:]
+                    for x in members:
+                        comp[x] = len(reach)
+                    mask = 1 << len(reach)
+                    for x in members:
+                        for y in succ[x]:
+                            if comp[y] != comp[x]:
+                                mask |= reach[comp[y]]
+                    reach.append(mask)
     return comp, reach
 
 

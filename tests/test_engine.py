@@ -259,6 +259,52 @@ def test_the_state_cap_trips_at_the_same_count(engine):
                 assert_trips_alike(G, p, start, cap, stop_at)
 
 
+def test_a_repeated_edge_links_each_state_by_its_first_move(engine):
+    """Edges 0 and 1 are equal, so every row holds each successor twice; a
+    link's move, read back from the parent's row, is the first: edge 0's."""
+    G = fresh(Hypergraph(4, ((0, 1, 2), (0, 1, 2), (1, 2, 3))))
+    space = state_space(G, 3)
+    rng = random.Random(1205)
+    for _ in range(3):
+        start = tuple(rng.randrange(1, 3) for _ in range(G.n))
+        order, links = plain_bfs(G, 3, start)
+        orbit = orbit_bfs(G, 3, start)
+        assert_links_match(orbit, order, links)
+        for w in order:
+            row = space[space.key(w)]
+            assert row[:3] == row[3:6]
+            assert all(move.edge != 1 for move in extract_schedule(orbit, w)), w
+        target = order[-1]
+        assert_links_match(orbit_bfs(G, 3, start, stop_at=target),
+                           *plain_bfs(G, 3, start, stop_at=target))
+
+
+def test_the_seen_sentinel_never_leaks(engine):
+    """ILLEGAL marks illegal row entries as seen during a search; no result
+    holds it, and it does not count toward the state cap."""
+    G = fresh(TWO_EDGES)
+    start = (1, 0, 2, 0, 1)
+    order, _ = plain_bfs(G, 3, start)
+    outside = (0, 3, 0, 0, 0)  # an entry out of range: its key is ILLEGAL
+    assert state_space(G, 3).key(outside) == ILLEGAL
+    i = len(order) // 2
+    results = [(orbit_bfs(G, 3, start), len(order)),
+               (orbit_bfs(G, 3, start, stop_at=order[i]), i + 1),
+               (oracle_escape(G, 3, start, order[i])[0], len(order))]
+    for orbit, size in results:
+        assert outside not in orbit
+        assert ILLEGAL not in orbit._links
+        assert len(orbit) == len(orbit.order) == size
+    for k in (1, 2, i, i + 1, len(order) - 1):
+        with pytest.raises(StateSpaceTooLarge, match=f"exceeds {k} states"):
+            orbit_bfs(G, 3, start, max_states=k)
+        # the k-th state visited is found at cap k, the next one is not
+        assert len(orbit_bfs(G, 3, start, max_states=k, stop_at=order[k - 1])) == k
+        with pytest.raises(StateSpaceTooLarge, match=f"exceeds {k} states"):
+            orbit_bfs(G, 3, start, max_states=k, stop_at=order[k])
+    assert len(orbit_bfs(G, 3, start, max_states=len(order))) == len(order)
+
+
 def test_repeated_queries_read_the_same_rows(engine):
     G = fresh(TWO_EDGES)
     first = orbit_bfs(G, 3, (1, 0, 2, 0, 1))

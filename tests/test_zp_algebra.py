@@ -276,6 +276,44 @@ def test_move_effect_functionals_are_the_balance_kernel():
         tuple(int(u == v) for u in range(4)) for v in range(4))
 
 
+def plain_successors(G, p, w):
+    """w's successors, one per legal (edge, vertex) move in that order: +1 on
+    every vertex of the edge, then -2 at the mover."""
+    out = []
+    for e in G.edges:
+        for v in e:
+            if w[v] != 0:
+                t = [(x + 1) % p if u in e else x for u, x in enumerate(w)]
+                t[v] = (t[v] - 2) % p
+                out.append(tuple(t))
+    return out
+
+
+def seeded_hypergraph(rng, n):
+    """Random edges on the first n - 1 vertices, one of them of two vertices
+    and one repeated; the last vertex is on no edge."""
+    pool = range(n - 1)
+    edges = [tuple(sorted(rng.sample(pool, 2)))]
+    edges += [tuple(sorted(rng.sample(pool, rng.randint(2, n - 1))))
+              for _ in range(rng.randint(1, 2))]
+    edges.append(rng.choice(edges))
+    rng.shuffle(edges)
+    return Hypergraph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("p, sizes", [(3, (3, 5, 6)), (5, (3, 4, 5)), (7, (3, 4))])
+def test_enumerated_successors_follow_a_plain_step(p, sizes):
+    rng = random.Random(2300 + p)
+    for n in sizes:
+        for _ in range(2):
+            G = seeded_hypergraph(rng, n)
+            states, index, succ = enumerate_digraph(G, p)
+            assert states == list(itertools.product(range(p), repeat=n))
+            assert all(index[w] == i for i, w in enumerate(states))
+            for w, row in zip(states, succ):
+                assert [states[j] for j in row] == plain_successors(G, p, w), (G, w)
+
+
 @pytest.mark.parametrize("G,p", [(TRIANGLE, 3), (EDGELESS, 3),
                                  (Hypergraph(5, ((0, 1, 2), (2, 3, 4))), 3),
                                  (Hypergraph(4, ((0, 1, 2, 3),)), 5)])
