@@ -2,15 +2,17 @@
 """Time the search oracle on a fixed ladder of instances.
 
 For each rung, a seeded well-shaped hypergraph and a seeded charged
-source: the seconds of `orbit_bfs` (the full orbit) and of
-`oracle_escape` (the orbit plus the back-sweep from a seeded target in
-it), each once on a fresh copy of the hypergraph (first query, nothing
-cached) and then repeated on the same copy (repeated query, the
-instance's engine warm).  States per second divide the orbit size by
-those seconds.  `stored` says whether the instance has at most
-`dynamics.TABLE_STATES` states, so that its engine stores each row once;
-above the bound every row is summed afresh on each visit.  One JSON line
-per rung, and all of them, with the seed and the repeats, in
+source: the CPU seconds (time.process_time) of `orbit_bfs` (the full
+orbit) and of `oracle_escape` (the orbit plus the back-sweep from a
+seeded target in it).  The first query is the median over `--repeats`
+fresh copies of the hypergraph, nothing cached; the repeated query is
+the median of as many more on the last copy.  States per second divide
+the orbit size by those seconds.  `stored` says whether the instance has
+at most `dynamics.TABLE_STATES` states, so that its engine stores each
+row once and stays cached on the hypergraph, warm for a repeated query;
+above the bound each query builds its own engine and sums every row
+afresh on each visit, so a repeat costs what a first query does.  One
+JSON line per rung, and all of them, with the seed and the repeats, in
 `BENCH_oracle_ladder.json` at the root of the repository; stdlib only.
 
     PYTHONPATH=src python3 scripts/oracle_ladder.py
@@ -41,9 +43,9 @@ OUT = Path(__file__).resolve().parent.parent / "BENCH_oracle_ladder.json"
 
 
 def _seconds(fn) -> float:
-    start = time.perf_counter()
+    start = time.process_time()
     fn()
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def measure(n: int, m: int, p: int, rng: random.Random, repeats: int) -> dict:
@@ -56,8 +58,11 @@ def measure(n: int, m: int, p: int, rng: random.Random, repeats: int) -> dict:
     queries = {"orbit_bfs": lambda H: orbit_bfs(H, p, w1),
                "oracle_escape": lambda H: oracle_escape(H, p, w1, w2)}
     for name, query in queries.items():
-        fresh = Hypergraph(G.n, G.edges)  # no engine cached on it yet
-        first = _seconds(lambda: query(fresh))
+        firsts = []
+        for _ in range(repeats):
+            fresh = Hypergraph(G.n, G.edges)  # no engine cached on it yet
+            firsts.append(_seconds(lambda: query(fresh)))
+        first = statistics.median(firsts)
         repeat = statistics.median(_seconds(lambda: query(fresh)) for _ in range(repeats))
         row[f"{name}.first_s"] = round(first, 4)
         row[f"{name}.repeat_s"] = round(repeat, 4)
@@ -70,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeats", type=int, default=3,
-                    help="repeated queries per rung; their median is reported")
+                    help="first and repeated queries per rung; their medians are reported")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")

@@ -15,13 +15,15 @@ recurrence oracle then sweeps the orbit's mirror image forward from its
 target's mirror: undoing a move on w is the same move on p-1-w, mirrored
 back, so the search has one direction.
 
-Both searches run on one engine per (G, p), cached on G (state_space):
-a dict from a state's base-p code, at every size, to its row of
-successor codes.  A missing row is summed from per-chunk parts of its
-code; up to TABLE_STATES = 2^16 states the dict keeps it, so every
-later query on the instance reads it with one lookup.  A search links
-each state it visits to its parent's key alone; the move between them
-is read back from the parent's row only when a schedule is extracted.
+Both searches run on an engine of (G, p) (state_space): a dict from a
+state's base-p code, at every size, to its row of successor codes.  A
+missing row is summed from per-chunk parts of its code.  TABLE_STATES =
+2^16 states bounds what outlives a query: up to it the dict keeps each
+row and G caches the engine, so later queries read a row in one lookup;
+above it each query's result holds its own engine, parts and all.  A
+search links each state it visits to its parent's key alone; the move
+between them is read back from the parent's row only when a schedule is
+extracted.
 """
 
 from __future__ import annotations
@@ -265,11 +267,12 @@ def _part_filler(p: int, edges, moves, first: int, digits: int, scale: int, size
 
 
 def state_space(G: Hypergraph, p: int) -> _CodeTable:
-    """The search engine of (G, p), built on first use and cached on G."""
-    spaces = G.state_spaces
-    space = spaces.get(p)
+    """The search engine of (G, p), cached on G only when it stores its rows."""
+    space = G.state_spaces.get(p)
     if space is None:
-        space = spaces[p] = _CodeTable(G, p)
+        space = _CodeTable(G, p)
+        if space.stored:
+            G.state_spaces[p] = space
     return space
 
 

@@ -67,8 +67,8 @@ class Hypergraph:
 
     @cached_property
     def state_spaces(self) -> dict:
-        """The dynamics' search engine per modulus, over base-p state codes at
-        every size (dynamics.state_space)."""
+        """The dynamics' search engine per modulus, for the engines that store
+        their rows: at most TABLE_STATES states (dynamics.state_space)."""
         return {}
 
     @cached_property

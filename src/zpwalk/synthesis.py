@@ -66,6 +66,7 @@ from .errors import (
     PairNotGood,
     UnreachableTarget,
     Unsolvable,
+    ZpwalkError,
 )
 from .hypergraph import Hypergraph, is_good
 from .zp_algebra import mod_inverse, validate_modulus
@@ -275,11 +276,9 @@ def _on_edge(b: _Builder, edge: int, target) -> None:
     """Move only on one edge of b.G until it holds target's values.
 
     target is anything indexable by b's vertex ids (a full state or a
-    dict covering the edge's vertices).
+    dict covering the edge's vertices).  The edge has 3 or more vertices.
     """
     e = b.G.edges[edge]
-    if len(e) < 3:
-        raise ValueError("need an edge with at least 3 vertices")
     goal = tuple(target[v] for v in e)
     if all(b.state[v] == x for v, x in zip(e, goal)):
         return
@@ -330,7 +329,9 @@ def synthesize_schedule(
             raise error(message)
         try:
             _peel(b, w2)
-        except (Unsolvable, UnreachableTarget) as err:
+        except InternalSynthesisFailure:
+            raise
+        except ZpwalkError as err:  # an illegal move or a bad anchor pair included
             raise InternalSynthesisFailure(f"a phase checked valid was refused: {err}") from None
     schedule = Schedule(tuple(b.moves))
     if replay_schedule(G, p, w1, schedule) != w2:

@@ -166,7 +166,7 @@ def test_the_bound_is_on_the_number_of_states(monkeypatch):
         space = state_space(fresh(E5), 3)
         assert type(space) is dynamics._CodeTable and space.stored is stored
     G = fresh(E5)
-    assert state_space(G, 3) is state_space(G, 3)  # cached on G
+    assert state_space(G, 3) is not state_space(G, 3)  # summed: not cached on G
     assert state_space(G, 3) is not state_space(G, 5)
 
 
@@ -310,7 +310,7 @@ def test_repeated_queries_read_the_same_rows(engine):
     first = orbit_bfs(G, 3, (1, 0, 2, 0, 1))
     space = state_space(G, 3)
     again = orbit_bfs(G, 3, (1, 0, 2, 0, 1))
-    assert state_space(G, 3) is space
+    assert (state_space(G, 3) is space) is engine
     assert again.order == first.order
     for w in first.order:
         assert extract_schedule(again, w) == extract_schedule(first, w)
@@ -329,6 +329,36 @@ def test_a_stored_engine_keeps_one_row_per_code_it_reads(monkeypatch):
     orbit_bfs(G, 3, start)
     oracle_escape(G, 3, start, orbit.order[-1])
     assert len(state_space(G, 3)) == 0
+
+
+def test_only_a_stored_engine_outlives_its_query(engine):
+    """TABLE_STATES bounds what a search keeps between queries: a stored
+    engine stays cached on G, a summed one lives in the result of the
+    query that built it, which still answers as the plain search does."""
+    G, start = fresh(TWO_EDGES), (1, 0, 2, 0, 1)
+    order, links = plain_bfs(G, 3, start)
+    target = order[len(order) // 2]
+    orbit = orbit_bfs(G, 3, start)
+    assert (3 in G.state_spaces) is engine
+    partial = orbit_bfs(G, 3, start, stop_at=target)
+    assert (3 in G.state_spaces) is engine
+    escaped, escape = oracle_escape(G, 3, start, target)
+    assert (3 in G.state_spaces) is engine
+    with pytest.raises(StateSpaceTooLarge):
+        orbit_bfs(G, 3, start, max_states=len(order) - 1)
+    assert (3 in G.state_spaces) is engine
+    engines = {id(result._space) for result in (orbit, partial, escaped)}
+    assert len(engines) == (1 if engine else 3)
+    for result in (orbit, escaped):
+        assert_links_match(result, order, links)
+        assert all(w in result for w in order)
+    assert_links_match(partial, *plain_bfs(G, 3, start, stop_at=target))
+    assert escape == plain_escape(G, 3, start, target)
+    for H, p in LARGE:  # natively above the bound
+        H = fresh(H)
+        t = successors(H, p, (1,) * H.n)[0][1]
+        assert t in orbit_bfs(H, p, (1,) * H.n, stop_at=t)
+        assert p not in H.state_spaces
 
 
 @pytest.mark.parametrize("G, p", LARGE, ids=["7v-p5", "301v-p3", "E3-pmax"])

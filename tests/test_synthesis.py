@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zpwalk import decision, hypergraph, synthesis
+from zpwalk.cli import EXIT_MISMATCH, main
 from zpwalk.decision import build_system
 from zpwalk.dynamics import (
     Move,
@@ -28,6 +29,7 @@ from zpwalk.dynamics import (
     replay_schedule,
 )
 from zpwalk.errors import (
+    InternalSynthesisFailure,
     NotGood,
     PairNotGood,
     UnreachableTarget,
@@ -35,7 +37,8 @@ from zpwalk.errors import (
     ZpwalkError,
 )
 from zpwalk.generate import gen_good_hypergraph
-from zpwalk.hypergraph import make_hypergraph
+from zpwalk.hypergraph import format_hypergraph, make_hypergraph
+from zpwalk.selftest import SelftestReport, _witness_schedule
 from zpwalk.synthesis import (
     _Builder,
     _single_edge_counts,
@@ -332,6 +335,34 @@ def test_synthesize_negative_cases():
     with pytest.raises(Unsolvable):
         # single 5-edge conserves total charge mod 3
         synthesize_schedule(single_edge(5), 3, (1, 0, 0, 0, 0), (0, 1, 0, 0, 1))
+
+
+#: a construction's own fault on E5's one edge from (1, 0, 0, 0, 0), where
+#: vertices 1 and 2 hold 0: a move at vertex 1, or rounds anchored at both
+CONSTRUCTION_FAULTS = {
+    "illegal_move": lambda b, edge, goal: b.emit(Move(1, edge)),
+    "bad_anchor_pair": lambda b, edge, goal: b.trick(edge, 1, 2, +1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONSTRUCTION_FAULTS))
+def test_a_construction_fault_is_an_internal_failure(fault, monkeypatch, tmp_path, capsys):
+    """Past the pair check, any deliberate error is synthesis's own bug:
+    InternalSynthesisFailure, exit 4 in the CLI, a divergence in selftest."""
+    monkeypatch.setattr(synthesis, "_descend_single_edge", CONSTRUCTION_FAULTS[fault])
+    G, w1, w2 = single_edge(5), (1, 0, 0, 0, 0), (0, 1, 1, 1, 1)
+    with pytest.raises(InternalSynthesisFailure, match="a phase checked valid was refused"):
+        synthesize_schedule(G, 3, w1, w2)
+    path = tmp_path / "e5.hg"
+    path.write_text(format_hypergraph(3, G))
+    pair = ["--from", "1,0,0,0,0", "--to", "0,1,1,1,1"]
+    for argv in (["schedule", str(path), *pair],
+                 ["reach", str(path), *pair, "--witness", "--mode", "algebraic"]):
+        assert main(argv) == EXIT_MISMATCH
+        assert "error (InternalSynthesisFailure)" in capsys.readouterr().err
+    report = SelftestReport()
+    assert not _witness_schedule(G, 3, w1, w2, report)
+    assert len(report.divergences) == 1 and "a phase checked valid" in report.divergences[0]
 
 
 def test_synthesize_two_edge_family_exhaustive_from_seed():
