@@ -44,7 +44,6 @@ from .dynamics import (
     state_space,
 )
 from .errors import (
-    IllegalMove,
     InternalSynthesisFailure,
     MismatchError,
     NotGood,
@@ -421,7 +420,7 @@ def _witness_schedule(
     not a crash of the sweep)."""
     try:
         schedule = synthesize_schedule(G, p, w1, w2)
-    except (IllegalMove, InternalSynthesisFailure, Unsolvable, UnreachableTarget) as err:
+    except (InternalSynthesisFailure, Unsolvable, UnreachableTarget) as err:
         report.divergences.append(
             f"{G.n}v/{G.m}e p={p}: synthesis for {w1} -> {w2} failed: {err}"
         )

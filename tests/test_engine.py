@@ -339,6 +339,7 @@ def test_only_a_stored_engine_outlives_its_query(engine):
     order, links = plain_bfs(G, 3, start)
     target = order[len(order) // 2]
     orbit = orbit_bfs(G, 3, start)
+    assert len(orbit._space) == (len(orbit) if engine else 0)  # rows it keeps
     assert (3 in G.state_spaces) is engine
     partial = orbit_bfs(G, 3, start, stop_at=target)
     assert (3 in G.state_spaces) is engine
@@ -349,6 +350,8 @@ def test_only_a_stored_engine_outlives_its_query(engine):
     assert (3 in G.state_spaces) is engine
     engines = {id(result._space) for result in (orbit, partial, escaped)}
     assert len(engines) == (1 if engine else 3)
+    if not engine:  # a summed engine keeps no row, whatever its query read
+        assert all(len(result._space) == 0 for result in (orbit, partial, escaped))
     for result in (orbit, escaped):
         assert_links_match(result, order, links)
         assert all(w in result for w in order)
@@ -357,7 +360,8 @@ def test_only_a_stored_engine_outlives_its_query(engine):
     for H, p in LARGE:  # natively above the bound
         H = fresh(H)
         t = successors(H, p, (1,) * H.n)[0][1]
-        assert t in orbit_bfs(H, p, (1,) * H.n, stop_at=t)
+        partial = orbit_bfs(H, p, (1,) * H.n, stop_at=t)
+        assert t in partial and len(partial._space) == 0
         assert p not in H.state_spaces
 
 

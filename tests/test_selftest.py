@@ -7,7 +7,7 @@ import pytest
 
 from zpwalk import dynamics, selftest
 from zpwalk.decision import build_system
-from zpwalk.errors import IllegalMove, Unsolvable
+from zpwalk.errors import InternalSynthesisFailure, Unsolvable
 from zpwalk.hypergraph import Hypergraph, is_good
 from zpwalk.selftest import (
     SelftestReport,
@@ -174,7 +174,7 @@ def test_a_wrong_table_row_is_a_divergence(monkeypatch):
 
 def test_a_failing_synthesis_is_a_divergence_not_a_crash(monkeypatch):
     def broken(G, p, w1, w2):
-        raise IllegalMove("vertex 0 has zero units")
+        raise InternalSynthesisFailure("vertex 0 has zero units")
 
     monkeypatch.setattr(selftest, "synthesize_schedule", broken)
     report = SelftestReport()
