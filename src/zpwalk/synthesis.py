@@ -9,11 +9,11 @@ toolbox, bottom up:
     adds +2 to every other vertex of the edge, so (p+1)/2 or (p-1)/2
     rounds add exactly +1 or -1.  Works whenever the anchor values are a
     "good pair" (is_good_pair: not both 0, not both p-1).
-  * the single-edge phase (_on_edge; single_edge_schedule on a one-edge
-    hypergraph) -- moves only on one edge until it holds its goal
-    values.  _single_edge_counts gives, in closed form, how often each
-    vertex of the edge must move (the minimum-norm solution of the
-    edge's move-counting system); the descent executes those moves
+  * the single-edge phase (_on_edge) -- moves only on one edge until it
+    holds its goal values (single_edge_schedule asks synthesize_schedule
+    on that edge alone).  _single_edge_counts gives, in closed form, how
+    often each vertex of the edge must move (the minimum-norm solution
+    of the edge's move-counting system); the descent executes those moves
     directly while legal and otherwise emulates one forced move at a
     charge-less vertex.  A bracket of two tricks lends it the unit and
     takes it back (2p + 1 moves); only when every other vertex holds
@@ -148,9 +148,9 @@ def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedul
     """Witness schedule w1 -> w2 on a hypergraph with exactly one edge.
 
     The edge needs at least 3 vertices (the tricks need a third vertex
-    to park charge on).  Raises UnreachableTarget when the source is
-    inert or the target has no predecessor, Unsolvable when the
-    move-counting system rules the pair out.
+    to park charge on).  The edge alone, e[i] renumbered i, goes through
+    synthesize_schedule: its refusals, its replay check, and for a
+    construction fault InternalSynthesisFailure, naming edge positions.
     """
     validate_modulus(p)
     if G.m != 1:
@@ -166,9 +166,9 @@ def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedul
         raise Unsolvable(
             f"states differ at vertex {mismatched[0]}, which the edge cannot touch"
         )
-    b = _Builder(G, p, w1)
-    _on_edge(b, 0, w2)
-    return Schedule(tuple(b.moves))
+    alone = Hypergraph(len(e), (tuple(range(len(e))),))
+    schedule = synthesize_schedule(alone, p, [w1[v] for v in e], [w2[v] for v in e])
+    return Schedule(tuple(Move(e[mv.vertex], 0) for mv in schedule.moves))
 
 
 def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
@@ -276,17 +276,14 @@ def _on_edge(b: _Builder, edge: int, target) -> None:
     """Move only on one edge of b.G until it holds target's values.
 
     target is anything indexable by b's vertex ids (a full state or a
-    dict covering the edge's vertices).  The edge has 3 or more vertices.
+    dict covering the edge's vertices).  The edge has 3 or more vertices;
+    the caller (the peel, or the descent's mirrored scratch) has proven
+    the phase empty or reachable.
     """
     e = b.G.edges[edge]
     goal = tuple(target[v] for v in e)
-    if all(b.state[v] == x for v, x in zip(e, goal)):
-        return
-    if not any(b.state[v] for v in e):
-        raise UnreachableTarget("the all-zero state admits no moves")
-    if all(x == b.p - 1 for x in goal):
-        raise UnreachableTarget("the target state has no predecessor")
-    _descend_single_edge(b, edge, goal)
+    if any(b.state[v] != x for v, x in zip(e, goal)):
+        _descend_single_edge(b, edge, goal)
 
 
 #: decision's negative certificate kinds, as the error synthesis raises for each

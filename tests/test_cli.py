@@ -4,6 +4,7 @@ Exit code map under test: 0 decided-positive, 1 decided-negative,
 2 usage error, 3 resource bound, 4 internal mismatch.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -404,8 +405,16 @@ def test_unread_knobs_are_hidden_from_help_and_still_parse(e5, capsys):
         (["reach", *pair, "--witness"], "--cap", "-1"),
         (["schedule", *pair], "--max-states", "-1"),
         (["schedule", *pair], "--cap", "-1"),
+        (["schedule", *pair], "--witness", None),
         (["selftest", *quick], "--necessary-only", None),
     ]
+    # every flag the parser hides has a row here
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    hidden = {(name, option) for name, sub in commands.choices.items()
+              for action in sub._actions if action.help == argparse.SUPPRESS
+              for option in action.option_strings}
+    assert hidden == {(argv[0], knob) for argv, knob, _ in knobs}
     for argv, knob, refused in knobs:
         with pytest.raises(SystemExit) as err:
             main([argv[0], "--help"])

@@ -353,6 +353,10 @@ def test_a_construction_fault_is_an_internal_failure(fault, monkeypatch, tmp_pat
     G, w1, w2 = single_edge(5), (1, 0, 0, 0, 0), (0, 1, 1, 1, 1)
     with pytest.raises(InternalSynthesisFailure, match="a phase checked valid was refused"):
         synthesize_schedule(G, 3, w1, w2)
+    # single_edge_schedule sends the edge alone through the same boundary,
+    # renumbered: here vertex 0 of G is off it and position i is vertex i + 1
+    with pytest.raises(InternalSynthesisFailure, match="a phase checked valid was refused"):
+        single_edge_schedule(make_hypergraph(6, [(1, 2, 3, 4, 5)]), 3, (2, *w1), (2, *w2))
     path = tmp_path / "e5.hg"
     path.write_text(format_hypergraph(3, G))
     pair = ["--from", "1,0,0,0,0", "--to", "0,1,1,1,1"]
@@ -363,6 +367,42 @@ def test_a_construction_fault_is_an_internal_failure(fault, monkeypatch, tmp_pat
     report = SelftestReport()
     assert not _witness_schedule(G, 3, w1, w2, report)
     assert len(report.divergences) == 1 and "a phase checked valid" in report.divergences[0]
+
+
+def test_an_internal_failure_passes_the_boundary_unwrapped(monkeypatch, tmp_path, capsys):
+    """synthesize_schedule re-raises the constructions' own
+    InternalSynthesisFailure as it is; the CLI reports it as exit 4."""
+    def misread(b, edge, goal):
+        raise InternalSynthesisFailure("descent misread a blocked state")
+
+    monkeypatch.setattr(synthesis, "_descend_single_edge", misread)
+    G, w1, w2 = single_edge(5), (1, 0, 0, 0, 0), (0, 1, 1, 1, 1)
+    for synth in (synthesize_schedule, single_edge_schedule):
+        with pytest.raises(InternalSynthesisFailure) as err:
+            synth(G, 3, w1, w2)
+        assert str(err.value) == "descent misread a blocked state"
+    path = tmp_path / "e5.hg"
+    path.write_text(format_hypergraph(3, G))
+    assert main(["schedule", str(path), "--from", "1,0,0,0,0", "--to", "0,1,1,1,1"]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert "error (InternalSynthesisFailure): descent misread a blocked state" in err
+
+
+@pytest.mark.parametrize("p, k", [(3, 3), (3, 4), (5, 3), (5, 4)])
+def test_on_edge_never_settles_an_unreachable_phase(p, k):
+    """_on_edge trusts its caller to have proven the phase reachable; a
+    zero source or a saturated goal handed to it anyway still raises."""
+    G = single_edge(k)
+    phases = 0
+    for w1 in itertools.product(range(p), repeat=k):
+        for w2 in itertools.product(range(p), repeat=k):
+            if w1 == w2 or (any(w1) and any(x != p - 1 for x in w2)):
+                continue
+            b = _Builder(G, p, w1)
+            with pytest.raises(InternalSynthesisFailure):
+                synthesis._on_edge(b, 0, w2)
+            phases += 1
+    assert phases == 2 * (p**k - 1) - 1
 
 
 def test_synthesize_two_edge_family_exhaustive_from_seed():

@@ -129,6 +129,10 @@ def test_system_shape_validation():
     with pytest.raises(ShapeError):
         ZpMatrixSystem(((1, 5),), (0,), 3, 2)  # non-canonical residue
     with pytest.raises(ShapeError):
+        ZpMatrixSystem((), (), 3, -1)  # negative column count
+    with pytest.raises(ShapeError):
+        ZpMatrixSystem(((1, 2),), (3,), 3, 2)  # non-canonical rhs entry
+    with pytest.raises(ShapeError):
         make_system([], [], 3)  # empty system needs explicit ncols
     empty = make_system([], [], 3, ncols=4)
     space = gaussian_solve(empty)
