@@ -5,7 +5,9 @@ Every pair in the family is an algebraic "yes" (decide_reachability in
 algebraic mode), so on the well-shaped family each one must end in a
 replayed schedule.  Prints one JSON line per tier: the number of pairs,
 of schedules, of SynthesisIncomplete verdicts, the total number of
-moves, and the CPU seconds spent inside synthesize_schedule.
+moves, and the CPU seconds spent inside synthesize_schedule.  The lines,
+with the seed, also go to `BENCH_synthesis.json` at the root of the
+repository.
 
     PYTHONPATH=src python3 scripts/synthesis_completeness.py --seed 1
 
@@ -27,6 +29,7 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 
 from zpwalk.decision import MODE_ALGEBRAIC, decide_reachability
 from zpwalk.errors import SynthesisIncomplete
@@ -43,6 +46,9 @@ RANDOM_TIERS = (
 )
 CHAIN_TIERS = tuple((f"chain{m}-p{p}", m, p) for m in (100, 1000, 10_000) for p in (3, 5))
 TIERS = tuple(t[0] for t in RANDOM_TIERS) + tuple(t[0] for t in CHAIN_TIERS)
+
+#: where main writes its tier lines
+OUT = Path(__file__).resolve().parent.parent / "BENCH_synthesis.json"
 
 
 def random_pairs(rng: random.Random, n: int, m: int, pairs: int, kind: str, p: int = 3):
@@ -107,8 +113,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--tier", action="append", choices=TIERS,
                     help="run only this tier (repeatable; default all)")
     args = ap.parse_args(argv)
+    lines = []
     for line in tier_lines(args.seed, args.tier or TIERS):
+        lines.append(line)
         print(json.dumps(line), flush=True)
+    OUT.write_text(json.dumps({"seed": args.seed, "tiers": lines}, indent=1) + "\n")
     return 0
 
 

@@ -327,6 +327,8 @@ def _cmd_gen(rep: _Reporter, args) -> int:
 
 
 def _cmd_selftest(rep: _Reporter, args) -> int:
+    rep.input.update({knob: getattr(args, knob) for knob in (
+        "seed", "max_n", "generated", "schedule_targets", "allow_nongood")})
     progress = None
     if not args.json and not args.quiet:
         progress = lambda msg: print(f"  .. {msg}", file=sys.stderr)

@@ -10,16 +10,17 @@ toolbox, bottom up:
     rounds add exactly +1 or -1.  Works whenever the anchor values are a
     "good pair" (is_good_pair: not both 0, not both p-1).
   * the single-edge phase (_on_edge) -- moves only on one edge until it
-    holds its goal values (single_edge_schedule asks synthesize_schedule
-    on that edge alone).  _single_edge_counts gives, in closed form, how
-    often each vertex of the edge must move (the minimum-norm solution
-    of the edge's move-counting system); the descent executes those moves
-    directly while legal and otherwise emulates one forced move at a
-    charge-less vertex.  A bracket of two tricks lends it the unit and
-    takes it back (2p + 1 moves); only when every other vertex holds
-    p-1, or every other one p-2, does one of two terminal shapes remain.
-    The dispatch is exhaustive, which the test suite checks by
-    exhausting small instances.
+    holds a goal given per edge position, and returns at once when it
+    already does (single_edge_schedule asks synthesize_schedule on that
+    edge alone).  _single_edge_counts gives, in closed form, how often
+    each vertex of the edge must move (the minimum-norm solution of the
+    edge's move-counting system, one candidate unless p divides |e| - 2);
+    the phase executes those moves directly while legal and otherwise
+    emulates one forced move at a charge-less vertex.  A bracket of two
+    tricks lends it the unit and takes it back (2p + 1 moves); only when
+    every other vertex holds p-1, or every other one p-2, does one of
+    two terminal shapes remain.  The dispatch is exhaustive, which the
+    test suite checks by exhausting small instances.
   * _walk -- carries one unit of charge from the nearest charged vertex
     onto a given set of vertices, one move per edge along a
     breadth-first path.
@@ -69,7 +70,7 @@ from .errors import (
     ZpwalkError,
 )
 from .hypergraph import Hypergraph, is_good
-from .zp_algebra import mod_inverse, validate_modulus
+from .zp_algebra import validate_modulus
 
 
 def is_good_pair(p: int, a: int, b: int) -> bool:
@@ -177,27 +178,36 @@ def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
     Row v reads 2*x_v - S = d_v (S = sum x, d = w1 - w2), so (2 - k)*S =
     sum d fixes S unless p divides k - 2; then every S solves or none
     does.  Ties break as in system_norm: lifted sum, then the tuple.
+    p is an odd prime its caller has validated.
     """
     k, d = len(w1), [(a - b) % p for a, b in zip(w1, w2)]
-    if (k - 2) % p == 0 and sum(d) % p:
+    half = (p + 1) // 2
+    if (k - 2) % p:
+        s = sum(d) * pow(2 - k, -1, p) % p
+        return [(dv + s) * half % p for dv in d]
+    if sum(d) % p:
         raise Unsolvable("the move-counting system has no solution")
-    totals = [sum(d) * mod_inverse(2 - k, p) % p] if (k - 2) % p else range(p)
-    half = mod_inverse(2, p)
-    candidates = [tuple((dv + s) * half % p for dv in d) for s in totals]
+    candidates = [tuple((dv + s) * half % p for dv in d) for s in range(p)]
     return list(min(candidates, key=lambda c: (sum(c), c)))
 
 
-def _descend_single_edge(b: _Builder, edge: int, goal: State) -> None:
-    """Core single-edge descent of the edge's values to goal, moving only on it.
+def _on_edge(b: _Builder, edge: int, goal: State) -> None:
+    """Move only on one edge of b.G until it holds goal.
 
-    A counted move is made directly when legal and otherwise emulated
-    with exactly its net effect, so only an emulation's cost depends on
-    how it is done.  counts and the vertices picked are positions on the
-    edge: position i is vertex e[i] of G.
+    goal holds one value per edge position, as do counts and the
+    positions picked: position i is vertex e[i] of G.  Returns at once
+    when the edge already holds goal.  The edge has 3 or more vertices;
+    the caller (the peel, or the descent's mirrored scratch) has proven
+    the phase valid.  A counted move is made directly when legal and
+    otherwise emulated with exactly its net effect, so only an
+    emulation's cost depends on how it is done.
     """
     p, e, w = b.p, b.G.edges[edge], b.state
     k = len(e)
-    counts = _single_edge_counts(p, tuple(w[v] for v in e), goal)
+    start = tuple(w[v] for v in e)
+    if start == goal:
+        return
+    counts = _single_edge_counts(p, start, goal)
     while True:
         total = sum(counts)
         if total == 0:
@@ -261,7 +271,7 @@ def _descend_single_edge(b: _Builder, edge: int, goal: State) -> None:
                 scratch = _Builder(b.G, p, w)
                 for i, v in enumerate(e):
                     scratch.state[v] = (p - 1 - w[v] + (x if i == i0 else -x)) % p
-                _on_edge(scratch, edge, {v: p - 1 - w[v] for v in e})
+                _on_edge(scratch, edge, tuple(p - 1 - w[v] for v in e))
                 b.emit_all(reversed(scratch.moves))
             counts[i0] = 0
             continue
@@ -270,20 +280,6 @@ def _descend_single_edge(b: _Builder, edge: int, goal: State) -> None:
         counts[i0] -= 1
     if any(w[v] != x for v, x in zip(e, goal)):
         raise InternalSynthesisFailure("single-edge descent finished off target")
-
-
-def _on_edge(b: _Builder, edge: int, target) -> None:
-    """Move only on one edge of b.G until it holds target's values.
-
-    target is anything indexable by b's vertex ids (a full state or a
-    dict covering the edge's vertices).  The edge has 3 or more vertices;
-    the caller (the peel, or the descent's mirrored scratch) has proven
-    the phase empty or reachable.
-    """
-    e = b.G.edges[edge]
-    goal = tuple(target[v] for v in e)
-    if any(b.state[v] != x for v, x in zip(e, goal)):
-        _descend_single_edge(b, edge, goal)
 
 
 #: decision's negative certificate kinds, as the error synthesis raises for each
@@ -434,12 +430,12 @@ def _peel(b: _Builder, w2: State) -> None:
                     target[mv.vertex] = (target[mv.vertex] + 2) % p
                 recount(touched, 1)
         alpha, mid = plan
-        _on_edge(b, l, dict(zip(e, alpha)))
-        posts.append((l, dict(zip(e, t_l)), undo))
+        _on_edge(b, l, alpha)
+        posts.append((l, t_l, undo))
         for v, x in zip(e, mid):
             target[v] = x
         tally = [h + x for h, x in zip(rest, _tally(p, b.state, target, shared))]
-    _on_edge(b, kept[0][0], target)
+    _on_edge(b, kept[0][0], tuple(target[v] for v in G.edges[kept[0][0]]))
     for l, goal, undo in reversed(posts):
         _on_edge(b, l, goal)
         b.emit_all(reversed(undo))

@@ -580,6 +580,9 @@ def test_selftest_json(capsys):
     assert report["answer"] is True
     assert report["stats"]["divergences"] == []
     assert report["stats"]["reach_pairs"] > 0
+    # the report names every knob of the sweep it ran, defaults included
+    assert report["input"] == {"seed": 20260819, "max_n": 4, "generated": 1,
+                               "schedule_targets": 3, "allow_nongood": False}
 
 
 # ------------------------------------------------------------------ fuzz

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from zpwalk import dynamics, selftest
-from zpwalk.decision import build_system
+from zpwalk.decision import Certificate, Decision, build_system
 from zpwalk.errors import InternalSynthesisFailure, Unsolvable
 from zpwalk.hypergraph import Hypergraph, is_good
 from zpwalk.selftest import (
@@ -16,7 +16,13 @@ from zpwalk.selftest import (
     iter_small_good_hypergraphs,
     run_selftest,
 )
-from zpwalk.zp_algebra import condense, enumerate_digraph, gaussian_solve, recurrent
+from zpwalk.zp_algebra import (
+    condense,
+    conserved_functionals,
+    enumerate_digraph,
+    gaussian_solve,
+    recurrent,
+)
 
 
 def test_small_family_enumeration():
@@ -195,6 +201,32 @@ def test_a_refused_pair_the_rule_accepts_is_a_divergence(monkeypatch):
     assert report.divergences and not report.ok
     assert all("failed: the move-counting system has no solution" in d
                for d in report.divergences)
+
+
+@pytest.mark.parametrize("kind, says", [
+    ("absorbing_source", "absorbing_source certificate for charged source (1, 0, 0)"),
+    ("garden_of_eden", "garden_of_eden certificate but (0, 1, 1) has a producer"),
+    ("unsolvability", "unsolvability certificate yet no conserved functional separates "
+                      "(1, 0, 0) from (0, 1, 1)"),
+    ("orbit_exhausted", "negative decision with unexpected certificate orbit_exhausted"),
+])
+def test_a_forged_negative_certificate_is_a_divergence(kind, says):
+    """(1, 0, 0) -> (0, 1, 1) is one move on a 3-edge: no certificate of
+    unreachability can hold for it, and the sweep's own check says why."""
+    G, p, w1, w2 = Hypergraph(3, ((0, 1, 2),)), 3, (1, 0, 0), (0, 1, 1)
+    forged = Decision(False, "algebraic", Certificate(kind, {}))
+    report = SelftestReport()
+    selftest._verify_negative(G, p, w1, w2, forged, conserved_functionals(G, p), report)
+    assert report.divergences == [f"3v/1e p=3: {says}"]
+    assert report.certified_negative == 1
+
+
+def test_the_irregular_sweep_reports_its_end():
+    msgs = []
+    report = run_selftest(seed=99, max_small_n=3, structural_budget=300, schedule_targets=1,
+                          generated_count=0, include_nongood=True, progress=msgs.append)
+    assert report.ok and report.nongood_pairs_checked == 27 * 27
+    assert msgs[-1] == "irregular-hypergraph checks done"
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))

@@ -262,7 +262,7 @@ def test_single_edge_mirrored_descent(p, w1, w2, length, monkeypatch):
     # [0 @ i0, p-2 elsewhere] with two moves left at i0 and p >= 5: the
     # descent solves the value-mirrored problem on a scratch builder and
     # emits its moves reversed
-    descend = synthesis._descend_single_edge
+    descend = synthesis._on_edge
     descents = 0
 
     def spy(*args):
@@ -270,7 +270,7 @@ def test_single_edge_mirrored_descent(p, w1, w2, length, monkeypatch):
         descents += 1
         descend(*args)
 
-    monkeypatch.setattr(synthesis, "_descend_single_edge", spy)
+    monkeypatch.setattr(synthesis, "_on_edge", spy)
     G = single_edge(len(w1))
     sched = single_edge_schedule(G, p, w1, w2)
     assert replay_schedule(G, p, w1, sched) == w2
@@ -349,7 +349,7 @@ CONSTRUCTION_FAULTS = {
 def test_a_construction_fault_is_an_internal_failure(fault, monkeypatch, tmp_path, capsys):
     """Past the pair check, any deliberate error is synthesis's own bug:
     InternalSynthesisFailure, exit 4 in the CLI, a divergence in selftest."""
-    monkeypatch.setattr(synthesis, "_descend_single_edge", CONSTRUCTION_FAULTS[fault])
+    monkeypatch.setattr(synthesis, "_on_edge", CONSTRUCTION_FAULTS[fault])
     G, w1, w2 = single_edge(5), (1, 0, 0, 0, 0), (0, 1, 1, 1, 1)
     with pytest.raises(InternalSynthesisFailure, match="a phase checked valid was refused"):
         synthesize_schedule(G, 3, w1, w2)
@@ -375,7 +375,7 @@ def test_an_internal_failure_passes_the_boundary_unwrapped(monkeypatch, tmp_path
     def misread(b, edge, goal):
         raise InternalSynthesisFailure("descent misread a blocked state")
 
-    monkeypatch.setattr(synthesis, "_descend_single_edge", misread)
+    monkeypatch.setattr(synthesis, "_on_edge", misread)
     G, w1, w2 = single_edge(5), (1, 0, 0, 0, 0), (0, 1, 1, 1, 1)
     for synth in (synthesize_schedule, single_edge_schedule):
         with pytest.raises(InternalSynthesisFailure) as err:
@@ -403,6 +403,23 @@ def test_on_edge_never_settles_an_unreachable_phase(p, k):
                 synthesis._on_edge(b, 0, w2)
             phases += 1
     assert phases == 2 * (p**k - 1) - 1
+
+
+@pytest.mark.parametrize("p, k", [(3, 3), (3, 4), (5, 3), (5, 4)])
+def test_on_edge_at_its_goal_neither_moves_nor_counts(p, k, monkeypatch):
+    counted = 0
+
+    def spy(*args):
+        nonlocal counted
+        counted += 1
+        return _single_edge_counts(*args)
+
+    monkeypatch.setattr(synthesis, "_single_edge_counts", spy)
+    for w in itertools.product(range(p), repeat=k):
+        b = _Builder(single_edge(k), p, w)
+        synthesis._on_edge(b, 0, w)
+        assert b.moves == [] and b.state == list(w)
+    assert counted == 0
 
 
 def test_synthesize_two_edge_family_exhaustive_from_seed():
