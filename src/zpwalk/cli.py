@@ -8,7 +8,7 @@ the outcome, not the path taken to it:
      well-shaped for check-good)
   2  usage error: unparseable input, infeasible request, modulus or
      shape violation, algebraic mode on an irregular hypergraph
-  3  the search oracle hit its state cap (--max-states)
+  3  the search oracle hit its state cap (--max-states) or ran out of memory
   4  internal disagreement between the algebraic rule and the search
      oracle -- always a bug, please capture the instance
 
@@ -493,7 +493,7 @@ def main(argv=None) -> int:
     except (MismatchError, InternalSynthesisFailure) as err:
         rep.fail(err)
         code = EXIT_MISMATCH
-    except StateSpaceTooLarge as err:
+    except (StateSpaceTooLarge, MemoryError) as err:
         rep.fail(err)
         code = EXIT_RESOURCE
     except _NEGATIVE_ERRORS as err:

@@ -49,7 +49,7 @@ from . import dynamics
 from .dynamics import DEFAULT_MAX_STATES, State, extract_schedule, orbit_bfs
 from .errors import MismatchError, NotGood
 from .hypergraph import Hypergraph, is_good
-from .zp_algebra import ZpMatrixSystem, mod_inverse, validate_modulus
+from .zp_algebra import ZpMatrixSystem, validate_modulus
 
 MODE_ALGEBRAIC = "algebraic"
 MODE_ORACLE = "oracle"
@@ -171,12 +171,12 @@ def _closed_form_solution(G: Hypergraph, p: int, w1: State,
         if i is None:
             return None
         e = G.edges[i]
-        t = s * mod_inverse(2 - len(e), p) % p
+        t = s * pow(2 - len(e), -1, p) % p
         x[st.offset[i]] = t
         for u in e:
             residual[u] = (residual[u] + t) % p
         residual[e[0]] = (residual[e[0]] - 2 * t) % p
-    half = mod_inverse(2, p)
+    half = (p + 1) // 2
     for v in reversed(st.order):
         link = st.tree[v]
         if link is None or not residual[v]:

@@ -16,14 +16,15 @@ target's mirror: undoing a move on w is the same move on p-1-w, mirrored
 back, so the search has one direction.
 
 Both searches run on an engine of (G, p) (state_space): a dict from a
-state's base-p code, at every size, to its row of successor codes.  A
-missing row is summed from per-chunk parts of its code.  TABLE_STATES =
-2^16 states bounds what outlives a query: up to it the dict keeps each
-row and G caches the engine, so later queries read a row in one lookup;
-above it each query's result holds its own engine, parts and all.  A
-search links each state it visits to its parent's key alone; the move
-between them is read back from the parent's row only when a schedule is
-extracted.
+state's base-p code, at every size, to its row of successor codes, the
+state's own code for a move that is not legal there (no legal move fixes
+its state), so rows and searches hold states only.  A missing row is
+summed from per-chunk parts of its code.  TABLE_STATES = 2^16 states
+bounds what outlives a query: up to it the dict keeps each row and G
+caches the engine, so later queries read a row in one lookup; above it
+each query's result holds its own engine, parts and all.  A search links
+each state it visits to its parent's key alone; the move between them is
+read back from the parent's row only when a schedule is extracted.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ DEFAULT_MAX_STATES = 2_000_000
 
 #: instances with at most this many states (p^n) store their search rows
 TABLE_STATES = 2**16
-
-#: row entry of a move that is not legal in the state
-ILLEGAL = -1
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,8 @@ def all_moves(G: Hypergraph) -> tuple[Move, ...]:
 
 class _CodeTable(dict):
     """The search engine of (G, p): a dict from state code to row, the
-    code each move in all_moves order leads to, or ILLEGAL.
+    code each move in all_moves order leads to, or the state's own code
+    when the move is not legal there.
 
     State keys are base-p codes, vertex 0 the most significant digit,
     so code i is the i-th state of itertools.product(range(p), repeat=n);
@@ -163,11 +162,12 @@ class _CodeTable(dict):
     first time its chunk code is read, and only for the moves whose edge
     meets the chunk; the other moves leave it as it is.  A move whose
     mover holds 0 is illegal; its chunk's part is -p^n there, which
-    leaves the sum negative.  A missing row is summed on the read and,
-    with at most TABLE_STATES states (stored), kept: every later read is
-    one lookup, and kept rows share one int object per code, so a search
-    matches its keys by identity.  One class serves every engine, since
-    a class object is a reference cycle only full collections free.
+    leaves the sum negative: the row holds the code itself.  A missing
+    row is summed on the read and, with at most TABLE_STATES states
+    (stored), kept: every later read is one lookup, and kept rows share
+    one int object per code, so a search matches its keys by identity.
+    One class serves every engine, since a class object is a reference
+    cycle only full collections free.
     """
 
     __slots__ = ("p", "n", "moves", "stored", "_readers", "_codes")
@@ -194,19 +194,19 @@ class _CodeTable(dict):
             if part is None:
                 part = parts[c] = fill(c)
             sums = part if sums is None else map(add, sums, part)
-        row = tuple([c if c >= 0 else ILLEGAL for c in sums])
+        row = tuple([c if c >= 0 else code for c in sums])
         if self.stored:
             row = self[code] = tuple(map(self._codes.setdefault, row, row))
         return row
 
-    def key(self, w: State) -> int:
-        """The code of w, or ILLEGAL when w is not a state of this instance."""
+    def key(self, w: State) -> int | None:
+        """The code of w, or None for a non-state, which no row or search holds."""
         p, code = self.p, 0
         for x in w:
             if not 0 <= x < p:
-                return ILLEGAL
+                return None
             code = code * p + x
-        return code if len(w) == self.n else ILLEGAL
+        return code if len(w) == self.n else None
 
     def state(self, code: int) -> State:
         return _digits(self.p, self.n, code)
@@ -282,11 +282,12 @@ class OrbitResult:
     The search keeps the engine's state keys (see state_space), in visit
     order, and per key its link: the key of the state that first
     discovered it (None for the start).  len and `in` read them
-    directly.  The move behind a link is not stored: extract_schedule
-    reads it back as the first entry of the parent's row that equals the
-    key, since the key was unseen when its parent's row was expanded.
-    order, the deterministic visit order, is decoded to states only when
-    read.
+    directly; a non-state, whose key is None, is in no result.  The
+    move behind a link is not stored: extract_schedule reads it back as
+    the first entry of the parent's row that equals the key, since the
+    key was unseen when its parent's row was expanded and is not the
+    parent's own, an illegal move's entry.  order, the deterministic
+    visit order, is decoded to states only when read.
     """
 
     def __init__(self, start: State, space, links: dict):
@@ -313,35 +314,33 @@ def orbit_bfs(
 ) -> OrbitResult:
     """All states reachable from start (including it).
 
-    Breadth first, each state's moves in all_moves order, over the codes
-    of state_space(G, p).  Refuses with StateSpaceTooLarge rather than
-    returning a truncated set.  With stop_at, a state checked like start,
-    returns as soon as it is discovered (the partial result still has
-    valid predecessor links for it).
+    Breadth first, each state's moves in all_moves order, over the rows
+    of state_space(G, p): an illegal move's entry is the state being
+    expanded, seen already, so no non-state is ever linked.  Refuses with
+    StateSpaceTooLarge rather than returning a truncated set.  With
+    stop_at, a state checked like start, returns as soon as it is
+    discovered (the partial result still has valid predecessor links for it).
     """
     start = validate_state(p, G.n, start)
     space = state_space(G, p)
     origin = space.key(start)
-    goal = ILLEGAL if stop_at is None else space.key(validate_state(p, G.n, stop_at))
+    goal = None if stop_at is None else space.key(validate_state(p, G.n, stop_at))
     links: dict = {origin: None}
     order = [origin]
     if goal == origin:
         return OrbitResult(start, space, links)
-    links[ILLEGAL] = None  # seen, so a row entry costs one membership test
     for key in order:  # the visit list is the queue: it grows while it is read
         for nxt in space[key]:
             if nxt in links:
                 continue
-            if len(links) > max_states:  # the sentinel is one of them
+            if len(links) >= max_states:
                 raise StateSpaceTooLarge(
                     f"orbit exceeds {max_states} states; refusing to truncate"
                 )
             links[nxt] = key
             order.append(nxt)
             if nxt == goal:
-                del links[ILLEGAL]
                 return OrbitResult(start, space, links)
-    del links[ILLEGAL]
     return OrbitResult(start, space, links)
 
 

@@ -35,7 +35,6 @@ from .decision import (
     necessity_filter,
 )
 from .dynamics import (
-    ILLEGAL,
     State,
     oracle_reachable,
     oracle_recurrent,
@@ -229,7 +228,7 @@ def _structural_sweep(
     space = state_space(G, p)
     keys = [space.key(w) for w in states]
     for i, key in enumerate(keys):
-        if [s for s in space[key] if s != ILLEGAL] != [keys[j] for j in succ[i]]:
+        if [s for s in space[key] if s != key] != [keys[j] for j in succ[i]]:
             report.divergences.append(
                 f"{label}: the search engine's successors of {states[i]} differ from "
                 f"the enumerated digraph's"

@@ -454,6 +454,28 @@ def test_internal_disagreement_is_exit_4(e5, monkeypatch, capsys):
         assert report["answer"] is None and report["error"]["type"] == error
 
 
+@pytest.mark.parametrize("target, argv", [
+    ("zpwalk.cli.orbit_bfs", ["orbit", "--from", "1,0,0,0,0"]),
+    ("zpwalk.decision._oracle_reach",
+     ["reach", "--from", "1,0,0,0,0", "--to", "0,1,1,1,1", "--mode", "oracle"]),
+])
+def test_running_out_of_memory_is_exit_3(e5, monkeypatch, capsys, target, argv):
+    """A search that runs out of memory withholds its answer, as a state
+    cap does: exit 3 with the error, never a negative or a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, exhausted)
+    argv = [argv[0], e5, *argv[1:]]
+    assert main(["--json", *argv]) == 3
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["answer"] is None and report["error"]["type"] == "MemoryError"
+    assert err == ""
+    assert main(argv) == 3
+    assert "error (MemoryError)" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ json
 
 

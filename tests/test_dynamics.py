@@ -225,6 +225,27 @@ def test_move_changes_total_by_edge_size_minus_two(args, data):
     assert delta == (len(G.edges[mv.edge]) - 2) % p
 
 
+@st.composite
+def any_instance_and_state(draw):
+    """Any hypergraph, 2-vertex edges included, whose first edge repeats."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    edge = st.sets(st.integers(0, n - 1), min_size=2).map(sorted).map(tuple)
+    edges = draw(st.lists(edge, min_size=1, max_size=4))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    w = tuple(draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(n))
+    return make_hypergraph(n, edges + edges[:1]), p, w
+
+
+@given(any_instance_and_state())
+def test_no_legal_move_fixes_its_state(args):
+    """The search engine's rows rest on this: an illegal move's entry is
+    the state's own code, which no legal move can lead to."""
+    G, p, w = args
+    for mv in all_moves(G):
+        if w[mv.vertex]:
+            assert apply_move(G, p, w, mv) != w, (G, p, w, mv)
+
+
 @given(instance_and_state())
 @settings(max_examples=30, deadline=None)
 def test_orbit_is_closed_under_moves(args):

@@ -22,7 +22,6 @@ import pytest
 
 from zpwalk import dynamics
 from zpwalk.dynamics import (
-    ILLEGAL,
     Schedule,
     all_moves,
     apply_move,
@@ -171,16 +170,17 @@ def test_the_bound_is_on_the_number_of_states(monkeypatch):
 
 
 def assert_rows_match(space, G, p, w):
-    """w's row holds its moves, and its mirror's row, mirrored, its un-moves."""
+    """w's row holds its moves, and its mirror's row, mirrored, its un-moves;
+    an illegal entry is the row's own code."""
     key = space.key(w)
     assert space.state(key) == w
     forward = space[key]
     assert len(forward) == len(space.moves)
     for move, nxt in zip(space.moves, forward):
         expected = step(G, p, w, move)
-        assert nxt == (ILLEGAL if expected is None else space.key(expected)), (G, p, w, move)
+        assert nxt == (key if expected is None else space.key(expected)), (G, p, w, move)
     top = p**G.n - 1
-    unmoved = [None if c == ILLEGAL else space.state(top - c)
+    unmoved = [None if c == top - key else space.state(top - c)
                for c in space[top - key]]
     assert unmoved == [trial_unmove(G, p, w, move) for move in space.moves], (G, p, w)
 
@@ -201,7 +201,7 @@ def test_codes_are_product_order_and_refuse_non_states(monkeypatch):
     for code, w in enumerate(itertools.product(range(3), repeat=5)):
         assert space.key(w) == code
     for bad in ((0, 3, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0)):
-        assert space.key(bad) == ILLEGAL
+        assert space.key(bad) is None
         assert bad not in orbit_bfs(fresh(TWO_EDGES), 3, (1, 0, 0, 0, 0))
 
 
@@ -280,20 +280,20 @@ def test_a_repeated_edge_links_each_state_by_its_first_move(engine):
 
 
 def test_the_seen_sentinel_never_leaks(engine):
-    """ILLEGAL marks illegal row entries as seen during a search; no result
-    holds it, and it does not count toward the state cap."""
+    """An illegal row entry is the state being expanded, seen already: no
+    result holds a non-state, and the cap counts states alone."""
     G = fresh(TWO_EDGES)
     start = (1, 0, 2, 0, 1)
     order, _ = plain_bfs(G, 3, start)
-    outside = (0, 3, 0, 0, 0)  # an entry out of range: its key is ILLEGAL
-    assert state_space(G, 3).key(outside) == ILLEGAL
+    outside = (0, 3, 0, 0, 0)  # an entry out of range: its key is None
+    assert state_space(G, 3).key(outside) is None
     i = len(order) // 2
     results = [(orbit_bfs(G, 3, start), len(order)),
                (orbit_bfs(G, 3, start, stop_at=order[i]), i + 1),
                (oracle_escape(G, 3, start, order[i])[0], len(order))]
     for orbit, size in results:
         assert outside not in orbit
-        assert ILLEGAL not in orbit._links
+        assert all(0 <= key < 3**5 for key in orbit._links)
         assert len(orbit) == len(orbit.order) == size
     for k in (1, 2, i, i + 1, len(order) - 1):
         with pytest.raises(StateSpaceTooLarge, match=f"exceeds {k} states"):

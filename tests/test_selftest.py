@@ -1,12 +1,16 @@
 """Plumbing of the self-verification module (the sweeps themselves are
 exercised for real by the acceptance suite)."""
 
+import dataclasses
+import functools
 import random
+import re
 
 import pytest
 
-from zpwalk import dynamics, selftest
-from zpwalk.decision import Certificate, Decision, build_system
+from zpwalk import decision, dynamics, selftest
+from zpwalk.decision import Certificate, Decision, StateClass, build_system
+from zpwalk.dynamics import Schedule
 from zpwalk.errors import InternalSynthesisFailure, Unsolvable
 from zpwalk.hypergraph import Hypergraph, is_good
 from zpwalk.selftest import (
@@ -243,3 +247,63 @@ def test_the_single_edge_system_has_at_most_p_solutions(p):
                 space = gaussian_solve(build_system(G, p, w1, w2).system)
                 assert space.solvable or w2 != w1
                 assert not space.solvable or space.count <= p, (n, p, w1, w2)
+
+
+def _flipped(judged):
+    """judged, answering the opposite: the other answer, or the other class."""
+    def lying(*args, **kwargs):
+        verdict = judged(*args, **kwargs)
+        if isinstance(verdict, StateClass):
+            return next(c for c in StateClass if c is not verdict)
+        return dataclasses.replace(verdict, answer=not verdict.answer)
+    return lying
+
+
+def _answering(value):
+    """In place of a judged function, one that gives value whatever it is asked."""
+    return lambda judged: lambda *args, **kwargs: value
+
+
+#: one single edge whose sum is invariant at p = 3, so that pairs are
+#: both solvable and not, and small enough for every structural check
+JUDGED = Hypergraph(5, ((0, 1, 2, 3, 4),)), 3
+SWEEPS = {
+    "structural": _structural_sweep,
+    "orbit pair": selftest._orbit_pair_sweep,
+    "synthesis": functools.partial(selftest._synthesis_sweep, targets=3),
+}
+
+
+@pytest.mark.parametrize("sweep, target, liar, check", [
+    ("structural", "necessity_filter", _answering(None),
+     r"the closed-form necessity filter disagrees with elimination for "),
+    ("structural", "_single_edge_counts", _answering([0] * 5),
+     r"closed-form single-edge counts \[0, 0, 0, 0, 0\] disagree with the minimum-norm "),
+    ("structural", "decide_reachability", _flipped,
+     r": reachability \(.*\) algebraic=\w+ enumerated=\w+$"),
+    ("structural", "decide_recurrence", _flipped,
+     r": recurrence \(.*\) algebraic=\w+ enumerated=\w+$"),
+    ("structural", "classify_state", _flipped,
+     r": classification of \(.*\) algebraic_transient=\w+ enumerated=\w+$"),
+    ("structural", "decision._oracle_reach", _flipped,
+     r": reachability disagreement: algebraic=\w+ oracle=\w+\n"),
+    ("orbit pair", "decide_reachability", _flipped,
+     r": reachability \(.*\) algebraic=\w+ search=\w+$"),
+    ("synthesis", "synthesize_schedule", _answering(Schedule(())),
+     r": schedule for \(.*\) fails replay$"),
+], ids=["necessity filter", "single-edge counts", "reachability", "recurrence",
+        "classification", "mode both", "orbit pair", "replay"])
+def test_each_judged_function_that_lies_is_a_divergence(monkeypatch, sweep, target, liar,
+                                                         check):
+    """Each comparison the sweeps make fires when its judged function lies,
+    and names that check alone; the unpatched sweep finds nothing."""
+    G, p = JUDGED
+    report = SelftestReport()
+    SWEEPS[sweep](G, p, random.Random(7), report)
+    assert report.divergences == []
+    owner = decision if target.startswith("decision.") else selftest
+    name = target.removeprefix("decision.")
+    monkeypatch.setattr(owner, name, liar(getattr(owner, name)))
+    SWEEPS[sweep](G, p, random.Random(7), report)
+    assert report.divergences
+    assert all(re.search(check, d) for d in report.divergences), report.divergences
