@@ -18,9 +18,13 @@ p = 3, and two seeded random states.  The stages, in seconds:
   cli        one in-process `cli.main(["--json", "reach", ...,
              "--mode", "algebraic"])` on the written file (in-process
              argv has no per-argument size limit)
+  schedule   one `synthesize_schedule` for the rung's pair on the parsed
+             hypergraph, on which no peel plan or move table is kept yet;
+             null when the pair is not reachable
 
 Each stage is timed --repeats times and its median printed.  One JSON
-line per rung; stdlib only.
+line per rung; the rows, with the seed, sizes and repeats, also go to
+`BENCH_text_to_answer.json` at the root of the repository; stdlib only.
 
     PYTHONPATH=src python3 scripts/text_to_answer_ladder.py
     PYTHONPATH=src python3 scripts/text_to_answer_ladder.py --sizes 500000 --repeats 3
@@ -38,15 +42,18 @@ import statistics
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 from zpwalk import cli
 from zpwalk.decision import decide_reachability
 from zpwalk.dynamics import format_state, parse_state
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import Hypergraph, format_hypergraph, parse_hypergraph
+from zpwalk.synthesis import synthesize_schedule
 
 SIZES = (10**4, 10**5, 10**6)
 P = 3
+OUT = Path(__file__).resolve().parent.parent / "BENCH_text_to_answer.json"
 
 
 def chain(n: int, rng: random.Random) -> Hypergraph:
@@ -88,10 +95,15 @@ def measure(kind: str, n: int, rng: random.Random, workdir: str) -> dict:
         t_cli, code = _timed(lambda: cli.main(argv))
     if not report.good or json.loads(out.getvalue())["answer"] != decision.answer:
         raise SystemExit(f"{kind} n={n}: inconsistent run")
+    t_schedule = moves = None
+    if decision.answer:
+        t_schedule, schedule = _timed(lambda: synthesize_schedule(H, p, w1, w2))
+        moves = len(schedule)
     return {"gen": t_gen, "format": t_format, "parse": t_parse, "states": t_states,
             "structure": t_structure, "goodness": t_goodness, "decide": t_decide,
             "fresh": t_structure + t_goodness + t_decide, "cli": t_cli,
-            "m": G.m, "answer": decision.answer, "exit": code}
+            "schedule": t_schedule, "m": G.m, "answer": decision.answer, "exit": code,
+            "moves": moves}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,17 +113,23 @@ def main(argv: list[str] | None = None) -> int:
                     default=list(SIZES), help="comma-separated vertex counts")
     ap.add_argument("--repeats", type=int, default=1, help="runs per rung; medians are printed")
     args = ap.parse_args(argv)
+    rows = []
     with tempfile.TemporaryDirectory() as workdir:
         for n in args.sizes:
             for kind in ("chain", "gen"):
                 runs = [measure(kind, n, random.Random(f"{args.seed}/{kind}/{n}"), workdir)
                         for _ in range(args.repeats)]
                 row = {"kind": kind, "n": n, "m": runs[0]["m"], "p": P,
-                       "answer": runs[0]["answer"], "exit": runs[0]["exit"]}
+                       "answer": runs[0]["answer"], "exit": runs[0]["exit"],
+                       "moves": runs[0]["moves"]}
                 for stage in ("gen", "format", "parse", "states", "structure", "goodness",
-                              "decide", "fresh", "cli"):
-                    row[f"{stage}_s"] = round(statistics.median(r[stage] for r in runs), 4)
+                              "decide", "fresh", "cli", "schedule"):
+                    times = [r[stage] for r in runs if r[stage] is not None]
+                    row[f"{stage}_s"] = round(statistics.median(times), 4) if times else None
+                rows.append(row)
                 print(json.dumps(row), flush=True)
+    OUT.write_text(json.dumps({"seed": args.seed, "sizes": args.sizes,
+                               "repeats": args.repeats, "rows": rows}, indent=1) + "\n")
     return 0
 
 

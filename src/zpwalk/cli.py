@@ -14,7 +14,9 @@ the outcome, not the path taken to it:
 
 With --json each command prints exactly one JSON object with the
 fields {command, input, answer, method, certificate, stats} (error
-runs carry an extra "error" field and a null answer).
+runs carry an extra "error" field, {type, message}, and a null answer;
+an error with no text of its own, such as a bare MemoryError, has its
+type as the message).
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class _Reporter:
         self.lines.append(line)
 
     def fail(self, err: Exception) -> None:
-        self.error = {"type": type(err).__name__, "message": str(err)}
+        self.error = {"type": type(err).__name__, "message": str(err) or type(err).__name__}
 
     def emit(self) -> None:
         self.stats.setdefault(

@@ -44,12 +44,19 @@ and checks each construction's net effect on it.  A single-edge phase
 reads and moves the edge's vertices in place; no piece of G is built as
 a hypergraph of its own.  synthesize_schedule replays the finished
 schedule once as the end-to-end check.
+
+What depends on G alone is made once and kept on G: the peel plan per
+modulus (_peel_plan, in G.peel_plans: the edge order with each level's
+vertices, private mask, shared vertices and lever flag), and the moves.
+Every emitted move is G's one shared Move object for its incidence
+(G.moves, the table all_moves returns), so a schedule allocates no move.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import ne
 
 from .decision import _algebraic_reach, _lever
 from .dynamics import (
@@ -58,6 +65,7 @@ from .dynamics import (
     Schedule,
     State,
     _step,
+    all_moves,
     replay_schedule,
     validate_state,
 )
@@ -121,15 +129,16 @@ class _Builder:
             raise PairNotGood(
                 f"anchor values ({w[a]}, {w[b]}) at vertices ({a}, {b}) admit no alternating rounds"
             )
-        before = [w[u] for u in e]
+        before = tuple(map(w.__getitem__, e))
         rounds = (p + 1) // 2 if direction == 1 else (p - 1) // 2
         # Within a round the first mover needs charge and hands one unit to
         # the second; this order works for every good pair.
         first, second = (a, b) if w[a] != 0 and w[b] != p - 1 else (b, a)
-        for move in (Move(first, edge), Move(second, edge)) * rounds:
+        moves = _edge_moves(self.G, edge)
+        for move in (moves[e.index(first)], moves[e.index(second)]) * rounds:
             self.emit(move)
-        if any(w[u] != (x if u == a or u == b else (x + direction) % p)
-               for u, x in zip(e, before)):
+        if tuple(map(w.__getitem__, e)) != tuple(
+                x if u == a or u == b else (x + direction) % p for u, x in zip(e, before)):
             raise InternalSynthesisFailure("alternating rounds missed their advertised net effect")
 
     def bracket(self, edge: int, v: int, a: int, c: int, x: int) -> None:
@@ -140,9 +149,16 @@ class _Builder:
         p-x or p-1-x.
         """
         self.trick(edge, a, c, -1)
+        move = _edge_moves(self.G, edge)[self.G.edges[edge].index(v)]
         for _ in range(x):
-            self.emit(Move(v, edge))
+            self.emit(move)
         self.trick(edge, a, c, +1)
+
+
+def _edge_moves(G: Hypergraph, edge: int) -> tuple[Move, ...]:
+    """The moves on edge, one per edge position: G's shared Move objects."""
+    start = G.structure.offset[edge]
+    return all_moves(G)[start:start + len(G.edges[edge])]
 
 
 def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedule:
@@ -169,7 +185,8 @@ def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedul
         )
     alone = Hypergraph(len(e), (tuple(range(len(e))),))
     schedule = synthesize_schedule(alone, p, [w1[v] for v in e], [w2[v] for v in e])
-    return Schedule(tuple(Move(e[mv.vertex], 0) for mv in schedule.moves))
+    moves = all_moves(G)  # move i is position i of the one edge
+    return Schedule(tuple(moves[mv.vertex] for mv in schedule.moves))
 
 
 def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
@@ -203,25 +220,38 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
     emulation's cost depends on how it is done.
     """
     p, e, w = b.p, b.G.edges[edge], b.state
-    k = len(e)
-    start = tuple(w[v] for v in e)
+    k, top = len(e), p - 1
+    start = tuple(map(w.__getitem__, e))
     if start == goal:
         return
+    moves = _edge_moves(b.G, edge)
     counts = _single_edge_counts(p, start, goal)
     while True:
-        total = sum(counts)
-        if total == 0:
+        # One pass over the positions: the count left, the first two
+        # counted positions that hold charge, and those below p - 1.
+        total = lows = 0
+        first = second = low = None
+        for i, v in enumerate(e):
+            c, x = counts[i], w[v]
+            total += c
+            if x != top:
+                lows += 1
+                low = i
+            if c and x:
+                if first is None:
+                    first = i
+                elif second is None:
+                    second = i
+        if not total:
             break
-        live = [i for i in range(k) if counts[i] > 0 and w[e[i]] != 0]
-        if live:
+        if first is not None:
             # A move at v lands on the inert all-zero state only from
             # [1 @ v, p-1 elsewhere], which is allowed for the final
             # counted move alone (then it IS the target).
-            low = [i for i in range(k) if w[e[i]] != p - 1]
-            blocked = low[0] if len(low) == 1 and w[e[low[0]]] == 1 else None
-            chosen = next((i for i in live if i != blocked or total == 1), None)
+            blocked = low if lows == 1 and w[e[low]] == 1 else None
+            chosen = first if first != blocked or total == 1 else second
             if chosen is not None:
-                b.emit(Move(e[chosen], edge))
+                b.emit(moves[chosen])
                 counts[chosen] -= 1
                 continue
             # Only the blocked vertex is live, so it holds all remaining
@@ -232,7 +262,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
             for _ in range(2 * x):
                 b.trick(edge, e[v], e[j], +1)
             for _ in range(p - x):
-                b.emit(Move(e[j], edge))
+                b.emit(moves[j])
             counts[v] = 0
             continue
         # Some count remains but every counted vertex is empty: emulate a
@@ -250,7 +280,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
             # [0 @ i0, p-1 elsewhere]: drain a full vertex, then give two
             # rounds back.
             for _ in range(p - 1):
-                b.emit(Move(e[a], edge))
+                b.emit(moves[a])
             for _ in range(2):
                 b.trick(edge, e[i0], e[a], +1)
         elif value == p - 2:
@@ -262,7 +292,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
                 b.bracket(edge, e[i0], e[a], e[others[1]], x)
             elif p == 3:
                 b.trick(edge, e[i0], e[a], -1)
-                b.emit(Move(e[a], edge))
+                b.emit(moves[a])
                 b.trick(edge, e[i0], e[a], -1)
             else:
                 # x == 2, p >= 5: a move is as legal on the mirrored
@@ -278,7 +308,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
         else:
             raise InternalSynthesisFailure("descent reached the inert zero state")
         counts[i0] -= 1
-    if any(w[v] != x for v, x in zip(e, goal)):
+    if tuple(map(w.__getitem__, e)) != goal:
         raise InternalSynthesisFailure("single-edge descent finished off target")
 
 
@@ -365,6 +395,28 @@ def _peel_order(G: Hypergraph, p: int) -> list[tuple[int, tuple[bool, ...]]]:
     return kept
 
 
+def _peel_plan(G: Hypergraph, p: int) -> tuple[tuple[int, ...], tuple]:
+    """G's peel plan at p, made once and kept in G.peel_plans: (rank, levels).
+
+    levels[r] is (l, G.edges[l], private, shared, lever) for the r-th
+    kept edge l in _peel_order's order: its private mask, its shared
+    (not private) vertices, and whether |e| != 2 mod p.  rank[i] is edge i's level, or
+    G.m for a dropped edge, which ranks after every kept one.
+    """
+    plan = G.peel_plans.get(p)
+    if plan is None:
+        kept = _peel_order(G, p)
+        rank = [G.m] * G.m
+        levels = []
+        for r, (l, private) in enumerate(kept):
+            rank[l] = r
+            e = G.edges[l]
+            shared = tuple(v for v, new in zip(e, private) if not new)
+            levels.append((l, e, private, shared, (len(e) - 2) % p != 0))
+        plan = G.peel_plans[p] = (tuple(rank), tuple(levels))
+    return plan
+
+
 def _peel(b: _Builder, w2: State) -> None:
     """Schedule b.state -> w2 on a well-shaped b.G, one level per kept edge.
 
@@ -379,29 +431,28 @@ def _peel(b: _Builder, w2: State) -> None:
     first, then the root edge descends; the second pass emits the
     post-phases and undoes the target-side walks, innermost first.
     """
-    G, p = b.G, b.p
-    kept = _peel_order(G, p)
-    rank = [G.m] * G.m  # dropped edges rank after every kept one
-    for r, (i, _) in enumerate(kept):
-        rank[i] = r
+    G, p, w = b.G, b.p, b.state
+    rank, levels = _peel_plan(G, p)
     target = list(w2)
-    tally = _tally(p, b.state, target, range(G.n))
+    top = p - 1
+    tally = _tally(top, w, target)
+
+    def tally_at(vertices) -> list[int]:
+        return _tally(top, tuple(map(w.__getitem__, vertices)),
+                      tuple(map(target.__getitem__, vertices)))
 
     def recount(vertices, sign: int) -> None:
         nonlocal tally
-        tally = [h + sign * x for h, x in zip(tally, _tally(p, b.state, target, vertices))]
+        tally = [h + sign * x for h, x in zip(tally, tally_at(vertices))]
 
     posts = []
-    for r in range(len(kept) - 1, 0, -1):
-        l, private = kept[r]
-        e = G.edges[l]
-        lever = (len(e) - 2) % p != 0
-        shared = [v for v, new in zip(e, private) if not new]
+    for r in range(len(levels) - 1, 0, -1):
+        l, e, private, shared, lever = levels[r]
         undo: list[Move] = []
         for walked in (False, True):
-            a_l = tuple(b.state[v] for v in e)
-            t_l = tuple(target[v] for v in e)
-            rest = [h - x for h, x in zip(tally, _tally(p, b.state, target, e))]
+            a_l = tuple(map(w.__getitem__, e))
+            t_l = tuple(map(target.__getitem__, e))
+            rest = [h - x for h, x in zip(tally, _tally(top, a_l, t_l))]
             plan = next((plan for plan in _plans(p, lever, private, a_l, t_l)
                          if _plan_ok(p, lever, private, a_l, t_l, rest, *plan)), None)
             if plan is not None:
@@ -412,7 +463,7 @@ def _peel(b: _Builder, w2: State) -> None:
             # plan; walk one unit onto S from the nearest charged vertex
             # of R, on the state or on the mirrored target.
             if not any(a_l):
-                moves = _walk(G, rank, r, shared, lambda v: b.state[v] != 0)
+                moves = _walk(G, rank, r, shared, lambda v: w[v] != 0)
                 touched = {u for mv in moves for u in G.edges[mv.edge]}
                 recount(touched, -1)
                 b.emit_all(moves)
@@ -434,23 +485,21 @@ def _peel(b: _Builder, w2: State) -> None:
         posts.append((l, t_l, undo))
         for v, x in zip(e, mid):
             target[v] = x
-        tally = [h + x for h, x in zip(rest, _tally(p, b.state, target, shared))]
-    _on_edge(b, kept[0][0], tuple(target[v] for v in G.edges[kept[0][0]]))
+        tally = [h + x for h, x in zip(rest, tally_at(shared))]
+    root, e = levels[0][:2]
+    _on_edge(b, root, tuple(map(target.__getitem__, e)))
     for l, goal, undo in reversed(posts):
         _on_edge(b, l, goal)
         b.emit_all(reversed(undo))
-    if b.state != list(w2):
+    if w != list(w2):
         raise InternalSynthesisFailure("peeling finished off target")
 
 
-def _tally(p: int, state: State, target, vertices) -> list[int]:
-    """[charged, unsaturated target, mismatched] vertex counts over vertices."""
-    charged = unsaturated = mismatched = 0
-    for v in vertices:
-        charged += state[v] != 0
-        unsaturated += target[v] != p - 1
-        mismatched += state[v] != target[v]
-    return [charged, unsaturated, mismatched]
+def _tally(top: int, values: Sequence[int], target: Sequence[int]) -> list[int]:
+    """[charged, unsaturated target, mismatched] counts over values gathered
+    from the state and target gathered from the same vertices; top is p - 1."""
+    return [len(values) - values.count(0), len(target) - target.count(top),
+            sum(map(ne, values, target))]
 
 
 def _plans(p: int, lever: bool, private: tuple[bool, ...], a_l: State, t_l: State):
@@ -524,7 +573,7 @@ def _walk(G: Hypergraph, rank: Sequence[int], r: int, shared: Sequence[int],
             moves = []
             while parent[u] is not None:
                 nearer, f = parent[u]
-                moves.append(Move(u, f))
+                moves.append(_edge_moves(G, f)[G.edges[f].index(u)])
                 u = nearer
             return moves
         for f in incidence[u]:

@@ -471,9 +471,11 @@ def test_running_out_of_memory_is_exit_3(e5, monkeypatch, capsys, target, argv):
     out, err = capsys.readouterr()
     report = json.loads(out)
     assert report["answer"] is None and report["error"]["type"] == "MemoryError"
+    assert report["error"]["message"] == "MemoryError"
     assert err == ""
     assert main(argv) == 3
-    assert "error (MemoryError)" in capsys.readouterr().err
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("error (MemoryError): ") and line.partition(": ")[2].strip()
 
 
 # ------------------------------------------------------------------ json

@@ -7,6 +7,7 @@ state space allows.
 """
 
 import itertools
+import json
 import random
 import re
 import runpy
@@ -684,12 +685,55 @@ def test_peel_order_roots_at_the_lever():
     assert [i for i, _ in synthesis._peel_order(G, p)] == [3, 0, 1, 2]
 
 
+def test_peel_plan_is_kept_per_modulus(monkeypatch):
+    # every 5-edge is a lever at p = 5, so there the search roots at edge 0
+    # and drops edge 3: a plan kept without its modulus would be wrong.
+    # A copy of the shape, since other tests plan on the shared one.
+    shape, _ = PEEL_SHAPES["lever-root"]
+    G = hypergraph.Hypergraph(shape.n, shape.edges)
+    assert [i for i, _ in synthesis._peel_order(G, 5)] == [0, 1, 2]
+    searched = []
+    peel_order = synthesis._peel_order
+
+    def spy(H, p):
+        searched.append((H, p))
+        return peel_order(H, p)
+
+    monkeypatch.setattr(synthesis, "_peel_order", spy)
+    rng = random.Random("per-modulus")
+    for p in (3, 5, 3):
+        w1 = w2 = (1,) + tuple(rng.randrange(p) for _ in range(G.n - 1))
+        while w2 == w1:
+            for _ in range(30):
+                w2 = apply_move(G, p, w2, rng.choice([mv for mv in all_moves(G)
+                                                      if w2[mv.vertex] != 0]))
+        sched = synthesize_schedule(G, p, w1, w2)
+        assert sched == synthesize_schedule(hypergraph.Hypergraph(G.n, G.edges), p, w1, w2)
+    # the edge search ran once per modulus on G, not again for the repeat
+    assert [p for H, p in searched if H is G] == [3, 5]
+
+
 def test_schedule_lengths_script_smoke(capsys):
     main = runpy.run_path(str(SCRIPTS / "schedule_lengths.py"))["main"]
     assert main(["--instances", "2", "--pairs", "3"]) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
     assert re.fullmatch(r"2 instances, \d+ schedule pairs; overall mean overhead "
                         r"\d+\.\d\dx, worst \d+\.\dx", summary), summary
+
+
+def test_text_to_answer_ladder_times_the_schedule(tmp_path, monkeypatch, capsys):
+    ladder = runpy.run_path(str(SCRIPTS / "text_to_answer_ladder.py"))
+    scope = ladder["main"].__globals__
+    monkeypatch.setitem(scope, "OUT", tmp_path / "BENCH_text_to_answer.json")
+    assert ladder["main"](["--sizes", "301", "--repeats", "2"]) == 0
+    bench = json.loads((tmp_path / "BENCH_text_to_answer.json").read_text())
+    assert (bench["seed"], bench["sizes"], bench["repeats"]) == (1, [301], 2)
+    assert [row["kind"] for row in bench["rows"]] == ["chain", "gen"]
+    assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == bench["rows"]
+    for row in bench["rows"]:
+        # the schedule stage is timed exactly when the rung's pair is reachable
+        assert row["answer"] is (row["schedule_s"] is not None) is (row["moves"] is not None)
+    assert any(row["answer"] for row in bench["rows"])
 
 
 def test_completeness_tiers_need_no_give_up():
