@@ -141,9 +141,8 @@ def format_schedule(schedule: Schedule) -> str:
 
 
 def all_moves(G: Hypergraph) -> tuple[Move, ...]:
-    """Every (vertex, edge) incidence, ordered by (edge, vertex): G's one
-    shared Move per incidence (G.moves)."""
-    return G.moves
+    """Every (vertex, edge) incidence, ordered by (edge, vertex)."""
+    return tuple(Move(v, i) for i, e in enumerate(G.edges) for v in e)
 
 
 class _CodeTable(dict):

@@ -12,9 +12,8 @@ G.structure, gives every layer its incidence lists, components,
 spanning edge tree and edge scan order, and marks the edges that close
 a cycle, the only ones is_good must test for overlaps; its report is
 cached too.  The other layers keep what they derive from G alone on G
-as well, each freed with it: one Move object per incidence (G.moves),
-and per modulus the search engines (G.state_spaces) and synthesis's
-peel plans (G.peel_plans).
+as well, per modulus and freed with it: the search engines
+(G.state_spaces) and synthesis's peel plans (G.peel_plans).
 """
 
 from __future__ import annotations
@@ -80,15 +79,6 @@ class Hypergraph:
         kept edges' order, each with its vertices, private mask, shared
         vertices and lever flag.  O(sum |e|) per modulus, freed with G."""
         return {}
-
-    @cached_property
-    def moves(self) -> tuple:
-        """One dynamics.Move per (vertex, edge) incidence, ordered by (edge,
-        vertex): all_moves(G).  Edge i's moves are those from structure.offset[i]
-        on, one per position.  Built once, O(sum |e|), freed with G."""
-        from .dynamics import Move  # dynamics builds on this module
-
-        return tuple(Move(v, i) for i, e in enumerate(self.edges) for v in e)
 
     @cached_property
     def goodness(self) -> GoodnessReport:

@@ -45,11 +45,10 @@ reads and moves the edge's vertices in place; no piece of G is built as
 a hypergraph of its own.  synthesize_schedule replays the finished
 schedule once as the end-to-end check.
 
-What depends on G alone is made once and kept on G: the peel plan per
-modulus (_peel_plan, in G.peel_plans: the edge order with each level's
-vertices, private mask, shared vertices and lever flag), and the moves.
-Every emitted move is G's one shared Move object for its incidence
-(G.moves, the table all_moves returns), so a schedule allocates no move.
+The peel plan depends on G and p alone, so it is made once per modulus
+and kept on G (_peel_plan, in G.peel_plans): the edge order with each
+level's vertices, private mask, shared vertices and lever flag.  A
+repeated query on the same hypergraph and modulus runs no edge search.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from .dynamics import (
     Schedule,
     State,
     _step,
-    all_moves,
     replay_schedule,
     validate_state,
 )
@@ -134,8 +132,7 @@ class _Builder:
         # Within a round the first mover needs charge and hands one unit to
         # the second; this order works for every good pair.
         first, second = (a, b) if w[a] != 0 and w[b] != p - 1 else (b, a)
-        moves = _edge_moves(self.G, edge)
-        for move in (moves[e.index(first)], moves[e.index(second)]) * rounds:
+        for move in (Move(first, edge), Move(second, edge)) * rounds:
             self.emit(move)
         if tuple(map(w.__getitem__, e)) != tuple(
                 x if u == a or u == b else (x + direction) % p for u, x in zip(e, before)):
@@ -149,16 +146,9 @@ class _Builder:
         p-x or p-1-x.
         """
         self.trick(edge, a, c, -1)
-        move = _edge_moves(self.G, edge)[self.G.edges[edge].index(v)]
         for _ in range(x):
-            self.emit(move)
+            self.emit(Move(v, edge))
         self.trick(edge, a, c, +1)
-
-
-def _edge_moves(G: Hypergraph, edge: int) -> tuple[Move, ...]:
-    """The moves on edge, one per edge position: G's shared Move objects."""
-    start = G.structure.offset[edge]
-    return all_moves(G)[start:start + len(G.edges[edge])]
 
 
 def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedule:
@@ -185,8 +175,7 @@ def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedul
         )
     alone = Hypergraph(len(e), (tuple(range(len(e))),))
     schedule = synthesize_schedule(alone, p, [w1[v] for v in e], [w2[v] for v in e])
-    moves = all_moves(G)  # move i is position i of the one edge
-    return Schedule(tuple(moves[mv.vertex] for mv in schedule.moves))
+    return Schedule(tuple(Move(e[mv.vertex], 0) for mv in schedule.moves))
 
 
 def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
@@ -224,7 +213,6 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
     start = tuple(map(w.__getitem__, e))
     if start == goal:
         return
-    moves = _edge_moves(b.G, edge)
     counts = _single_edge_counts(p, start, goal)
     while True:
         # One pass over the positions: the count left, the first two
@@ -251,7 +239,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
             blocked = low if lows == 1 and w[e[low]] == 1 else None
             chosen = first if first != blocked or total == 1 else second
             if chosen is not None:
-                b.emit(moves[chosen])
+                b.emit(Move(e[chosen], edge))
                 counts[chosen] -= 1
                 continue
             # Only the blocked vertex is live, so it holds all remaining
@@ -262,7 +250,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
             for _ in range(2 * x):
                 b.trick(edge, e[v], e[j], +1)
             for _ in range(p - x):
-                b.emit(moves[j])
+                b.emit(Move(e[j], edge))
             counts[v] = 0
             continue
         # Some count remains but every counted vertex is empty: emulate a
@@ -280,7 +268,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
             # [0 @ i0, p-1 elsewhere]: drain a full vertex, then give two
             # rounds back.
             for _ in range(p - 1):
-                b.emit(moves[a])
+                b.emit(Move(e[a], edge))
             for _ in range(2):
                 b.trick(edge, e[i0], e[a], +1)
         elif value == p - 2:
@@ -292,7 +280,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
                 b.bracket(edge, e[i0], e[a], e[others[1]], x)
             elif p == 3:
                 b.trick(edge, e[i0], e[a], -1)
-                b.emit(moves[a])
+                b.emit(Move(e[a], edge))
                 b.trick(edge, e[i0], e[a], -1)
             else:
                 # x == 2, p >= 5: a move is as legal on the mirrored
@@ -400,8 +388,8 @@ def _peel_plan(G: Hypergraph, p: int) -> tuple[tuple[int, ...], tuple]:
 
     levels[r] is (l, G.edges[l], private, shared, lever) for the r-th
     kept edge l in _peel_order's order: its private mask, its shared
-    (not private) vertices, and whether |e| != 2 mod p.  rank[i] is edge i's level, or
-    G.m for a dropped edge, which ranks after every kept one.
+    (not private) vertices, and whether |e| != 2 mod p.  rank[i] is edge
+    i's level, or G.m for a dropped edge, which ranks after every kept one.
     """
     plan = G.peel_plans.get(p)
     if plan is None:
@@ -573,7 +561,7 @@ def _walk(G: Hypergraph, rank: Sequence[int], r: int, shared: Sequence[int],
             moves = []
             while parent[u] is not None:
                 nearer, f = parent[u]
-                moves.append(_edge_moves(G, f)[G.edges[f].index(u)])
+                moves.append(Move(u, f))
                 u = nearer
             return moves
         for f in incidence[u]:
