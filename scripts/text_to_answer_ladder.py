@@ -3,7 +3,9 @@
 
 For each rung, a seeded hypergraph (a chain of 3-edges through shuffled
 vertex labels, or a `gen_good_hypergraph` instance with n // 4 edges),
-p = 3, and two seeded random states.  The stages, in seconds:
+p = 3, and two seeded random states.  The stages, in CPU seconds of
+this process (`time.process_time`, as in `oracle_ladder.py`), so that
+other load on a shared host does not count:
 
   gen        build the hypergraph (`Hypergraph` for a chain, the
              generator otherwise)
@@ -68,9 +70,9 @@ def chain(n: int, rng: random.Random) -> Hypergraph:
 
 
 def _timed(fn):
-    start = time.perf_counter()
+    start = time.process_time()
     out = fn()
-    return time.perf_counter() - start, out
+    return time.process_time() - start, out
 
 
 def measure(kind: str, n: int, rng: random.Random, workdir: str) -> dict:

@@ -89,16 +89,17 @@ def format_state(w: State) -> str:
 
 def _step(G: Hypergraph, p: int, w: list[int], move: Move) -> None:
     """One step of the dynamics on w in place; raises IllegalMove when not applicable."""
-    if not 0 <= move.edge < G.m:
-        raise IllegalMove(f"edge {move.edge} outside [0, {G.m})")
-    edge = G.edges[move.edge]
-    if move.vertex not in edge:
-        raise IllegalMove(f"vertex {move.vertex} not in edge {move.edge} {edge}")
-    if w[move.vertex] == 0:
-        raise IllegalMove(f"vertex {move.vertex} has zero units")
+    v, i = move.vertex, move.edge
+    if not 0 <= i < G.m:
+        raise IllegalMove(f"edge {i} outside [0, {G.m})")
+    edge = G.edges[i]
+    if v not in edge:
+        raise IllegalMove(f"vertex {v} not in edge {i} {edge}")
+    if w[v] == 0:
+        raise IllegalMove(f"vertex {v} has zero units")
     for u in edge:
         w[u] = (w[u] + 1) % p
-    w[move.vertex] = (w[move.vertex] - 2) % p
+    w[v] = (w[v] - 2) % p
 
 
 def apply_move(G: Hypergraph, p: int, w: State, move: Move) -> State:

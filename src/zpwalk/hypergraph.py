@@ -76,8 +76,11 @@ class Hypergraph:
     @cached_property
     def peel_plans(self) -> dict:
         """Synthesis's peel plan per modulus (synthesis._peel_plan): the
-        kept edges' order, each with its vertices, private mask, shared
-        vertices and lever flag.  O(sum |e|) per modulus, freed with G."""
+        kept edges' order, each with its vertices, shared vertices and
+        lever flag, and the constants the plan search reads off its
+        private mask: |P|, the first shared and first private positions,
+        the shared positions and the mask as 0/1 ints.  O(sum |e|) per
+        modulus, freed with G."""
         return {}
 
     @cached_property

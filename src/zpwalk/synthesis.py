@@ -39,16 +39,22 @@ toolbox, bottom up:
     once on G; nothing eliminates or searches.
 
 Every construction writes into one _Builder, which holds one mutable
-state in G's own ids, simulates each move on it once, as it is added,
-and checks each construction's net effect on it.  A single-edge phase
-reads and moves the edge's vertices in place; no piece of G is built as
-a hypergraph of its own.  synthesize_schedule replays the finished
-schedule once as the end-to-end check.
+state in G's own ids, steps each move on it once, as it is added, and
+checks each construction's net effect on it.  Every move is taken from
+an edge's own vertices, so the builder checks only the mover's charge.
+A single-edge phase reads and moves the edge's vertices in place; no
+piece of G is built as a hypergraph of its own.  synthesize_schedule
+replays the finished schedule once through dynamics as the full
+end-to-end check, inside the same fault boundary: a schedule that fails
+it is an InternalSynthesisFailure.
 
 The peel plan depends on G and p alone, so it is made once per modulus
 and kept on G (_peel_plan, in G.peel_plans): the edge order with each
-level's vertices, private mask, shared vertices and lever flag.  A
-repeated query on the same hypergraph and modulus runs no edge search.
+level's vertices, shared vertices and lever flag, and the constants the
+plan search reads off its private mask (|P|, the first shared and first
+private positions, the shared positions, the mask as 0/1 ints).  A repeated
+query on the same hypergraph and modulus runs no edge search and
+re-derives nothing from a mask.
 """
 
 from __future__ import annotations
@@ -63,11 +69,11 @@ from .dynamics import (
     Move,
     Schedule,
     State,
-    _step,
     replay_schedule,
     validate_state,
 )
 from .errors import (
+    IllegalMove,
     InternalSynthesisFailure,
     NotGood,
     PairNotGood,
@@ -98,8 +104,7 @@ class _Builder:
 
     state is one list over G's vertices, copied from the state given and
     never rebound, so a construction may hold on to it; emit steps it in
-    place before recording the move, so an illegal move surfaces at the
-    exact step that produced it.
+    place before recording each move.
     """
 
     G: Hypergraph
@@ -111,7 +116,20 @@ class _Builder:
         self.state = list(self.state)
 
     def emit(self, move: Move) -> None:
-        _step(self.G, self.p, self.state, move)
+        """Step the state in place, then record the move.
+
+        Only the mover's charge is checked, so a move at an uncharged
+        vertex fails at the step that made it.  Every construction takes
+        its moves from an edge's own vertices, so the edge index and the
+        vertex's membership go unchecked here; synthesize_schedule's
+        final replay checks every move in full.
+        """
+        w, v, p = self.state, move.vertex, self.p
+        if not w[v]:
+            raise IllegalMove(f"vertex {v} has zero units")
+        for u in self.G.edges[move.edge]:
+            w[u] = (w[u] + 1) % p
+        w[v] = (w[v] - 2) % p
         self.moves.append(move)
 
     def emit_all(self, moves) -> None:
@@ -345,7 +363,11 @@ def synthesize_schedule(
         except ZpwalkError as err:  # an illegal move or a bad anchor pair included
             raise InternalSynthesisFailure(f"a phase checked valid was refused: {err}") from None
     schedule = Schedule(tuple(b.moves))
-    if replay_schedule(G, p, w1, schedule) != w2:
+    try:  # the end-to-end check, inside the same fault boundary
+        end = replay_schedule(G, p, w1, schedule)
+    except ZpwalkError as err:
+        raise InternalSynthesisFailure(f"synthesized schedule fails replay: {err}") from None
+    if end != w2:
         raise InternalSynthesisFailure("synthesized schedule fails replay")
     return schedule
 
@@ -386,10 +408,15 @@ def _peel_order(G: Hypergraph, p: int) -> list[tuple[int, tuple[bool, ...]]]:
 def _peel_plan(G: Hypergraph, p: int) -> tuple[tuple[int, ...], tuple]:
     """G's peel plan at p, made once and kept in G.peel_plans: (rank, levels).
 
-    levels[r] is (l, G.edges[l], private, shared, lever) for the r-th
-    kept edge l in _peel_order's order: its private mask, its shared
-    (not private) vertices, and whether |e| != 2 mod p.  rank[i] is edge
-    i's level, or G.m for a dropped edge, which ranks after every kept one.
+    levels[r] is (l, e, shared, lever, q, s0, p0, spos, base) for the
+    r-th kept edge l in _peel_order's order, everything about it that
+    depends on G and p alone: its vertices e = G.edges[l], its shared
+    (not private) vertices, whether |e| != 2 mod p, q = |P| (the number
+    of private vertices), the first shared and the first private
+    position of e (s0 is None at the root, which shares nothing), the
+    tuple of shared positions, and its private mask as 0/1 ints, the
+    base of _plans' alpha.  rank[i] is edge i's level, or G.m for a
+    dropped edge, which ranks after every kept one.
     """
     plan = G.peel_plans.get(p)
     if plan is None:
@@ -399,8 +426,10 @@ def _peel_plan(G: Hypergraph, p: int) -> tuple[tuple[int, ...], tuple]:
         for r, (l, private) in enumerate(kept):
             rank[l] = r
             e = G.edges[l]
-            shared = tuple(v for v, new in zip(e, private) if not new)
-            levels.append((l, e, private, shared, (len(e) - 2) % p != 0))
+            spos = tuple(i for i, new in enumerate(private) if not new)
+            levels.append((l, e, tuple(e[i] for i in spos), (len(e) - 2) % p != 0,
+                           sum(private), spos[0] if spos else None, private.index(True),
+                           spos, tuple(map(int, private))))
         plan = G.peel_plans[p] = (tuple(rank), tuple(levels))
     return plan
 
@@ -435,14 +464,14 @@ def _peel(b: _Builder, w2: State) -> None:
 
     posts = []
     for r in range(len(levels) - 1, 0, -1):
-        l, e, private, shared, lever = levels[r]
+        level = levels[r]
+        l, e, shared = level[:3]
         undo: list[Move] = []
         for walked in (False, True):
             a_l = tuple(map(w.__getitem__, e))
             t_l = tuple(map(target.__getitem__, e))
             rest = [h - x for h, x in zip(tally, _tally(top, a_l, t_l))]
-            plan = next((plan for plan in _plans(p, lever, private, a_l, t_l)
-                         if _plan_ok(p, lever, private, a_l, t_l, rest, *plan)), None)
+            plan = _first_plan(p, level, a_l, t_l, rest)
             if plan is not None:
                 break
             if walked:
@@ -456,7 +485,7 @@ def _peel(b: _Builder, w2: State) -> None:
                 recount(touched, -1)
                 b.emit_all(moves)
                 recount(touched, 1)
-            if all(x == p - 1 for x in t_l):
+            if t_l.count(top) == len(t_l):
                 # A move on p - 1 - w is an un-move on w: the walk on the
                 # mirrored target, un-moved here, is emitted reversed once
                 # the level has reached the new target.
@@ -490,7 +519,15 @@ def _tally(top: int, values: Sequence[int], target: Sequence[int]) -> list[int]:
             sum(map(ne, values, target))]
 
 
-def _plans(p: int, lever: bool, private: tuple[bool, ...], a_l: State, t_l: State):
+def _first_plan(p: int, level: tuple, a_l: State, t_l: State, rest: list[int]):
+    """The cheapest of _plans' candidates that _plan_ok accepts, or None."""
+    for alpha, mid in _plans(p, level, a_l, t_l):
+        if _plan_ok(p, level, a_l, t_l, rest, alpha, mid):
+            return alpha, mid
+    return None
+
+
+def _plans(p: int, level: tuple, a_l: State, t_l: State):
     """Candidate plans (alpha, mid) for one level, cheapest first.
 
     First no pre-phase: the level below takes S to its target except at
@@ -502,27 +539,29 @@ def _plans(p: int, lever: bool, private: tuple[bool, ...], a_l: State, t_l: Stat
     (sigma - |P| + 1, 1, ..., 1), where sigma is what l's sum leaves for
     P (|P| when l has a lever).  x0 is 1 on a lever, else y0 plus the
     sum l must gain.  y0 = 2 serves where y0 = 1 saturates R's target or
-    empties the post-phase's source.
+    empties the post-phase's source.  level is the edge's _peel_plan level.
     """
-    k, q = len(a_l), sum(private)
-    s0, p0 = private.index(False), private.index(True)
-    mid = [a if new else t for a, t, new in zip(a_l, t_l, private)]
+    lever, q, s0, p0, spos, base = level[3:]
+    k, sum_a, sum_t = len(a_l), sum(a_l), sum(t_l)
+    mid = list(a_l)
+    for i in spos:
+        mid[i] = t_l[i]
     # post-phase counts are (d + sum(d) / (2 - k)) / 2 for d = mid - t_l
-    mid[s0] = ((k - 2) * (a_l[p0] - t_l[p0]) + sum(t_l) - sum(mid) + mid[s0]) % p
+    mid[s0] = ((k - 2) * (a_l[p0] - t_l[p0]) + sum_t - sum(mid) + mid[s0]) % p
     yield a_l, tuple(mid)
     for y0 in (1, 2):
         if lever:
             x0, sigma = 1, q
         else:
-            x0, sigma = (y0 + sum(t_l) - sum(a_l)) % p, sum(a_l) - y0
-        alpha = [int(new) for new in private]
+            x0, sigma = (y0 + sum_t - sum_a) % p, sum_a - y0
+        alpha = list(base)
         alpha[s0], alpha[p0] = y0, (sigma - q + 1) % p
         mid = list(alpha)
         mid[s0] = x0
         yield tuple(alpha), tuple(mid)
 
 
-def _plan_ok(p: int, lever: bool, private: tuple[bool, ...], a_l: State, t_l: State,
+def _plan_ok(p: int, level: tuple, a_l: State, t_l: State,
              rest: list[int], alpha: State, mid: State) -> bool:
     """Are a plan's three instances each empty or reachable?
 
@@ -530,16 +569,17 @@ def _plan_ok(p: int, lever: bool, private: tuple[bool, ...], a_l: State, t_l: St
     sum-invariant l, and then l's two balanced phases balance R too.
     """
     charged, unsaturated, mismatched = rest
-    src = [x for x, new in zip(alpha, private) if not new]
-    dst = [x for x, new in zip(mid, private) if not new]
+    lever, spos = level[3], level[7]
+    src = tuple(map(alpha.__getitem__, spos))
+    dst = tuple(map(mid.__getitem__, spos))
     inner = ((not mismatched and src == dst)
-             or ((charged or any(src)) and (unsaturated or any(x != p - 1 for x in dst))))
+             or ((charged or any(src)) and (unsaturated or dst.count(p - 1) != len(dst))))
     return inner and _phase_ok(p, lever, a_l, alpha) and _phase_ok(p, lever, mid, t_l)
 
 
 def _phase_ok(p: int, lever: bool, src: State, dst: State) -> bool:
     """Is the single-edge instance src -> dst empty or reachable?"""
-    return src == dst or (any(src) and any(x != p - 1 for x in dst)
+    return src == dst or (any(src) and dst.count(p - 1) != len(dst)
                           and (lever or (sum(src) - sum(dst)) % p == 0))
 
 

@@ -22,7 +22,6 @@ from zpwalk.decision import build_system
 from zpwalk.dynamics import (
     Move,
     Schedule,
-    _step,
     all_moves,
     apply_move,
     oracle_reachable,
@@ -389,6 +388,36 @@ def test_an_internal_failure_passes_the_boundary_unwrapped(monkeypatch, tmp_path
     assert "error (InternalSynthesisFailure): descent misread a blocked state" in err
 
 
+class _MisrecordingBuilder(_Builder):
+    """Steps each move, then records it on CHAIN2's other edge."""
+
+    def emit(self, move):
+        super().emit(move)
+        self.moves[-1] = Move(move.vertex, 1 - move.edge)
+
+
+def test_a_schedule_failing_the_final_replay_is_an_internal_failure(
+        monkeypatch, tmp_path, capsys):
+    """The final replay sits inside the fault boundary: a recorded move
+    the builder did not step is InternalSynthesisFailure, exit 4 in the
+    CLI and a divergence in selftest, not an IllegalMove (exit 1)."""
+    monkeypatch.setattr(synthesis, "_Builder", _MisrecordingBuilder)
+    w1, w2 = (1, 0, 0, 0, 0), (0, 0, 0, 0, 1)
+    with pytest.raises(InternalSynthesisFailure,
+                       match=r"fails replay: step 0: vertex 0 not in edge 1 "):
+        synthesize_schedule(CHAIN2, 3, w1, w2)
+    path = tmp_path / "chain2.hg"
+    path.write_text(format_hypergraph(3, CHAIN2))
+    pair = ["--from", "1,0,0,0,0", "--to", "0,0,0,0,1"]
+    for argv in (["schedule", str(path), *pair],
+                 ["reach", str(path), *pair, "--witness", "--mode", "algebraic"]):
+        assert main(argv) == EXIT_MISMATCH
+        assert "error (InternalSynthesisFailure)" in capsys.readouterr().err
+    report = SelftestReport()
+    assert not _witness_schedule(CHAIN2, 3, w1, w2, report)
+    assert len(report.divergences) == 1 and "fails replay" in report.divergences[0]
+
+
 @pytest.mark.parametrize("p, k", [(3, 3), (3, 4), (5, 3), (5, 4)])
 def test_on_edge_never_settles_an_unreachable_phase(p, k):
     """_on_edge trusts its caller to have proven the phase reachable; a
@@ -483,16 +512,22 @@ def unit_chain(m: int):
     return G, w1, w1[::-1]
 
 
+def _stepped_moves(monkeypatch) -> list[Move]:
+    """Every move a _Builder steps, recorded by a spy on _Builder.emit."""
+    stepped = []
+    emit = _Builder.emit
+
+    def spy(self, move):
+        stepped.append(move)
+        emit(self, move)
+
+    monkeypatch.setattr(_Builder, "emit", spy)
+    return stepped
+
+
 @pytest.mark.parametrize("p", (3, 5))
 def test_synthesize_long_chain(p, monkeypatch):
-    calls = 0
-
-    def counting_step(*args):
-        nonlocal calls
-        calls += 1
-        return _step(*args)
-
-    monkeypatch.setattr("zpwalk.synthesis._step", counting_step)
+    stepped = _stepped_moves(monkeypatch)
     G, w1, w2 = unit_chain(200)
     sched = synthesize_schedule(G, p, w1, w2)
     assert replay_schedule(G, p, w1, sched) == w2
@@ -501,12 +536,11 @@ def test_synthesize_long_chain(p, monkeypatch):
     assert len(sched) <= p * 200
     # each move is simulated once where it is built (the final replay
     # goes through dynamics)
-    assert calls == len(sched)
+    assert len(stepped) == len(sched)
 
 
 def test_synthesize_simulates_each_move_once(monkeypatch):
-    calls = {"_step": 0, "replay_schedule": 0, "_build_structure": 0,
-             "_closed_form_solution": 0}
+    calls = {"replay_schedule": 0, "_build_structure": 0, "_closed_form_solution": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -514,7 +548,7 @@ def test_synthesize_simulates_each_move_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr("zpwalk.synthesis._step", counted("_step", _step))
+    stepped = _stepped_moves(monkeypatch)
     monkeypatch.setattr("zpwalk.synthesis.replay_schedule",
                         counted("replay_schedule", replay_schedule))
     monkeypatch.setattr("zpwalk.hypergraph._build_structure",
@@ -528,7 +562,7 @@ def test_synthesize_simulates_each_move_once(monkeypatch):
     assert calls["replay_schedule"] == 1
     # one simulation per scheduled move (the single-edge descent tests its
     # moves in closed form)
-    assert calls["_step"] == len(sched)
+    assert len(stepped) == len(sched)
     # G's own search and its one solvability check: no piece of G is
     # built as a hypergraph of its own
     assert calls["_build_structure"] == 1
@@ -711,6 +745,32 @@ def test_peel_plan_is_kept_per_modulus(monkeypatch):
         assert sched == synthesize_schedule(hypergraph.Hypergraph(G.n, G.edges), p, w1, w2)
     # the edge search ran once per modulus on G, not again for the repeat
     assert [p for H, p in searched if H is G] == [3, 5]
+
+
+def test_peel_plan_levels_keep_their_mask_constants():
+    # every constant a level stores is what its private mask gives, on
+    # the peel shapes and a seeded generated family, each modulus planned
+    # on a fresh copy of G
+    rng = random.Random("level-constants")
+    shapes = [G for G, _ in PEEL_SHAPES.values()]
+    shapes += [gen_good_hypergraph(n, (n - 1) // 2 - rng.randrange(2), seed=rng.randrange(2**32))
+               for n in (7, 11, 15, 21, 31) for _ in range(4)]
+    levels_checked = 0
+    for G in shapes:
+        for p in (3, 5, 7):
+            H = hypergraph.Hypergraph(G.n, G.edges)
+            rank, levels = synthesis._peel_plan(H, p)
+            kept = synthesis._peel_order(H, p)
+            assert len(levels) == len(kept)
+            for r, ((l, private), level) in enumerate(zip(kept, levels)):
+                e = G.edges[l]
+                spos = tuple(i for i, new in enumerate(private) if not new)
+                assert rank[l] == r
+                assert level == (l, e, tuple(e[i] for i in spos), (len(e) - 2) % p != 0,
+                                 sum(private), private.index(False) if r else None,
+                                 private.index(True), spos, tuple(int(new) for new in private))
+                levels_checked += 1
+    assert levels_checked > 400
 
 
 def test_schedule_lengths_script_smoke(capsys):
