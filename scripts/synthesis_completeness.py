@@ -3,11 +3,13 @@
 
 Every pair in the family is an algebraic "yes" (decide_reachability in
 algebraic mode), so on the well-shaped family each one must end in a
-replayed schedule.  Prints one JSON line per tier: the number of pairs,
-of schedules, of SynthesisIncomplete verdicts, the total number of
-moves, and the CPU seconds spent inside synthesize_schedule.  The lines,
-with the seed, also go to `BENCH_synthesis.json` at the root of the
-repository.
+replayed schedule.  A pair that synthesis fails on instead
+(InternalSynthesisFailure, Unsolvable or UnreachableTarget, the errors
+the selftest counts as divergences) is tallied as failed, and the tier
+goes on.  Prints one JSON line per tier: the number of pairs, of
+schedules, of failed pairs, the total number of moves, and the CPU
+seconds spent inside synthesize_schedule.  The lines, with the seed,
+also go to `BENCH_synthesis.json` at the root of the repository.
 
     PYTHONPATH=src python3 scripts/synthesis_completeness.py --seed 1
 
@@ -32,7 +34,7 @@ import time
 from pathlib import Path
 
 from zpwalk.decision import MODE_ALGEBRAIC, decide_reachability
-from zpwalk.errors import SynthesisIncomplete
+from zpwalk.errors import InternalSynthesisFailure, UnreachableTarget, Unsolvable
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import make_hypergraph
 from zpwalk.synthesis import synthesize_schedule
@@ -74,15 +76,15 @@ def unit_chain(m: int, p: int):
 
 
 def run_tier(name: str, cases) -> dict:
-    line = {"tier": name, "pairs": 0, "schedules": 0, "SynthesisIncomplete": 0,
+    line = {"tier": name, "pairs": 0, "schedules": 0, "failed": 0,
             "moves": 0, "cpu_s": 0.0}
     for G, p, w1, w2 in cases:
         line["pairs"] += 1
         start = time.process_time()
         try:
             schedule = synthesize_schedule(G, p, w1, w2)
-        except SynthesisIncomplete:
-            line["SynthesisIncomplete"] += 1
+        except (InternalSynthesisFailure, Unsolvable, UnreachableTarget):
+            line["failed"] += 1
         else:
             line["schedules"] += 1
             line["moves"] += len(schedule)

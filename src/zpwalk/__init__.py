@@ -55,7 +55,6 @@ from .errors import (
     NoInverse,
     NormUndefined,
     NotGood,
-    PairNotGood,
     ParseError,
     ShapeError,
     StateSpaceTooLarge,

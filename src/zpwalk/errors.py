@@ -73,17 +73,12 @@ class UnreachableTarget(ZpwalkError):
     """Schedule synthesis asked for a target that is not reachable."""
 
 
-class PairNotGood(ZpwalkError):
-    """The two anchor vertices cannot host the alternating double-move trick."""
-
-
 class SynthesisIncomplete(ZpwalkError):
     """Constructive synthesis gave up without a schedule.
 
     Nothing in the package raises it: synthesis runs no search and no
     recursion, so on the well-shaped family it does not give up.  The
-    type stays for the tallies of scripts/synthesis_completeness.py and
-    the benchmark.
+    type stays only because the benchmark (perfbench/) catches it.
     """
 
 

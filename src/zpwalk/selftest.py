@@ -91,7 +91,7 @@ class SelftestReport:
     generated_instances: int = 0
     witness_positive: int = 0
     certified_negative: int = 0
-    #: stays 0 (nothing raises SynthesisIncomplete); perfbench's selftest tally reads it
+    #: stays 0 (nothing raises SynthesisIncomplete); kept only for the benchmark's selftest tally
     synthesis_incomplete: int = 0
     nongood_pairs_checked: int = 0
     nongood_solvable_unreachable: int = 0

@@ -76,7 +76,6 @@ from .errors import (
     IllegalMove,
     InternalSynthesisFailure,
     NotGood,
-    PairNotGood,
     UnreachableTarget,
     Unsolvable,
     ZpwalkError,
@@ -138,13 +137,11 @@ class _Builder:
 
     def trick(self, edge: int, a: int, b: int, direction: int) -> None:
         """Alternating rounds at anchors a, b: +direction (+1 or -1) at every
-        other vertex of the edge, anchors restored; PairNotGood unless the
-        anchor values are a good pair.  Checked against that net effect."""
+        other vertex of the edge, anchors restored.  Checked against that
+        net effect.  The peel only picks anchors holding a good pair
+        (is_good_pair); a bad pair fails at its first illegal move, inside
+        synthesize_schedule's fault boundary."""
         p, w, e = self.p, self.state, self.G.edges[edge]
-        if not is_good_pair(p, w[a], w[b]):
-            raise PairNotGood(
-                f"anchor values ({w[a]}, {w[b]}) at vertices ({a}, {b}) admit no alternating rounds"
-            )
         before = tuple(map(w.__getitem__, e))
         rounds = (p + 1) // 2 if direction == 1 else (p - 1) // 2
         # Within a round the first mover needs charge and hands one unit to

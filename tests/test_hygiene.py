@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package, script and test uses
 what it imports, every private module-level name is read somewhere in
-the package, and the judge shares no step with what it judges.
+the package, every error type is named outside errors.py, and the judge
+shares no step with what it judges.
 
 The package's own __init__ is left out of the import check: it imports
 to re-export.
@@ -64,6 +65,30 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                         if name.startswith("_") and not name.startswith("__")]
     return [f"{module}.{name}" for module, name, own in defined
             if not any(name in read for k, read in enumerate(reads) if k != own)]
+
+
+def unnamed_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
+    """Classes of errors_source that none of sources names.
+
+    A module names a class when it loads it or reads it as an attribute;
+    an import alone does not count, since every import must be used.
+    """
+    named = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [stmt.name for stmt in ast.parse(errors_source).body
+            if isinstance(stmt, ast.ClassDef) and stmt.name not in named]
+
+
+#: error types no package module names, each with why it stays
+UNNAMED_ERRORS = {
+    "SynthesisIncomplete": "perfbench imports it; it goes with the benchmark change "
+                           "(ROADMAP item 3)",
+}
 
 
 #: the judge's ground truth, which may import nothing from the package but errors
@@ -134,6 +159,18 @@ def test_the_check_sees_unread_private_names():
     assert unread_private_names(sources) == ["a._dead", "a._Box"]
 
 
+def test_the_check_sees_unnamed_errors():
+    errors = ("class Raised(Exception):\n    pass\n"
+              "class Caught(Exception):\n    pass\n"
+              "class Imported(Exception):\n    pass\n"
+              "class Dead(Exception):\n    pass\n")
+    sources = {
+        "a": "from .errors import Imported, Raised\nraise Raised()\n",
+        "b": "from . import errors\ntry:\n    pass\nexcept errors.Caught:\n    pass\n",
+    }
+    assert unnamed_errors(errors, sources) == ["Imported", "Dead"]
+
+
 def test_the_check_sees_a_shared_step():
     sources = {
         "zp_algebra": ("from .errors import ShapeError\nfrom .dynamics import all_moves\n"
@@ -166,6 +203,12 @@ def test_every_import_is_used(path):
 
 def test_every_private_name_is_read():
     assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_every_error_type_is_named_outside_errors():
+    errors = next(p for p in MODULES if p.name == "errors.py")
+    sources = {p.stem: p.read_text() for p in MODULES if p != errors}
+    assert sorted(unnamed_errors(errors.read_text(), sources)) == sorted(UNNAMED_ERRORS)
 
 
 def test_the_judge_shares_no_step_with_what_it_judges():

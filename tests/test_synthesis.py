@@ -29,9 +29,9 @@ from zpwalk.dynamics import (
     replay_schedule,
 )
 from zpwalk.errors import (
+    IllegalMove,
     InternalSynthesisFailure,
     NotGood,
-    PairNotGood,
     UnreachableTarget,
     Unsolvable,
     ZpwalkError,
@@ -86,6 +86,15 @@ def trick(G, p, w, edge, a, b, direction):
     return Schedule(tuple(builder.moves))
 
 
+def refused_trick(G, p, w, edge, a, b, direction):
+    """A trick on a bad anchor pair stops at its first illegal move, in
+    the first round, before the second move is recorded."""
+    builder = _Builder(G, p, w)
+    with pytest.raises(IllegalMove):
+        builder.trick(edge, a, b, direction)
+    assert len(builder.moves) <= 1
+
+
 def test_trick_worked_examples():
     w = (1, 1, 0, 0)
     up = trick(E4, 3, w, 0, 0, 1, +1)
@@ -96,8 +105,8 @@ def test_trick_worked_examples():
     assert len(down.moves) == 2
     assert replay_schedule(E4, 3, w, down) == (1, 1, 2, 2)
 
-    with pytest.raises(PairNotGood):
-        trick(E4, 3, (0, 0, 1, 1), 0, 0, 1, +1)
+    refused_trick(E4, 3, (0, 0, 1, 1), 0, 0, 1, +1)
+    refused_trick(E4, 3, (2, 2, 1, 1), 0, 0, 1, +1)
 
 
 def test_trick_exhaustive_sweep():
@@ -114,8 +123,7 @@ def test_trick_exhaustive_sweep():
                         w = tuple(w)
                         for direction in (+1, -1):
                             if not is_good_pair(p, va, vb):
-                                with pytest.raises(PairNotGood):
-                                    trick(G, p, w, 0, a, b, direction)
+                                refused_trick(G, p, w, 0, a, b, direction)
                                 continue
                             sched = trick(G, p, w, 0, a, b, direction)
                             out = replay_schedule(G, p, w, sched)
@@ -800,8 +808,25 @@ def test_completeness_tiers_need_no_give_up():
     # the n = 41, m = 15 tiers of scripts/synthesis_completeness.py
     script = runpy.run_path(str(SCRIPTS / "synthesis_completeness.py"))
     for line in script["tier_lines"](1, ("n41-charge3", "n41-dense")):
-        assert line["SynthesisIncomplete"] == 0
+        assert line["failed"] == 0
         assert line["schedules"] == line["pairs"] == 20
+
+
+def test_completeness_tier_tallies_a_failure_and_goes_on(monkeypatch):
+    """A synthesis failure on one pair is counted, not raised out of the tier."""
+    script = runpy.run_path(str(SCRIPTS / "synthesis_completeness.py"))
+    calls = []
+
+    def fail_second(G, p, w1, w2):
+        calls.append(w1)
+        if len(calls) == 2:
+            raise InternalSynthesisFailure("a phase checked valid was refused")
+        return synthesize_schedule(G, p, w1, w2)
+
+    monkeypatch.setitem(script["run_tier"].__globals__, "synthesize_schedule", fail_second)
+    [line] = script["tier_lines"](1, ("n41-charge3",))
+    assert line["failed"] == 1
+    assert line["schedules"] == line["pairs"] - 1 == 19
 
 
 @st.composite
