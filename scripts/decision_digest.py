@@ -41,7 +41,7 @@ from zpwalk.decision import (
     necessity_filter,
 )
 from zpwalk.errors import ZpwalkError
-from zpwalk.generate import gen_good_hypergraph
+from zpwalk.generate import class_target, gen_good_hypergraph
 from zpwalk.hypergraph import is_good, make_hypergraph
 
 PRIMES = (3, 5, 7)
@@ -73,18 +73,6 @@ def loose_tree(rng: random.Random, m: int, k: int):
     return make_hypergraph(n, edges)
 
 
-def class_target(rng: random.Random, G, p: int, w1) -> tuple[int, ...]:
-    """w1 plus random multiples of every move's effect: balance-solvable."""
-    w2 = list(w1)
-    for e in G.edges:
-        for v in e:
-            x = rng.randrange(p)
-            for u in e:
-                w2[u] = (w2[u] + x) % p
-            w2[v] = (w2[v] - 2 * x) % p
-    return tuple(w2)
-
-
 def hypergraphs(rng: random.Random):
     """Yield (G, p) for every hypergraph of the family, in a fixed order."""
     for _ in range(300):
@@ -107,7 +95,7 @@ def pairs(rng: random.Random, G, p: int):
     w = state()
     yield state(), state()
     yield state(), state()
-    yield w, class_target(rng, G, p, w)
+    yield w, class_target(G, p, w, rng)
     yield (0,) * G.n, state()
     yield state(), (p - 1,) * G.n
     yield w, w

@@ -3,13 +3,13 @@
 
 Every pair in the family is an algebraic "yes" (decide_reachability in
 algebraic mode), so on the well-shaped family each one must end in a
-replayed schedule.  A pair that synthesis fails on instead
-(InternalSynthesisFailure, Unsolvable or UnreachableTarget, the errors
-the selftest counts as divergences) is tallied as failed, and the tier
-goes on.  Prints one JSON line per tier: the number of pairs, of
-schedules, of failed pairs, the total number of moves, and the CPU
-seconds spent inside synthesize_schedule.  The lines, with the seed,
-also go to `BENCH_synthesis.json` at the root of the repository.
+replayed schedule.  A pair that synthesis fails on instead (one of
+synthesis.SYNTHESIS_FAILURES, the errors the selftest counts as
+divergences) is tallied as failed, and the tier goes on.  Prints one
+JSON line per tier: the number of pairs, of schedules, of failed pairs,
+the total number of moves, and the CPU seconds spent inside
+synthesize_schedule.  The lines, with the seed, also go to
+`BENCH_synthesis.json` at the root of the repository.
 
     PYTHONPATH=src python3 scripts/synthesis_completeness.py --seed 1
 
@@ -34,10 +34,9 @@ import time
 from pathlib import Path
 
 from zpwalk.decision import MODE_ALGEBRAIC, decide_reachability
-from zpwalk.errors import InternalSynthesisFailure, UnreachableTarget, Unsolvable
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import make_hypergraph
-from zpwalk.synthesis import synthesize_schedule
+from zpwalk.synthesis import SYNTHESIS_FAILURES, synthesize_schedule
 
 #: (name, n, m, pairs, source kind)
 RANDOM_TIERS = (
@@ -83,7 +82,7 @@ def run_tier(name: str, cases) -> dict:
         start = time.process_time()
         try:
             schedule = synthesize_schedule(G, p, w1, w2)
-        except (InternalSynthesisFailure, Unsolvable, UnreachableTarget):
+        except SYNTHESIS_FAILURES:
             line["failed"] += 1
         else:
             line["schedules"] += 1

@@ -31,26 +31,9 @@ import sys
 from collections import Counter
 
 from zpwalk.errors import ZpwalkError
-from zpwalk.generate import gen_good_hypergraph
+from zpwalk.generate import class_target, gen_good_hypergraph
 from zpwalk.hypergraph import make_hypergraph
 from zpwalk.synthesis import single_edge_schedule, synthesize_schedule
-
-
-def class_target(rng: random.Random, G, p: int, w1, skip=None) -> tuple[int, ...]:
-    """w1 plus random multiples of every move's effect off edge `skip`.
-
-    The result is balance-solvable, and without moves on `skip`.
-    """
-    w2 = list(w1)
-    for ei, e in enumerate(G.edges):
-        if ei == skip:
-            continue
-        for v in e:
-            x = rng.randrange(p)
-            for u in e:
-                w2[u] = (w2[u] + x) % p
-            w2[v] = (w2[v] - 2 * x) % p
-    return tuple(w2)
 
 
 def random_state(rng: random.Random, n: int, p: int) -> tuple[int, ...]:
@@ -66,13 +49,13 @@ def cases(rng: random.Random):
         p = rng.choice((3, 5))
         if i % 3 == 0:
             w1 = random_state(rng, n, p)
-            w2 = class_target(rng, G, p, w1)
+            w2 = class_target(G, p, w1, rng)
         elif i % 3 == 1:
             w1, w2 = random_state(rng, n, p), random_state(rng, n, p)
         else:
             charged = rng.sample(range(n), rng.randint(1, 3))
             w1 = tuple(1 if v in charged else 0 for v in range(n))
-            w2 = class_target(rng, G, p, w1, skip=rng.randrange(m))
+            w2 = class_target(G, p, w1, rng, skip=rng.randrange(m))
         yield synthesize_schedule, G, p, w1, w2
     for m in range(6, 61, 6):
         G = make_hypergraph(2 * m + 1, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(m)])
@@ -89,7 +72,7 @@ def cases(rng: random.Random):
                     n, edge, synth = k, tuple(range(k)), synthesize_schedule
                 G = make_hypergraph(n, [edge])
                 w1 = random_state(rng, n, p)
-                w2 = class_target(rng, G, p, w1) if j % 2 == 0 else random_state(rng, n, p)
+                w2 = class_target(G, p, w1, rng) if j % 2 == 0 else random_state(rng, n, p)
                 yield synth, G, p, w1, w2
 
 

@@ -52,7 +52,6 @@ from .errors import (
     InternalSynthesisFailure,
     InvalidModulus,
     MismatchError,
-    NoInverse,
     NormUndefined,
     NotGood,
     ParseError,
@@ -74,11 +73,7 @@ from .hypergraph import (
     parse_hypergraph,
 )
 from .selftest import SelftestReport, iter_small_good_hypergraphs, run_selftest
-from .synthesis import (
-    is_good_pair,
-    single_edge_schedule,
-    synthesize_schedule,
-)
+from .synthesis import single_edge_schedule, synthesize_schedule
 from .zp_algebra import (
     DEFAULT_ENUMERATION_CAP,
     SolutionSpace,
@@ -87,7 +82,6 @@ from .zp_algebra import (
     gaussian_solve,
     is_odd_prime,
     make_system,
-    mod_inverse,
     system_norm,
     validate_modulus,
 )

@@ -226,7 +226,8 @@ def _cmd_reach(rep: _Reporter, args) -> int:
         rep.input["witness"] = True
         text = format_schedule(schedule)
         rep.stats["witness"] = text.splitlines()
-        rep.say(text.rstrip("\n"))
+        if text:
+            rep.say(text.rstrip("\n"))
     return EXIT_YES if decision.answer else EXIT_NO
 
 

@@ -13,10 +13,6 @@ class InvalidModulus(ZpwalkError):
     """Modulus is not an odd prime in [3, MAX_MODULUS]."""
 
 
-class NoInverse(ZpwalkError):
-    """Element has no multiplicative inverse mod p."""
-
-
 class ShapeError(ZpwalkError):
     """Matrix / vector dimensions do not line up."""
 

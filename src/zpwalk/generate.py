@@ -1,4 +1,5 @@
-"""Random well-shaped hypergraphs for tests and experiments.
+"""Random well-shaped hypergraphs, and targets in a state's class, for
+tests and experiments.
 
 A well-shaped hypergraph with m >= 1 edges needs at least 2m + 1
 vertices: a connected family of m edges with pairwise intersections of
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+from .dynamics import State
 from .errors import Infeasible
 from .hypergraph import MAX_VERTICES, Hypergraph, is_good
 
@@ -99,3 +101,25 @@ def _try_build(
         else:
             return None
     return edges
+
+
+def class_target(G: Hypergraph, p: int, w: State, rng: random.Random,
+                 skip: int | None = None) -> State:
+    """w plus a random multiple of every move's effect off edge skip.
+
+    One rng.randrange(p) per incidence, edge by edge.  The result is
+    balance-solvable from w without moves on skip, so positive decisions
+    are frequent; it is not always reachable (corner states exist).
+    """
+    target = list(w)
+    for i, e in enumerate(G.edges):
+        if i == skip:
+            continue
+        for v in e:
+            x = rng.randrange(p)
+            if not x:
+                continue
+            for u in e:
+                target[u] = (target[u] + x) % p
+            target[v] = (target[v] - 2 * x) % p
+    return tuple(target)

@@ -42,16 +42,10 @@ from .dynamics import (
     replay_schedule,
     state_space,
 )
-from .errors import (
-    InternalSynthesisFailure,
-    MismatchError,
-    NotGood,
-    UnreachableTarget,
-    Unsolvable,
-)
-from .generate import gen_good_hypergraph
+from .errors import MismatchError, NotGood, Unsolvable
+from .generate import class_target, gen_good_hypergraph
 from .hypergraph import Hypergraph, is_good
-from .synthesis import _single_edge_counts, synthesize_schedule
+from .synthesis import SYNTHESIS_FAILURES, _single_edge_counts, synthesize_schedule
 from .zp_algebra import (
     condense,
     conserved_functionals,
@@ -157,22 +151,6 @@ def _random_state(G: Hypergraph, p: int, rng: random.Random, nonzero: bool = Fal
     if nonzero and not any(w):
         w = (1,) + w[1:]
     return w
-
-
-def _random_reachable_target(G: Hypergraph, p: int, w1: State, rng: random.Random) -> State:
-    """A target in w1's conserved class: w1 plus a random combination of
-    move effects.  Not always reachable (corner states exist) but always
-    balance-solvable, so positive decisions are frequent."""
-    w2 = list(w1)
-    for e in G.edges:
-        for v in e:
-            x = rng.randrange(p)
-            if not x:
-                continue
-            for u in e:
-                w2[u] = (w2[u] + x) % p
-            w2[v] = (w2[v] - 2 * x) % p
-    return tuple(w2)
 
 
 def _verify_negative(G, p, w1, w2, decision, basis, report) -> None:
@@ -365,7 +343,7 @@ def _orbit_pair_sweep(
         targets = [zero, ge, w1]
         while len(targets) < ORBIT_TARGETS_PER_SOURCE:
             if rng.random() < 0.5:
-                targets.append(_random_reachable_target(G, p, w1, rng))
+                targets.append(class_target(G, p, w1, rng))
             else:
                 targets.append(_random_state(G, p, rng))
         for w2 in targets:
@@ -398,7 +376,7 @@ def _synthesis_sweep(
         def sampled():
             for _ in range(targets * 50):
                 w1 = _random_state(G, p, rng)
-                yield w1, _random_reachable_target(G, p, w1, rng)
+                yield w1, class_target(G, p, w1, rng)
 
         pairs = sampled()
     done = 0
@@ -419,7 +397,7 @@ def _witness_schedule(
     not a crash of the sweep)."""
     try:
         schedule = synthesize_schedule(G, p, w1, w2)
-    except (InternalSynthesisFailure, Unsolvable, UnreachableTarget) as err:
+    except SYNTHESIS_FAILURES as err:
         report.divergences.append(
             f"{G.n}v/{G.m}e p={p}: synthesis for {w1} -> {w2} failed: {err}"
         )
@@ -455,7 +433,7 @@ def _witness_checks(
     for k in range(WITNESS_PAIRS):
         w1 = _random_state(G, p, rng, nonzero=True)
         if k % 2 == 0:
-            w2 = _random_reachable_target(G, p, w1, rng)
+            w2 = class_target(G, p, w1, rng)
         else:
             w2 = _random_state(G, p, rng)
         decision = decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC)

@@ -7,8 +7,9 @@ toolbox, bottom up:
   * the double-move trick (_Builder.trick) -- alternating moves at two
     anchor vertices of one edge; each round restores the anchors and
     adds +2 to every other vertex of the edge, so (p+1)/2 or (p-1)/2
-    rounds add exactly +1 or -1.  Works whenever the anchor values are a
-    "good pair" (is_good_pair: not both 0, not both p-1).
+    rounds add exactly +1 or -1.  Works whenever the anchors do not both
+    hold 0 (no legal first move) and do not both hold p-1 (no legal
+    second move in either order).
   * the single-edge phase (_on_edge) -- moves only on one edge until it
     holds a goal given per edge position, and returns at once when it
     already does (single_edge_schedule asks synthesize_schedule on that
@@ -34,8 +35,9 @@ toolbox, bottom up:
     post-phase, with values on the peeled edge chosen in closed form so
     that all three are reachable.  Only a zero source or a saturated
     target on the peeled edge stands in the way; a walk brings one unit
-    over, on the state or, mirrored, on the target.  Decision's
-    reachability rule (_algebraic_reach) refuses the unreachable pairs
+    over, on the state or, mirrored, on the target.  Decision's gate
+    (_gate_algebraic) refuses a hypergraph off the well-shaped family,
+    and its reachability rule (_algebraic_reach) the unreachable pairs,
     once on G; nothing eliminates or searches.
 
 Every construction writes into one _Builder, which holds one mutable
@@ -63,7 +65,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import ne
 
-from .decision import _algebraic_reach, _lever
+from .decision import _algebraic_reach, _gate_algebraic, _lever
 from .dynamics import (
     DEFAULT_MAX_STATES,
     Move,
@@ -75,26 +77,12 @@ from .dynamics import (
 from .errors import (
     IllegalMove,
     InternalSynthesisFailure,
-    NotGood,
     UnreachableTarget,
     Unsolvable,
     ZpwalkError,
 )
-from .hypergraph import Hypergraph, is_good
+from .hypergraph import Hypergraph
 from .zp_algebra import validate_modulus
-
-
-def is_good_pair(p: int, a: int, b: int) -> bool:
-    """Can two vertices holding values (a, b) sustain alternating rounds?
-
-    The excluded corners: (0, 0) has no legal first move, and (p-1, p-1)
-    has no legal second move in either order.
-    """
-    validate_modulus(p)
-    for x in (a, b):
-        if not 0 <= x < p:
-            raise ValueError(f"value {x} is not a residue in [0, {p})")
-    return (a, b) != (0, 0) and (a, b) != (p - 1, p - 1)
 
 
 @dataclass
@@ -138,14 +126,14 @@ class _Builder:
     def trick(self, edge: int, a: int, b: int, direction: int) -> None:
         """Alternating rounds at anchors a, b: +direction (+1 or -1) at every
         other vertex of the edge, anchors restored.  Checked against that
-        net effect.  The peel only picks anchors holding a good pair
-        (is_good_pair); a bad pair fails at its first illegal move, inside
+        net effect.  The peel never picks anchors that both hold 0 or both
+        hold p-1; such a pair fails at its first illegal move, inside
         synthesize_schedule's fault boundary."""
         p, w, e = self.p, self.state, self.G.edges[edge]
         before = tuple(map(w.__getitem__, e))
         rounds = (p + 1) // 2 if direction == 1 else (p - 1) // 2
         # Within a round the first mover needs charge and hands one unit to
-        # the second; this order works for every good pair.
+        # the second; this order works unless both hold 0 or both p-1.
         first, second = (a, b) if w[a] != 0 and w[b] != p - 1 else (b, a)
         for move in (Move(first, edge), Move(second, edge)) * rounds:
             self.emit(move)
@@ -322,6 +310,9 @@ _REFUSALS = {
     "unsolvability": (Unsolvable, "the move-counting system has no solution"),
 }
 
+#: what synthesize_schedule raises when a pair gets no schedule: a refusal or a fault
+SYNTHESIS_FAILURES = (InternalSynthesisFailure, Unsolvable, UnreachableTarget)
+
 
 def synthesize_schedule(
     G: Hypergraph,
@@ -333,17 +324,13 @@ def synthesize_schedule(
 ) -> Schedule:
     """Synthesize a replayable schedule from w1 to w2 on a well-shaped hypergraph.
 
-    Raises UnreachableTarget / Unsolvable when no schedule exists and
-    NotGood off the well-shaped family; every other pair gets a schedule,
-    replay-verified before it is returned.  max_states and cap are
-    accepted and unused: synthesis runs no search and no enumeration for
-    them to bound.
+    Raises UnreachableTarget / Unsolvable when no schedule exists and,
+    through decision's gate, NotGood off the well-shaped family; every
+    other pair gets a schedule, replay-verified before it is returned.
+    max_states and cap are accepted and unused: synthesis runs no search
+    and no enumeration for them to bound.
     """
-    validate_modulus(p)
-    report = is_good(G)
-    if not report.good:
-        kinds = sorted({v.kind for v in report.violations})
-        raise NotGood(f"schedule synthesis needs a well-shaped hypergraph ({', '.join(kinds)})")
+    _gate_algebraic(G, p)
     w1 = validate_state(p, G.n, w1)
     w2 = validate_state(p, G.n, w2)
     b = _Builder(G, p, w1)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .errors import (
     EnumerationTooLarge,
     InvalidModulus,
-    NoInverse,
     NormUndefined,
     ShapeError,
 )
@@ -51,15 +50,6 @@ def validate_modulus(p: int) -> None:
     if (not isinstance(p, int) or isinstance(p, bool) or p > MAX_MODULUS
             or not is_odd_prime(p)):
         raise InvalidModulus(f"modulus must be an odd prime in [3, {MAX_MODULUS}], got {p!r}")
-
-
-def mod_inverse(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p, via Fermat's little theorem."""
-    validate_modulus(p)
-    a %= p
-    if a == 0:
-        raise NoInverse(f"0 has no inverse mod {p}")
-    return pow(a, p - 2, p)
 
 
 @dataclass(frozen=True)

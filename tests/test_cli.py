@@ -63,6 +63,18 @@ def test_algebraic_mode_refuses_irregular_input(capsys):
     assert "well-shaped" in capsys.readouterr().err
 
 
+def test_schedule_and_algebraic_reach_refuse_with_one_message(capsys):
+    """Synthesis refuses an irregular hypergraph through decision's gate."""
+    pair = [TRIANGLE_FILE, "--from", "1,1,1", "--to", "2,2,2"]
+    assert main(["schedule", *pair]) == 2
+    refused = capsys.readouterr()
+    assert main(["reach", *pair, "--mode", "algebraic"]) == 2
+    assert capsys.readouterr() == refused
+    assert refused.out == ""
+    assert refused.err.startswith(
+        "error (NotGood): hypergraph is not well-shaped (small_edge); ")
+
+
 def test_check_good_flags_the_triangle(capsys):
     code = main(["check-good", TRIANGLE_FILE])
     assert code == 1
@@ -120,6 +132,13 @@ def test_reach_positive_with_witness(e5, capsys):
     sched = parse_schedule("\n".join(out.splitlines()[1:]))
     G = make_hypergraph(5, [(0, 1, 2, 3, 4)])
     assert replay_schedule(G, 3, (1, 0, 0, 0, 0), sched) == (0, 1, 1, 1, 1)
+
+
+def test_reach_with_an_empty_witness_prints_no_schedule_line(capsys):
+    code = main(["reach", TRIANGLE_FILE, "--from", "1,1,1", "--to", "1,1,1",
+                 "--mode", "oracle", "--witness"])
+    assert code == 0
+    assert capsys.readouterr().out == "reachable\n"
 
 
 def test_reach_negative(e5, capsys):

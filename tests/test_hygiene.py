@@ -1,7 +1,8 @@
 """Source hygiene: every module of the package, script and test uses
 what it imports, every private module-level name is read somewhere in
-the package, every error type is named outside errors.py, and the judge
-shares no step with what it judges.
+the package, every public function is read by the package, the scripts
+or the benchmark, every error type is named outside errors.py, and the
+judge shares no step with what it judges.
 
 The package's own __init__ is left out of the import check: it imports
 to re-export.
@@ -19,6 +20,8 @@ MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parent.parent
 #: the scripts and tests, whose imports are checked like the package's
 AUXILIARY = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("tests/*.py"))
+#: the scripts and the benchmark, whose reads keep a public function alive
+CALLERS = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,35 +39,70 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private names (_x) that no other statement reads.
+def statement_reads(sources: dict[str, str]):
+    """(module, statement, names read) per top-level statement of sources.
 
-    sources maps a module name to its text.  A name counts as read when
-    a top-level statement other than the one defining it, in any of the
-    modules, loads it or reads it as an attribute, so a helper that only
-    calls itself is still unread.
+    A statement reads a name when it loads it or reads it as an
+    attribute; an import alone is no read.
     """
-    defined, reads = [], []
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [stmt.name]
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                names = []
             read = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
-            reads.append(read)
-            defined += [(module, name, len(reads) - 1) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+            yield module, stmt, read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (_x) that no other statement reads.
+
+    sources maps a module name to its text.  A name counts as read when
+    a top-level statement other than the one defining it, in any of the
+    modules, reads it, so a helper that only calls itself is still
+    unread.
+    """
+    defined, reads = [], []
+    for module, stmt, read in statement_reads(sources):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        reads.append(read)
+        defined += [(module, name, len(reads) - 1) for name in names
+                    if name.startswith("_") and not name.startswith("__")]
     return [f"{module}.{name}" for module, name, own in defined
             if not any(name in read for k, read in enumerate(reads) if k != own)]
+
+
+def unread_public_functions(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Public module-level functions of sources that nothing else reads.
+
+    A function counts as read when another top-level statement of
+    sources reads it (a re-export by import alone does not), or when one
+    of the callers' texts names it as an identifier, an attribute or a
+    string (the benchmark lists the functions it wraps as strings).
+    """
+    named = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    statements = list(statement_reads(sources))
+    return [f"{module}.{stmt.name}" for own, (module, stmt, _) in enumerate(statements)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not stmt.name.startswith("_") and stmt.name not in named
+            and not any(stmt.name in read
+                        for k, (_, _, read) in enumerate(statements) if k != own)]
 
 
 def unnamed_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
@@ -159,6 +197,18 @@ def test_the_check_sees_unread_private_names():
     assert unread_private_names(sources) == ["a._dead", "a._Box"]
 
 
+def test_the_check_sees_unread_public_functions():
+    sources = {
+        "a": ("def used():\n    return 1\ndef dead(k):\n    return dead(k - 1)\n"
+              "def exported():\n    pass\ndef spanned():\n    pass\n"
+              "def scripted():\n    pass\ndef _private():\n    pass\n"),
+        "b": "from .a import used\nx = used()\n",
+        "__init__": "from .a import exported, used\n",
+    }
+    callers = ['SPANNED = (("a", "spanned"),)\n', "import a\na.scripted()\n"]
+    assert unread_public_functions(sources, callers) == ["a.dead", "a.exported"]
+
+
 def test_the_check_sees_unnamed_errors():
     errors = ("class Raised(Exception):\n    pass\n"
               "class Caught(Exception):\n    pass\n"
@@ -175,7 +225,7 @@ def test_the_check_sees_a_shared_step():
     sources = {
         "zp_algebra": ("from .errors import ShapeError\nfrom .dynamics import all_moves\n"
                        "from zpwalk import hypergraph\n"),
-        "synthesis": ("from .zp_algebra import mod_inverse, validate_modulus\n"
+        "synthesis": ("from .zp_algebra import condense, validate_modulus\n"
                       "from .zp_algebra import gaussian_solve\n"),
         "decision": "from . import zp_algebra\nfrom .dynamics import orbit_bfs\n",
         "selftest": "from .zp_algebra import enumerate_digraph, gaussian_solve\n",
@@ -183,7 +233,7 @@ def test_the_check_sees_a_shared_step():
     assert import_rule_violations(sources) == [
         "zp_algebra imports all_moves from dynamics (line 2)",
         "zp_algebra imports the module from hypergraph (line 3)",
-        "synthesis imports mod_inverse from zp_algebra (line 1)",
+        "synthesis imports condense from zp_algebra (line 1)",
         "synthesis imports gaussian_solve from zp_algebra (line 2)",
         "decision imports the module from zp_algebra (line 1)",
     ]
@@ -203,6 +253,11 @@ def test_every_import_is_used(path):
 
 def test_every_private_name_is_read():
     assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_every_public_function_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert unread_public_functions(sources, [p.read_text() for p in CALLERS]) == []
 
 
 def test_every_error_type_is_named_outside_errors():

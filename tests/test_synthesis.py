@@ -42,7 +42,6 @@ from zpwalk.selftest import SelftestReport, _witness_schedule
 from zpwalk.synthesis import (
     _Builder,
     _single_edge_counts,
-    is_good_pair,
     single_edge_schedule,
     synthesize_schedule,
 )
@@ -56,24 +55,6 @@ CHAIN2 = make_hypergraph(5, [(0, 1, 2), (2, 3, 4)])
 
 def single_edge(k: int):
     return make_hypergraph(k, [tuple(range(k))])
-
-
-# ------------------------------------------------------------ good pairs
-
-
-def test_good_pair_table():
-    for p in (3, 5, 7):
-        for a in range(p):
-            for b in range(p):
-                expected = (a, b) not in ((0, 0), (p - 1, p - 1))
-                assert is_good_pair(p, a, b) == expected
-
-
-def test_good_pair_validation():
-    with pytest.raises(ValueError):
-        is_good_pair(3, 3, 0)
-    with pytest.raises(ValueError):
-        is_good_pair(3, 0, -1)
 
 
 # ------------------------------------------------------- double-move trick
@@ -122,7 +103,7 @@ def test_trick_exhaustive_sweep():
                         w[a], w[b] = va, vb
                         w = tuple(w)
                         for direction in (+1, -1):
-                            if not is_good_pair(p, va, vb):
+                            if (va, vb) in ((0, 0), (p - 1, p - 1)):
                                 refused_trick(G, p, w, 0, a, b, direction)
                                 continue
                             sched = trick(G, p, w, 0, a, b, direction)

@@ -17,7 +17,6 @@ from zpwalk.decision import build_system
 from zpwalk.errors import (
     EnumerationTooLarge,
     InvalidModulus,
-    NoInverse,
     NormUndefined,
     ShapeError,
 )
@@ -32,7 +31,6 @@ from zpwalk.zp_algebra import (
     gaussian_solve,
     is_odd_prime,
     make_system,
-    mod_inverse,
     no_move_produces,
     system_norm,
     validate_modulus,
@@ -68,28 +66,6 @@ def random_system(rng: random.Random) -> ZpMatrixSystem:
 
 def test_is_odd_prime():
     assert [q for q in range(100) if is_odd_prime(q)] == list(SMALL_PRIMES)
-
-
-def test_mod_inverse_known_value():
-    assert mod_inverse(3, 7) == 5
-
-
-def test_mod_inverse_exhaustive_small_primes():
-    for p in SMALL_PRIMES:
-        for a in range(1, p):
-            assert (a * mod_inverse(a, p)) % p == 1
-
-
-def test_mod_inverse_reduces_input_first():
-    assert mod_inverse(10, 7) == mod_inverse(3, 7)
-    assert mod_inverse(-4, 7) == mod_inverse(3, 7)
-
-
-def test_mod_inverse_of_zero_rejected():
-    with pytest.raises(NoInverse):
-        mod_inverse(0, 5)
-    with pytest.raises(NoInverse):
-        mod_inverse(15, 5)
 
 
 @pytest.mark.parametrize("bad", [1, 2, 4, 6, 9, 15, 0, -3, -7, True])
