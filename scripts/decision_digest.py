@@ -41,7 +41,7 @@ from zpwalk.decision import (
     necessity_filter,
 )
 from zpwalk.errors import ZpwalkError
-from zpwalk.generate import class_target, gen_good_hypergraph
+from zpwalk.generate import class_target, gen_good_hypergraph, random_state
 from zpwalk.hypergraph import is_good, make_hypergraph
 
 PRIMES = (3, 5, 7)
@@ -90,7 +90,7 @@ def hypergraphs(rng: random.Random):
 
 def pairs(rng: random.Random, G, p: int):
     def state():
-        return tuple(rng.randrange(p) for _ in range(G.n))
+        return random_state(G, p, rng)
 
     w = state()
     yield state(), state()

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from zpwalk.dynamics import extract_schedule, orbit_bfs, replay_schedule
-from zpwalk.generate import gen_good_hypergraph
+from zpwalk.generate import gen_good_hypergraph, random_state
 from zpwalk.synthesis import synthesize_schedule
 
 
@@ -45,9 +45,7 @@ def measure_instance(seed: int, rng: random.Random, pairs: int) -> Row | None:
         p = 3
     G = gen_good_hypergraph(n, m, seed=seed)
 
-    w1 = tuple(rng.randrange(p) for _ in range(n))
-    if not any(w1):
-        w1 = (1,) + w1[1:]
+    w1 = random_state(G, p, rng, charged=True)
     orbit = orbit_bfs(G, p, w1, max_states=p**n)
     targets = [w for w in orbit.order[1:] if any(w)]
     if not targets:
@@ -76,6 +74,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, default=20,
                     help="sampled reachable targets per instance")
     args = ap.parse_args(argv)
+    if args.instances < 1 or args.pairs < 1:
+        ap.error("--instances and --pairs must be at least 1")
 
     rng = random.Random(args.seed)
     rows: list[Row] = []

@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 
 from zpwalk.decision import MODE_ALGEBRAIC, decide_reachability
-from zpwalk.generate import gen_good_hypergraph
+from zpwalk.generate import gen_good_hypergraph, random_state
 from zpwalk.hypergraph import make_hypergraph
 from zpwalk.synthesis import SYNTHESIS_FAILURES, synthesize_schedule
 
@@ -60,9 +60,9 @@ def random_pairs(rng: random.Random, n: int, m: int, pairs: int, kind: str, p: i
             charged = set(rng.sample(range(n), 3))
             w1 = tuple(rng.randrange(1, p) if v in charged else 0 for v in range(n))
         else:
-            w1 = tuple(rng.randrange(p) for _ in range(n))
+            w1 = random_state(G, p, rng)
         while True:
-            w2 = tuple(rng.randrange(p) for _ in range(n))
+            w2 = random_state(G, p, rng)
             if w2 != w1 and decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC).answer:
                 break
         yield G, p, w1, w2

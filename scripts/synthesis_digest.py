@@ -31,13 +31,9 @@ import sys
 from collections import Counter
 
 from zpwalk.errors import ZpwalkError
-from zpwalk.generate import class_target, gen_good_hypergraph
+from zpwalk.generate import class_target, gen_good_hypergraph, random_state
 from zpwalk.hypergraph import make_hypergraph
 from zpwalk.synthesis import single_edge_schedule, synthesize_schedule
-
-
-def random_state(rng: random.Random, n: int, p: int) -> tuple[int, ...]:
-    return tuple(rng.randrange(p) for _ in range(n))
 
 
 def cases(rng: random.Random):
@@ -48,10 +44,10 @@ def cases(rng: random.Random):
         G = gen_good_hypergraph(n, m, seed=rng.randrange(2**32))
         p = rng.choice((3, 5))
         if i % 3 == 0:
-            w1 = random_state(rng, n, p)
+            w1 = random_state(G, p, rng)
             w2 = class_target(G, p, w1, rng)
         elif i % 3 == 1:
-            w1, w2 = random_state(rng, n, p), random_state(rng, n, p)
+            w1, w2 = random_state(G, p, rng), random_state(G, p, rng)
         else:
             charged = rng.sample(range(n), rng.randint(1, 3))
             w1 = tuple(1 if v in charged else 0 for v in range(n))
@@ -71,8 +67,8 @@ def cases(rng: random.Random):
                 else:
                     n, edge, synth = k, tuple(range(k)), synthesize_schedule
                 G = make_hypergraph(n, [edge])
-                w1 = random_state(rng, n, p)
-                w2 = class_target(G, p, w1, rng) if j % 2 == 0 else random_state(rng, n, p)
+                w1 = random_state(G, p, rng)
+                w2 = class_target(G, p, w1, rng) if j % 2 == 0 else random_state(G, p, rng)
                 yield synth, G, p, w1, w2
 
 

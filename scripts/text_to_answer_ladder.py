@@ -49,7 +49,7 @@ from pathlib import Path
 from zpwalk import cli
 from zpwalk.decision import decide_reachability
 from zpwalk.dynamics import format_state, parse_state
-from zpwalk.generate import gen_good_hypergraph
+from zpwalk.generate import gen_good_hypergraph, random_state
 from zpwalk.hypergraph import Hypergraph, format_hypergraph, parse_hypergraph
 from zpwalk.synthesis import synthesize_schedule
 
@@ -85,7 +85,7 @@ def measure(kind: str, n: int, rng: random.Random, workdir: str) -> dict:
     path = os.path.join(workdir, f"{kind}-{n}.hg")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    s1, s2 = (format_state([rng.randrange(P) for _ in range(n)]) for _ in range(2))
+    s1, s2 = (format_state(random_state(G, P, rng)) for _ in range(2))
     t_parse, (p, H) = _timed(lambda: parse_hypergraph(text))
     t_states, (w1, w2) = _timed(lambda: (parse_state(s1, p, H.n), parse_state(s2, p, H.n)))
     t_structure, _ = _timed(lambda: H.structure)
@@ -115,6 +115,8 @@ def main(argv: list[str] | None = None) -> int:
                     default=list(SIZES), help="comma-separated vertex counts")
     ap.add_argument("--repeats", type=int, default=1, help="runs per rung; medians are printed")
     args = ap.parse_args(argv)
+    if args.repeats < 1 or min(args.sizes) < 4:  # a gen rung needs n // 4 >= 1 edges
+        ap.error("--repeats must be at least 1 and every size at least 4")
     rows = []
     with tempfile.TemporaryDirectory() as workdir:
         for n in args.sizes:

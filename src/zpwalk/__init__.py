@@ -37,7 +37,6 @@ from .dynamics import (
     format_schedule,
     format_state,
     has_predecessor,
-    oracle_reachable,
     oracle_recurrent,
     orbit_bfs,
     parse_schedule,

@@ -87,7 +87,8 @@ def _certificate_payload(cert):
 
 
 class _Reporter:
-    """Collects one command's outcome and prints it once, as text or JSON."""
+    """Collects one command's outcome and prints it once, as text or JSON
+    (under --json, say keeps no lines)."""
 
     def __init__(self, command: str, as_json: bool):
         self.command = command
@@ -102,7 +103,8 @@ class _Reporter:
         self.error: dict | None = None
 
     def say(self, line: str) -> None:
-        self.lines.append(line)
+        if not self.as_json:
+            self.lines.append(line)
 
     def fail(self, err: Exception) -> None:
         self.error = {"type": type(err).__name__, "message": str(err) or type(err).__name__}
@@ -176,6 +178,15 @@ def _witness_from(decision, G, p, w1, w2) -> Schedule:
     return synthesize_schedule(G, p, w1, w2)
 
 
+def _report_schedule(rep: _Reporter, key: str, schedule: Schedule) -> None:
+    """The schedule's lines: stats[key] under --json, printed text otherwise."""
+    text = format_schedule(schedule)
+    if rep.as_json:
+        rep.stats[key] = text.splitlines()
+    elif text:
+        rep.say(text.rstrip("\n"))
+
+
 def _cmd_check_good(rep: _Reporter, args) -> int:
     p, G = _load_instance(rep, args.hypergraph)
     report = is_good(G)
@@ -224,10 +235,7 @@ def _cmd_reach(rep: _Reporter, args) -> int:
         schedule = _witness_from(decision, G, p, w1, w2)
         rep.stats["witness_moves"] = len(schedule)
         rep.input["witness"] = True
-        text = format_schedule(schedule)
-        rep.stats["witness"] = text.splitlines()
-        if text:
-            rep.say(text.rstrip("\n"))
+        _report_schedule(rep, "witness", schedule)
     return EXIT_YES if decision.answer else EXIT_NO
 
 
@@ -278,10 +286,7 @@ def _cmd_schedule(rep: _Reporter, args) -> int:
     rep.answer = True
     rep.method = "synthesis"
     rep.stats["moves"] = len(schedule)
-    text = format_schedule(schedule)
-    rep.stats["schedule"] = text.splitlines()
-    if text:
-        rep.say(text.rstrip("\n"))
+    _report_schedule(rep, "schedule", schedule)
     rep.say(f"# {len(schedule)} moves")
     return EXIT_YES
 

@@ -371,18 +371,6 @@ def has_predecessor(G: Hypergraph, p: int, w: State) -> bool:
     return any(w[v] != p - 1 for e in G.edges for v in e)
 
 
-def oracle_reachable(
-    G: Hypergraph,
-    p: int,
-    w1: State,
-    w2: State,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> bool:
-    """Ground-truth reachability by exhaustive BFS."""
-    orbit = orbit_bfs(G, p, w1, max_states=max_states, stop_at=w2)
-    return w2 in orbit
-
-
 def oracle_recurrent(
     G: Hypergraph,
     p: int,

@@ -1,5 +1,5 @@
-"""Random well-shaped hypergraphs, and targets in a state's class, for
-tests and experiments.
+"""Random well-shaped hypergraphs, random states, and targets in a
+state's class, for tests and experiments.
 
 A well-shaped hypergraph with m >= 1 edges needs at least 2m + 1
 vertices: a connected family of m edges with pairwise intersections of
@@ -101,6 +101,18 @@ def _try_build(
         else:
             return None
     return edges
+
+
+def random_state(G: Hypergraph, p: int, rng: random.Random, charged: bool = False) -> State:
+    """A uniform state: one rng.randrange(p) per vertex, in vertex order.
+
+    With charged, an all-zero draw becomes 1 at vertex 0, so the state
+    holds charge.
+    """
+    w = tuple(rng.randrange(p) for _ in range(G.n))
+    if charged and not any(w):
+        w = (1,) + w[1:]
+    return w
 
 
 def class_target(G: Hypergraph, p: int, w: State, rng: random.Random,

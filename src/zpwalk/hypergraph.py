@@ -11,9 +11,9 @@ One breadth-first search, cached on the immutable Hypergraph as
 G.structure, gives every layer its incidence lists, components,
 spanning edge tree and edge scan order, and marks the edges that close
 a cycle, the only ones is_good must test for overlaps; its report is
-cached too.  The other layers keep what they derive from G alone on G
-as well, per modulus and freed with it: the search engines
-(G.state_spaces) and synthesis's peel plans (G.peel_plans).
+cached too.  Two more caches, per modulus and freed with G, are filled
+from above: G.state_spaces by dynamics.state_space and G.peel_plans by
+synthesis._peel_plan.
 """
 
 from __future__ import annotations
@@ -69,18 +69,12 @@ class Hypergraph:
 
     @cached_property
     def state_spaces(self) -> dict:
-        """The dynamics' search engine per modulus, for the engines that store
-        their rows: at most TABLE_STATES states (dynamics.state_space)."""
+        """Filled by dynamics.state_space, per modulus; freed with G."""
         return {}
 
     @cached_property
     def peel_plans(self) -> dict:
-        """Synthesis's peel plan per modulus (synthesis._peel_plan): the
-        kept edges' order, each with its vertices, shared vertices and
-        lever flag, and the constants the plan search reads off its
-        private mask: |P|, the first shared and first private positions,
-        the shared positions and the mask as 0/1 ints.  O(sum |e|) per
-        modulus, freed with G."""
+        """Filled by synthesis._peel_plan, per modulus; freed with G."""
         return {}
 
     @cached_property

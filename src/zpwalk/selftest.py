@@ -36,14 +36,13 @@ from .decision import (
 )
 from .dynamics import (
     State,
-    oracle_reachable,
     oracle_recurrent,
     orbit_bfs,
     replay_schedule,
     state_space,
 )
 from .errors import MismatchError, NotGood, Unsolvable
-from .generate import class_target, gen_good_hypergraph
+from .generate import class_target, gen_good_hypergraph, random_state
 from .hypergraph import Hypergraph, is_good
 from .synthesis import SYNTHESIS_FAILURES, _single_edge_counts, synthesize_schedule
 from .zp_algebra import (
@@ -144,13 +143,6 @@ def iter_small_good_hypergraphs(max_n: int = 6):
                     e1 = tuple(sorted(combo + (shared,)))
                     e2 = tuple(sorted(rest + (shared,)))
                     yield Hypergraph(n, tuple(sorted((e1, e2))))
-
-
-def _random_state(G: Hypergraph, p: int, rng: random.Random, nonzero: bool = False) -> State:
-    w = tuple(rng.randrange(p) for _ in range(G.n))
-    if nonzero and not any(w):
-        w = (1,) + w[1:]
-    return w
 
 
 def _verify_negative(G, p, w1, w2, decision, basis, report) -> None:
@@ -272,7 +264,7 @@ def _structural_sweep(
 
     # generous sampling: 54 charged-source pairs plus the special
     # sources, each compared against the enumerated digraph
-    sources = [_random_state(G, p, rng, nonzero=True) for _ in range(9)]
+    sources = [random_state(G, p, rng, charged=True) for _ in range(9)]
     for w1 in sources + [zero, ge]:
         targets = [zero, ge, w1] + [rng.choice(states) for _ in range(3)]
         for w2 in targets:
@@ -285,7 +277,7 @@ def _structural_sweep(
             report.reach_pairs += 1
 
     for _ in range(recur_oracle_pairs):
-        w1 = _random_state(G, p, rng, nonzero=True)
+        w1 = random_state(G, p, rng, charged=True)
         w2 = rng.choice([zero, ge, rng.choice(states), rng.choice(states)])
         truth = recurrent(comp, reach, index[w1], index[w2])
         got = decide_recurrence(G, p, w1, w2, mode=MODE_ALGEBRAIC).answer
@@ -338,14 +330,14 @@ def _orbit_pair_sweep(
     zero = (0,) * G.n
     ge = (p - 1,) * G.n
     for _ in range(ORBIT_SOURCES):
-        w1 = _random_state(G, p, rng, nonzero=True)
+        w1 = random_state(G, p, rng, charged=True)
         orbit = orbit_bfs(G, p, w1)
         targets = [zero, ge, w1]
         while len(targets) < ORBIT_TARGETS_PER_SOURCE:
             if rng.random() < 0.5:
                 targets.append(class_target(G, p, w1, rng))
             else:
-                targets.append(_random_state(G, p, rng))
+                targets.append(random_state(G, p, rng))
         for w2 in targets:
             truth = w2 in orbit
             got = decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC).answer
@@ -375,7 +367,7 @@ def _synthesis_sweep(
     else:
         def sampled():
             for _ in range(targets * 50):
-                w1 = _random_state(G, p, rng)
+                w1 = random_state(G, p, rng)
                 yield w1, class_target(G, p, w1, rng)
 
         pairs = sampled()
@@ -431,11 +423,11 @@ def _witness_checks(
         else:
             _verify_negative(G, p, w1, w2, decision, basis, report)
     for k in range(WITNESS_PAIRS):
-        w1 = _random_state(G, p, rng, nonzero=True)
+        w1 = random_state(G, p, rng, charged=True)
         if k % 2 == 0:
             w2 = class_target(G, p, w1, rng)
         else:
-            w2 = _random_state(G, p, rng)
+            w2 = random_state(G, p, rng)
         decision = decide_reachability(G, p, w1, w2, mode=MODE_ALGEBRAIC)
         if decision.answer:
             if _witness_schedule(G, p, w1, w2, report):
@@ -484,9 +476,10 @@ def _nongood_sweep(report: SelftestReport) -> None:
     The full decision rules do not apply there (and must refuse), but
     balance-system necessity holds on every hypergraph: whenever the
     filter says unreachable, exhaustive search must agree.  Checked on
-    the 3-cycle of 2-vertex edges, exhaustively for p = 3.  Pairs that
-    are balance-solvable yet unreachable are counted: their existence
-    is exactly why small edges void the algebraic equivalence.
+    the 3-cycle of 2-vertex edges, exhaustively for p = 3: one orbit per
+    source answers every target.  Pairs that are balance-solvable yet
+    unreachable are counted: their existence is exactly why small edges
+    void the algebraic equivalence.
     """
     G = Hypergraph(3, ((0, 1), (0, 2), (1, 2)))
     p = 3
@@ -505,9 +498,10 @@ def _nongood_sweep(report: SelftestReport) -> None:
         pass
     states = list(itertools.product(range(p), repeat=G.n))
     for w1 in states:
+        orbit = orbit_bfs(G, p, w1)
         for w2 in states:
             verdict = necessity_filter(G, p, w1, w2)
-            reachable = oracle_reachable(G, p, w1, w2)
+            reachable = w2 in orbit
             if verdict is None:
                 if not reachable:
                     report.nongood_solvable_unreachable += 1

@@ -233,6 +233,28 @@ def test_schedule_then_verify_round_trip(chain, tmp_path, capsys):
     assert "endpoint mismatch" in capsys.readouterr().out
 
 
+def test_each_output_mode_keeps_only_what_it_prints(chain, monkeypatch, capsys):
+    """A text report keeps no schedule line list in its stats, which it
+    never prints, and a --json report keeps no printed lines."""
+    reports = []
+    emit = cli._Reporter.emit
+
+    def recorded(rep):
+        reports.append(rep)
+        emit(rep)
+
+    monkeypatch.setattr(cli._Reporter, "emit", recorded)
+    pair = [chain, "--from", "1,0,0,0,0", "--to", "0,0,0,1,1"]
+    for argv, key in ((["schedule", *pair], "schedule"),
+                      (["reach", *pair, "--witness"], "witness")):
+        assert main(argv) == 0
+        assert main(["--json", *argv]) == 0
+        text, as_json = reports[-2:]
+        assert key not in text.stats and len(text.lines) > 1
+        assert as_json.lines == [] and len(as_json.stats[key]) == as_json.stats[
+            "moves" if key == "schedule" else "witness_moves"]
+
+
 def test_schedule_ten_thousand_edge_chain_is_exit_0(tmp_path, capsys):
     # synthesis loops over one edge order, so a long chain neither recurses
     # nor runs out of budget

@@ -25,7 +25,6 @@ from zpwalk.dynamics import (
     format_state,
     has_predecessor,
     oracle_escape,
-    oracle_reachable,
     oracle_recurrent,
     orbit_bfs,
     parse_schedule,
@@ -138,9 +137,6 @@ def test_the_oracles_refuse_a_malformed_target(target, message):
     start = (1, 0, 0, 0, 0)
     with pytest.raises(ParseError) as err:
         orbit_bfs(TWO_EDGES, 3, start, stop_at=target)
-    assert str(err.value) == message
-    with pytest.raises(ParseError) as err:
-        oracle_reachable(TWO_EDGES, 3, start, target)
     assert str(err.value) == message
     with pytest.raises(ParseError) as err:
         oracle_recurrent(TWO_EDGES, 3, start, target)
@@ -286,6 +282,13 @@ def test_orbit_of_zero_is_trivial():
     assert orbit.order == ((0, 0, 0),)
 
 
+def test_orbit_membership_examples():
+    assert (0, 1, 1) in orbit_bfs(E3, 3, (1, 0, 0))
+    assert (0, 1, 1, 1, 1) in orbit_bfs(E5, 3, (1, 0, 0, 0, 0))
+    assert (0, 1, 1) not in orbit_bfs(E3, 3, (0, 0, 0))
+    assert (2, 2, 2) in orbit_bfs(E3, 3, (2, 2, 2))  # trivially, by staying
+
+
 def test_orbit_stop_at_short_circuits():
     full = orbit_bfs(E5, 3, (1, 0, 0, 0, 0))
     partial = orbit_bfs(E5, 3, (1, 0, 0, 0, 0), stop_at=(0, 1, 1, 1, 1))
@@ -407,17 +410,10 @@ def test_saturated_state_is_produced_by_nothing():
         assert not has_predecessor(G, p, (p - 1,) * G.n)
 
 
-def test_oracle_reachable_examples():
-    assert oracle_reachable(E3, 3, (1, 0, 0), (0, 1, 1))
-    assert oracle_reachable(E5, 3, (1, 0, 0, 0, 0), (0, 1, 1, 1, 1))
-    assert not oracle_reachable(E3, 3, (0, 0, 0), (0, 1, 1))
-    assert oracle_reachable(E3, 3, (2, 2, 2), (2, 2, 2))  # trivially, by staying
-
-
 def naive_recurrent(G, p, w1, w2):
     """The definition verbatim: w2 reachable from everything w1 reaches."""
     return all(
-        oracle_reachable(G, p, w3, w2)
+        w2 in orbit_bfs(G, p, w3)
         for w3 in orbit_bfs(G, p, w1).order
     )
 
@@ -449,7 +445,7 @@ def test_oracle_escape_is_the_first_state_that_cannot_return():
             orbit, escape = oracle_escape(G, p, w1, w2)
             assert orbit.order == orbit_bfs(G, p, w1).order
             expected = next((w for w in orbit.order
-                             if not oracle_reachable(G, p, w, w2)), None)
+                             if w2 not in orbit_bfs(G, p, w)), None)
             assert escape == expected, (G, p, w1, w2)
             assert (escape is None) == oracle_recurrent(G, p, w1, w2)
             escapes += escape is not None and w2 in orbit

@@ -1,5 +1,5 @@
 """Source hygiene: every module of the package, script and test uses
-what it imports, every private module-level name is read somewhere in
+what it imports and binds every global it reads, every private module-level name is read somewhere in
 the package, every public function is read by the package, the scripts
 or the benchmark, every error type is named outside errors.py, and the
 judge shares no step with what it judges.
@@ -9,6 +9,8 @@ to re-export.
 """
 
 import ast
+import builtins
+import symtable
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,32 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+#: what every module reads without binding it: the builtins and the
+#: attributes the import system sets
+PREBOUND = set(dir(builtins)) | {"__file__", "__builtins__"}
+
+
+def unbound_globals(source: str) -> list[str]:
+    """Names a module reads as globals and never binds at module level.
+
+    symtable resolves every name: one read at module level, or global in
+    a function or class body, must be bound at module level (import,
+    def, class or assignment, or an assignment under `global` in a
+    function) or be a builtin.
+    """
+    top = symtable.symtable(source, "<source>", "exec")
+    tables = [top]
+    for table in tables:
+        tables += table.get_children()
+    bound = PREBOUND | {s.get_name() for table in tables for s in table.get_symbols()
+                        if (table is top or s.is_declared_global())
+                        and (s.is_assigned() or s.is_imported())}
+    return [f"{s.get_name()} (read in {table.get_name()})" for table in tables
+            for s in table.get_symbols()
+            if s.is_referenced() and (table is top or s.is_global())
+            and s.get_name() not in bound]
 
 
 def statement_reads(sources: dict[str, str]):
@@ -187,6 +215,17 @@ def test_the_check_sees_unused_imports():
     assert unused_imports(source) == ["deque (line 3)"]
 
 
+def test_the_check_sees_unbound_globals():
+    source = ("from .errors import NotGood\n"
+              "def sweep():\n    try:\n        pass\n    except Unsolvable:\n        pass\n"
+              "def limit(k):\n    return len(range(k)) + LIMIT + TOTAL\n"
+              "def tally():\n    global TOTAL\n    TOTAL = 0\n"
+              "class Box:\n    size = 1\n    area = size * WIDTH\n"
+              "if __name__ == '__main__':\n    print(__file__, NotGood, Missing)\n")
+    assert unbound_globals(source) == ["Missing (read in top)", "Unsolvable (read in sweep)",
+                                       "LIMIT (read in limit)", "WIDTH (read in Box)"]
+
+
 def test_the_check_sees_unread_private_names():
     sources = {
         "a": ("_LIMIT = 3\n_SPARE: int = 4\n"
@@ -249,6 +288,12 @@ def test_the_package_modules_are_found():
     p.name if p in MODULES else p.relative_to(ROOT).as_posix()))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE + AUXILIARY, ids=lambda p: (
+    p.name if p in PACKAGE else p.relative_to(ROOT).as_posix()))
+def test_every_global_read_is_bound(path):
+    assert unbound_globals(path.read_text()) == []
 
 
 def test_every_private_name_is_read():

@@ -167,6 +167,23 @@ def test_the_triangle_pairs_build_one_table(table_builds):
     assert len(table_builds) == 1
 
 
+def test_the_triangle_sweep_searches_once_per_source(monkeypatch):
+    """27 orbits answer all 729 pairs, 51 of them balance-solvable yet
+    unreachable."""
+    sources = []
+
+    def spy(G, p, start, *args, **kwargs):
+        sources.append(start)
+        return dynamics.orbit_bfs(G, p, start, *args, **kwargs)
+
+    monkeypatch.setattr(selftest, "orbit_bfs", spy)
+    report = SelftestReport()
+    _nongood_sweep(report)
+    assert report.ok
+    assert len(sources) == len(set(sources)) == 27
+    assert (report.nongood_pairs_checked, report.nongood_solvable_unreachable) == (729, 51)
+
+
 def test_a_wrong_table_row_is_a_divergence(monkeypatch):
     """The sweep diffs the engine's rows against its own enumeration."""
     G = Hypergraph(3, ((0, 1, 2),))

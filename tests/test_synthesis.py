@@ -24,7 +24,6 @@ from zpwalk.dynamics import (
     Schedule,
     all_moves,
     apply_move,
-    oracle_reachable,
     orbit_bfs,
     replay_schedule,
 )
@@ -232,7 +231,7 @@ def test_single_edge_p5_sampled():
     for _ in range(150):
         w1 = tuple(rng.randrange(5) for _ in range(4))
         w2 = tuple(rng.randrange(5) for _ in range(4))
-        reachable = oracle_reachable(G, 5, w1, w2)
+        reachable = w2 in orbit_bfs(G, 5, w1)
         try:
             sched = single_edge_schedule(G, 5, w1, w2)
         except (UnreachableTarget, Unsolvable):
@@ -768,6 +767,28 @@ def test_schedule_lengths_script_smoke(capsys):
     summary = capsys.readouterr().out.splitlines()[-1]
     assert re.fullmatch(r"2 instances, \d+ schedule pairs; overall mean overhead "
                         r"\d+\.\d\dx, worst \d+\.\dx", summary), summary
+
+
+@pytest.mark.parametrize("argv", [["-i", "0"], ["--pairs", "0"]])
+def test_schedule_lengths_refuses_an_empty_run(argv, capsys):
+    main = runpy.run_path(str(SCRIPTS / "schedule_lengths.py"))["main"]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "--instances and --pairs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--repeats", "0"], ["--sizes", "2"], ["--sizes", "3"],
+                                  ["--sizes", "10,3"]])
+def test_text_to_answer_ladder_refuses_rungs_it_cannot_build(argv, tmp_path, monkeypatch,
+                                                             capsys):
+    ladder = runpy.run_path(str(SCRIPTS / "text_to_answer_ladder.py"))
+    monkeypatch.setitem(ladder["main"].__globals__, "OUT", tmp_path / "out.json")
+    with pytest.raises(SystemExit) as stop:
+        ladder["main"](argv)
+    assert stop.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--repeats must be at least 1 and every size at least 4" in out.err
 
 
 def test_text_to_answer_ladder_times_the_schedule(tmp_path, monkeypatch, capsys):
