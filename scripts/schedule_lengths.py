@@ -46,7 +46,7 @@ def measure_instance(seed: int, rng: random.Random, pairs: int) -> Row | None:
     G = gen_good_hypergraph(n, m, seed=seed)
 
     w1 = random_state(G, p, rng, charged=True)
-    orbit = orbit_bfs(G, p, w1, max_states=p**n)
+    orbit = orbit_bfs(G, p, w1)
     targets = [w for w in orbit.order[1:] if any(w)]
     if not targets:
         return None

@@ -21,7 +21,7 @@ other load on a shared host does not count:
              "--mode", "algebraic"])` on the written file (in-process
              argv has no per-argument size limit)
   schedule   one `synthesize_schedule` for the rung's pair on the parsed
-             hypergraph, on which no peel plan or move table is kept yet;
+             hypergraph, on which no peel plan is kept yet;
              null when the pair is not reachable
 
 Each stage is timed --repeats times and its median printed.  One JSON

@@ -72,14 +72,6 @@ EXIT_MISMATCH = 4
 _NEGATIVE_ERRORS = (UnreachableTarget, Unsolvable, IllegalMove)
 
 
-def _digest(*parts: str) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part.encode())
-        h.update(b"\x00")
-    return h.hexdigest()[:16]
-
-
 def _certificate_payload(cert):
     if cert is None:
         return None
@@ -137,7 +129,7 @@ def _load_instance(rep: _Reporter, path: str):
         text = fh.read()
     p, G = parse_hypergraph(text)
     rep.input["hypergraph"] = path
-    rep.input["digest"] = _digest(text)
+    rep.input["digest"] = hashlib.sha256(text.encode() + b"\x00").hexdigest()[:16]
     rep.stats.update({"p": p, "n": G.n, "m": G.m})
     return p, G
 
@@ -191,7 +183,6 @@ def _cmd_check_good(rep: _Reporter, args) -> int:
     p, G = _load_instance(rep, args.hypergraph)
     report = is_good(G)
     rep.answer = report.good
-    rep.certificate = None
     rep.stats["violations"] = len(report.violations)
     if report.good:
         rep.say("good: connected, all edges >= 3 vertices, pairwise overlaps <= 1")
@@ -208,7 +199,6 @@ def _cmd_check_good(rep: _Reporter, args) -> int:
         else:
             detail = f"separate components around vertices {list(v.detail)}"
         rep.say(f"  {v.kind}: {detail}")
-    rep.answer = False
     rep.input["violations"] = [[v.kind, list(v.detail)] for v in report.violations]
     return EXIT_NO
 
@@ -295,18 +285,20 @@ def _cmd_verify(rep: _Reporter, args) -> int:
     p, G = _load_instance(rep, args.hypergraph)
     w1 = parse_state(args.from_state, p, G.n)
     rep.input["from"] = format_state(w1)
+    w2 = None
+    if args.to_state is not None:
+        w2 = parse_state(args.to_state, p, G.n)
+        rep.input["to"] = format_state(w2)
     with open(args.schedule, encoding="utf-8") as fh:
         schedule = parse_schedule(fh.read())
     rep.input["schedule"] = args.schedule
     rep.stats["moves"] = len(schedule)
     final = replay_schedule(G, p, w1, schedule)
     rep.stats["final_state"] = format_state(final)
-    if args.to_state is None:
+    if w2 is None:
         rep.answer = True
         rep.say(f"replays legally; final state {format_state(final)}")
         return EXIT_YES
-    w2 = parse_state(args.to_state, p, G.n)
-    rep.input["to"] = format_state(w2)
     if final == w2:
         rep.answer = True
         rep.say(f"verified: schedule ends at {format_state(w2)}")

@@ -68,8 +68,6 @@ class ReachSystem:
     moved in a schedule from w1 to w2.
     """
 
-    p: int
-    n: int
     variables: tuple[tuple[int, int], ...]
     system: ZpMatrixSystem
 
@@ -88,7 +86,7 @@ def build_system(G: Hypergraph, p: int, w1: State, w2: State) -> ReachSystem:
     system = ZpMatrixSystem(
         tuple(tuple(r) for r in rows), rhs, p, len(variables)
     )
-    return ReachSystem(p, G.n, variables, system)
+    return ReachSystem(variables, system)
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ def _closed_form_solution(G: Hypergraph, p: int, w1: State,
     sums = [0] * len(st.scan)
     for v, c in enumerate(st.component):
         sums[c] += residual[v]
-    x = [0] * st.ncols
+    x = [0] * st.offset[-1]
     for c, scan in enumerate(st.scan):
         s = sums[c] % p
         if not s:
@@ -194,7 +192,7 @@ def _solved(G: Hypergraph, p: int, w1: State, w2: State) -> Decision:
     """The balance rule's verdict: a solution vector, or unsolvability."""
     if w1 == w2:
         return Decision(True, MODE_ALGEBRAIC,
-                        Certificate("solution_vector", {"solution": [0] * G.structure.ncols}))
+                        Certificate("solution_vector", {"solution": [0] * G.structure.offset[-1]}))
     solution = _closed_form_solution(G, p, w1, w2)
     if solution is None:
         rank = _rank(G, p)

@@ -288,11 +288,10 @@ class OrbitResult:
     the first entry of the parent's row that equals the key, since the
     key was unseen when its parent's row was expanded and is not the
     parent's own, an illegal move's entry.  order, the deterministic
-    visit order, is decoded to states only when read.
+    visit order from the start, is decoded to states only when read.
     """
 
-    def __init__(self, start: State, space, links: dict):
-        self.start = start
+    def __init__(self, space, links: dict):
         self._space, self._links = space, links
 
     @cached_property
@@ -322,14 +321,13 @@ def orbit_bfs(
     stop_at, a state checked like start, returns as soon as it is
     discovered (the partial result still has valid predecessor links for it).
     """
-    start = validate_state(p, G.n, start)
     space = state_space(G, p)
-    origin = space.key(start)
+    origin = space.key(validate_state(p, G.n, start))
     goal = None if stop_at is None else space.key(validate_state(p, G.n, stop_at))
     links: dict = {origin: None}
     order = [origin]
     if goal == origin:
-        return OrbitResult(start, space, links)
+        return OrbitResult(space, links)
     for key in order:  # the visit list is the queue: it grows while it is read
         for nxt in space[key]:
             if nxt in links:
@@ -341,8 +339,8 @@ def orbit_bfs(
             links[nxt] = key
             order.append(nxt)
             if nxt == goal:
-                return OrbitResult(start, space, links)
-    return OrbitResult(start, space, links)
+                return OrbitResult(space, links)
+    return OrbitResult(space, links)
 
 
 def extract_schedule(orbit: OrbitResult, target: State) -> Schedule:
@@ -371,15 +369,10 @@ def has_predecessor(G: Hypergraph, p: int, w: State) -> bool:
     return any(w[v] != p - 1 for e in G.edges for v in e)
 
 
-def oracle_recurrent(
-    G: Hypergraph,
-    p: int,
-    w1: State,
-    w2: State,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> bool:
-    """Ground truth for: w2 is reachable from every state reachable from w1."""
-    return oracle_escape(G, p, w1, w2, max_states=max_states)[1] is None
+def oracle_recurrent(G: Hypergraph, p: int, w1: State, w2: State) -> bool:
+    """Ground truth for: w2 is reachable from every state reachable from w1,
+    searched under DEFAULT_MAX_STATES."""
+    return oracle_escape(G, p, w1, w2)[1] is None
 
 
 def oracle_escape(

@@ -97,10 +97,10 @@ class Structure:
     component by itself).  order lists the vertices in search order;
     tree[v] is (parent u, column of (e, v), column of (e, u)) for the
     edge e that first reached v, or None for a root.  Column offset[i]
-    is (e_i, e_i[0]); offset[m] = ncols = sum |e|.  scan[c] lists
-    component c's edges in the order the search met them.  closing
-    lists, in scan order, the edges that close a cycle: their scan met
-    a vertex reached before besides the one it started from.
+    is (e_i, e_i[0]); offset[m] = sum |e| is the number of columns.
+    scan[c] lists component c's edges in the order the search met them.
+    closing lists, in scan order, the edges that close a cycle: their
+    scan met a vertex reached before besides the one it started from.
     """
 
     incidence: tuple[tuple[int, ...], ...]
@@ -110,7 +110,6 @@ class Structure:
     tree: tuple[tuple[int, int, int] | None, ...]
     scan: tuple[tuple[int, ...], ...]
     offset: tuple[int, ...]
-    ncols: int
     closing: tuple[int, ...]
 
 
@@ -153,8 +152,7 @@ def _build_structure(G: Hypergraph) -> Structure:
         components.append(tuple(sorted(queue)))
         scan.append(tuple(met))
     return Structure(tuple(map(tuple, incidence)), tuple(component), tuple(components),
-                     tuple(order), tuple(tree), tuple(scan), offset, offset[-1],
-                     tuple(closing))
+                     tuple(order), tuple(tree), tuple(scan), offset, tuple(closing))
 
 
 def _overlaps(G: Hypergraph, st: Structure) -> list[tuple[int, int]]:

@@ -194,11 +194,11 @@ def _structural_sweep(
     label = f"{G.n}v/{G.m}e p={p} edges={G.edges}"
     states, index, succ = enumerate_digraph(G, p)
     comp, reach = condense(succ)
-    # the search engine's rows against the plain step they replace
-    space = state_space(G, p)
-    keys = [space.key(w) for w in states]
-    for i, key in enumerate(keys):
-        if [s for s in space[key] if s != key] != [keys[j] for j in succ[i]]:
+    # the search engine's rows against the plain step they replace; the
+    # engine's codes and the enumeration both number states in product order
+    engine = state_space(G, p)
+    for i, row in enumerate(succ):
+        if [s for s in engine[i] if s != i] != row:
             report.divergences.append(
                 f"{label}: the search engine's successors of {states[i]} differ from "
                 f"the enumerated digraph's"
@@ -238,8 +238,8 @@ def _structural_sweep(
     single_edge = G.edges == (tuple(range(n)),)
     for _ in range(25):
         w1, w2 = rng.choice(states), rng.choice(states)
-        space = gaussian_solve(build_system(G, p, w1, w2).system)
-        solvable = space.solvable
+        solutions = gaussian_solve(build_system(G, p, w1, w2).system)
+        solvable = solutions.solvable
         same_class = functional_values(basis, w1, p) == functional_values(basis, w2, p)
         if solvable != same_class:
             report.divergences.append(
@@ -256,7 +256,7 @@ def _structural_sweep(
                 counts = _single_edge_counts(p, w1, w2)
             except Unsolvable:
                 counts = None
-            if counts != (list(system_norm(space)[1]) if solvable else None):
+            if counts != (list(system_norm(solutions)[1]) if solvable else None):
                 report.divergences.append(
                     f"{label}: closed-form single-edge counts {counts} disagree with the "
                     f"minimum-norm solution for {w1} -> {w2}"

@@ -108,7 +108,6 @@ class SolutionSpace:
     particular: tuple[int, ...] | None
     kernel_basis: tuple[tuple[int, ...], ...]
     p: int
-    ncols: int
 
     @property
     def dimension(self) -> int:
@@ -148,7 +147,7 @@ def gaussian_solve(system: ZpMatrixSystem) -> SolutionSpace:
         r += 1
     for i in range(r, nrows):
         if aug[i][ncols] != 0:
-            return SolutionSpace(False, None, (), p, ncols)
+            return SolutionSpace(False, None, (), p)
     particular = [0] * ncols
     for i, c in enumerate(pivot_cols):
         particular[c] = aug[i][ncols]
@@ -162,21 +161,20 @@ def gaussian_solve(system: ZpMatrixSystem) -> SolutionSpace:
         for i, c in enumerate(pivot_cols):
             vec[c] = (-aug[i][fc]) % p
         basis.append(tuple(vec))
-    return SolutionSpace(True, tuple(particular), tuple(basis), p, ncols)
+    return SolutionSpace(True, tuple(particular), tuple(basis), p)
 
 
-def enumerate_solutions(space: SolutionSpace, cap: int = DEFAULT_ENUMERATION_CAP):
+def enumerate_solutions(space: SolutionSpace):
     """Yield every solution, lexicographic in the free-coefficient vector.
 
-    Raises EnumerationTooLarge up front if there are more than cap
-    solutions.
+    Raises EnumerationTooLarge up front if there are more than
+    DEFAULT_ENUMERATION_CAP solutions.
     """
     if not space.solvable:
         return
-    if space.count > cap:
-        raise EnumerationTooLarge(
-            f"{space.count} solutions exceed the cap of {cap}", count=space.count
-        )
+    if space.count > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"{space.count} solutions exceed the cap of "
+                                  f"{DEFAULT_ENUMERATION_CAP}", count=space.count)
     p = space.p
     part = space.particular
     basis = space.kernel_basis
@@ -192,20 +190,19 @@ def enumerate_solutions(space: SolutionSpace, cap: int = DEFAULT_ENUMERATION_CAP
         yield tuple(sol)
 
 
-def system_norm(
-    space: SolutionSpace, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[int, tuple[int, ...]]:
+def system_norm(space: SolutionSpace) -> tuple[int, tuple[int, ...]]:
     """Minimum lifted coordinate sum over all solutions, with its witness.
 
     Residues lift to [0, p), so the norm of a solution is just the sum
     of its canonical entries.  Ties break toward the lexicographically
     smallest solution vector.  Raises NormUndefined on an unsolvable
-    space and EnumerationTooLarge via the solution sweep.
+    space and EnumerationTooLarge, past DEFAULT_ENUMERATION_CAP
+    solutions, via the solution sweep.
     """
     if not space.solvable:
         raise NormUndefined("norm of an unsolvable system")
     best: tuple[int, tuple[int, ...]] | None = None
-    for sol in enumerate_solutions(space, cap=cap):
+    for sol in enumerate_solutions(space):
         key = (sum(sol), sol)
         if best is None or key < best:
             best = key

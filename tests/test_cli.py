@@ -294,6 +294,23 @@ def test_verify_illegal_schedule(e3, tmp_path, capsys):
     assert "step 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("moves", ("v 0 e 0\n", "v 1 e 0\n"), ids=("legal", "illegal"))
+def test_verify_refuses_a_malformed_target_before_replaying(e3, tmp_path, capsys, moves):
+    sched = tmp_path / "one.sched"
+    sched.write_text(moves)
+    assert main(["verify", e3, str(sched), "--from", "1,0,0", "--to", "1,2"]) == 2
+    assert capsys.readouterr().err.startswith("error (ParseError): state has 2 entries")
+
+
+def test_verify_json_names_the_target_of_a_failed_replay(e3, tmp_path, capsys):
+    bad = tmp_path / "bad.sched"
+    bad.write_text("v 0 e 0\nv 0 e 0\n")
+    assert main(["--json", "verify", e3, str(bad), "--from", "1,0,0", "--to", "0,1,1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["type"] == "IllegalMove"
+    assert report["input"]["to"] == "0,1,1"
+
+
 def test_gen_deterministic_and_valid(tmp_path, capsys):
     out1 = tmp_path / "a.hg"
     out2 = tmp_path / "b.hg"
@@ -520,6 +537,12 @@ def test_running_out_of_memory_is_exit_3(e5, monkeypatch, capsys, target, argv):
 
 
 # ------------------------------------------------------------------ json
+
+
+def test_input_digest_is_pinned(e5, capsys):
+    """The digest is the sha256 of the file text and a NUL byte, 16 hex digits."""
+    assert main(["--json", "check-good", e5]) == 0
+    assert json.loads(capsys.readouterr().out)["input"]["digest"] == "2b8caa7e75757d0b"
 
 
 def test_json_reports_round_trip(e5, capsys):

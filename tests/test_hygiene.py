@@ -1,8 +1,9 @@
 """Source hygiene: every module of the package, script and test uses
 what it imports and binds every global it reads, every private module-level name is read somewhere in
 the package, every public function is read by the package, the scripts
-or the benchmark, every error type is named outside errors.py, and the
-judge shares no step with what it judges.
+or the benchmark, every option of a module-level function is set by
+one of them, every parameter is read, every error type is named outside
+errors.py, and the judge shares no step with what it judges.
 
 The package's own __init__ is left out of the import check: it imports
 to re-export.
@@ -23,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the scripts and tests, whose imports are checked like the package's
 AUXILIARY = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("tests/*.py"))
 #: the scripts and the benchmark, whose reads keep a public function alive
+#: and whose calls keep an option alive
 CALLERS = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 
 
@@ -131,6 +133,84 @@ def unread_public_functions(sources: dict[str, str], callers: list[str]) -> list
             and not stmt.name.startswith("_") and stmt.name not in named
             and not any(stmt.name in read
                         for k, (_, _, read) in enumerate(statements) if k != own)]
+
+
+def _defaults(args: ast.arguments) -> list[str]:
+    """The parameters of a signature that have a default value."""
+    positional = args.posonlyargs + args.args
+    return ([a.arg for a in positional[len(positional) - len(args.defaults):]]
+            + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def unset_options(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Default-valued parameters of module-level functions that no call passes.
+
+    A call to a function of that name, in sources or in the callers'
+    texts, passes a parameter by keyword or by position; a `**` splat
+    passes every option and a `*` splat every positional one.
+    """
+    passed: dict[str, set] = {}  # per called name: keywords, positions, "**" and "*"
+    for source in [*sources.values(), *callers]:
+        for call in ast.walk(ast.parse(source)):
+            if isinstance(call, ast.Call):
+                func = call.func
+                got = passed.setdefault(getattr(func, "id", getattr(func, "attr", None)), set())
+                got.update(k.arg or "**" for k in call.keywords)
+                got.update("*" if isinstance(a, ast.Starred) else i
+                           for i, a in enumerate(call.args))
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            got = passed.get(stmt.name, set())
+            positional = [a.arg for a in stmt.args.posonlyargs + stmt.args.args]
+            for option in _defaults(stmt.args):
+                ways = {option, "**"}
+                if option in positional:
+                    ways |= {positional.index(option), "*"}
+                if not ways & got:
+                    found.append(f"{module}.{stmt.name}({option})")
+    return found
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) per function under node, methods and nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """Parameters that their function's body never reads.
+
+    A method's self or cls is no parameter a caller passes: a cached
+    property may return a fresh value without reading its instance.
+    """
+    found = []
+    for module, source in sources.items():
+        for name, func in _functions(ast.parse(source)):
+            args = func.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      if a.arg not in ("self", "cls")]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found += [f"{module}.{name}({param})" for param in params if param not in read]
+    return found
+
+
+#: parameters no body reads, each with why it stays
+UNREAD_PARAMETERS = {
+    f"synthesis.synthesize_schedule({param})": "perfbench passes it; it goes with the "
+                                               "benchmark change (ROADMAP item 6)"
+    for param in ("max_states", "cap")
+}
 
 
 def unnamed_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
@@ -248,6 +328,35 @@ def test_the_check_sees_unread_public_functions():
     assert unread_public_functions(sources, callers) == ["a.dead", "a.exported"]
 
 
+def test_the_check_sees_unset_options():
+    sources = {
+        "a": ("def plain(x, limit=3):\n    return x\n"
+              "def tested(x, cap=3):\n    return x\n"
+              "def splatted(x, *, seed=0, depth=1):\n    return x\n"
+              "def starred(x, y=0, z=0):\n    return x\n"
+              "def positional(x, y=0, z=0):\n    return x\n"
+              "def keyword(x, *, mode=None):\n    return x\n"),
+        "b": "from .a import plain, positional\nplain(1)\npositional(1, 2)\n",
+    }
+    callers = ["import a\na.splatted(1, **SCOPE)\na.starred(*ARGS)\n"
+               "a.keyword(1, mode='fast')\n"]
+    tests = "from a import tested\ntested(1, cap=2)\n"
+    assert unset_options(sources, callers) == [
+        "a.plain(limit)", "a.tested(cap)", "a.positional(z)"]
+    assert unset_options(sources, [*callers, tests]) == ["a.plain(limit)", "a.positional(z)"]
+
+
+def test_the_check_sees_unread_parameters():
+    sources = {
+        "a": ("def used(x, *rest, **opts):\n    return x, rest, opts\n"
+              "def ignored(x, spare):\n    return x\n"
+              "def outer(k):\n    def inner(j):\n        return k\n    return inner\n"
+              "class Box:\n    def size(self, unit):\n        return self\n"),
+    }
+    assert unread_parameters(sources) == [
+        "a.ignored(spare)", "a.outer.inner(j)", "a.Box.size(unit)"]
+
+
 def test_the_check_sees_unnamed_errors():
     errors = ("class Raised(Exception):\n    pass\n"
               "class Caught(Exception):\n    pass\n"
@@ -303,6 +412,16 @@ def test_every_private_name_is_read():
 def test_every_public_function_is_read():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert unread_public_functions(sources, [p.read_text() for p in CALLERS]) == []
+
+
+def test_every_option_is_set_by_a_caller():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert unset_options(sources, [p.read_text() for p in CALLERS]) == []
+
+
+def test_every_parameter_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert sorted(unread_parameters(sources)) == sorted(UNREAD_PARAMETERS)
 
 
 def test_every_error_type_is_named_outside_errors():

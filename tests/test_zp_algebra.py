@@ -172,15 +172,17 @@ def test_norm_of_single_edge_balance_system():
     assert system_norm(space) == (1, (1, 0, 0, 0))
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     # 0 = 0 with 8 free columns: 3^8 solutions
     system = make_system([[0] * 8], [0], 3)
     space = gaussian_solve(system)
     assert space.count == 3**8
+    monkeypatch.setattr(zp_algebra, "DEFAULT_ENUMERATION_CAP", 100)
     with pytest.raises(EnumerationTooLarge) as err:
-        list(enumerate_solutions(space, cap=100))
+        list(enumerate_solutions(space))
     assert err.value.count == 3**8
-    assert len(list(enumerate_solutions(space, cap=3**8))) == 3**8
+    monkeypatch.setattr(zp_algebra, "DEFAULT_ENUMERATION_CAP", 3**8)
+    assert len(list(enumerate_solutions(space))) == 3**8
 
 
 def test_enumerate_unsolvable_is_empty():
