@@ -59,7 +59,7 @@ def measure_instance(seed: int, rng: random.Random, pairs: int) -> Row | None:
         shortest = extract_schedule(orbit, w2)
         sched = synthesize_schedule(G, p, w1, w2)
         assert replay_schedule(G, p, w1, sched) == w2
-        opt, syn = len(shortest.moves), len(sched.moves)
+        opt, syn = len(shortest), len(sched)
         opts.append(opt)
         syns.append(syn)
         ratios.append(syn / max(opt, 1))

@@ -23,6 +23,9 @@ other load on a shared host does not count:
   schedule   one `synthesize_schedule` for the rung's pair on the parsed
              hypergraph, on which no peel plan is kept yet;
              null when the pair is not reachable
+  verify     `format_schedule` of that schedule, then `parse_schedule`
+             of the text and `replay_schedule` of what it parsed, as
+             the `schedule` and `verify` commands do; null with schedule
 
 Each stage is timed --repeats times and its median printed.  One JSON
 line per rung; the rows, with the seed, sizes and repeats, also go to
@@ -48,7 +51,13 @@ from pathlib import Path
 
 from zpwalk import cli
 from zpwalk.decision import decide_reachability
-from zpwalk.dynamics import format_state, parse_state
+from zpwalk.dynamics import (
+    format_schedule,
+    format_state,
+    parse_schedule,
+    parse_state,
+    replay_schedule,
+)
 from zpwalk.generate import gen_good_hypergraph, random_state
 from zpwalk.hypergraph import Hypergraph, format_hypergraph, parse_hypergraph
 from zpwalk.synthesis import synthesize_schedule
@@ -97,14 +106,18 @@ def measure(kind: str, n: int, rng: random.Random, workdir: str) -> dict:
         t_cli, code = _timed(lambda: cli.main(argv))
     if not report.good or json.loads(out.getvalue())["answer"] != decision.answer:
         raise SystemExit(f"{kind} n={n}: inconsistent run")
-    t_schedule = moves = None
+    t_schedule = t_verify = moves = None
     if decision.answer:
         t_schedule, schedule = _timed(lambda: synthesize_schedule(H, p, w1, w2))
         moves = len(schedule)
+        t_verify, end = _timed(
+            lambda: replay_schedule(H, p, w1, parse_schedule(format_schedule(schedule))))
+        if end != w2:
+            raise SystemExit(f"{kind} n={n}: the schedule's text does not replay to the target")
     return {"gen": t_gen, "format": t_format, "parse": t_parse, "states": t_states,
             "structure": t_structure, "goodness": t_goodness, "decide": t_decide,
             "fresh": t_structure + t_goodness + t_decide, "cli": t_cli,
-            "schedule": t_schedule, "m": G.m, "answer": decision.answer, "exit": code,
+            "schedule": t_schedule, "verify": t_verify, "m": G.m, "answer": decision.answer, "exit": code,
             "moves": moves}
 
 
@@ -127,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
                        "answer": runs[0]["answer"], "exit": runs[0]["exit"],
                        "moves": runs[0]["moves"]}
                 for stage in ("gen", "format", "parse", "states", "structure", "goodness",
-                              "decide", "fresh", "cli", "schedule"):
+                              "decide", "fresh", "cli", "schedule", "verify"):
                     times = [r[stage] for r in runs if r[stage] is not None]
                     row[f"{stage}_s"] = round(statistics.median(times), 4) if times else None
                 rows.append(row)

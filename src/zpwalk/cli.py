@@ -40,7 +40,6 @@ from .decision import (
 )
 from .dynamics import (
     DEFAULT_MAX_STATES,
-    Move,
     Schedule,
     format_schedule,
     format_state,
@@ -166,7 +165,8 @@ def _effective_mode(rep: _Reporter, G, args) -> str:
 def _witness_from(decision, G, p, w1, w2) -> Schedule:
     for cert in (decision.oracle_certificate, decision.certificate):
         if cert is not None and cert.kind == "schedule":
-            return Schedule(tuple(Move(v, e) for v, e in cert.data["moves"]))
+            moves = cert.data["moves"]
+            return Schedule.from_columns([v for v, _ in moves], [e for _, e in moves])
     return synthesize_schedule(G, p, w1, w2)
 
 

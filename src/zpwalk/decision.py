@@ -221,7 +221,8 @@ def _oracle_reach(G: Hypergraph, p: int, w1: State, w2: State,
     orbit = orbit_bfs(G, p, w1, max_states=max_states, stop_at=w2)
     if w2 in orbit:
         schedule = extract_schedule(orbit, w2)
-        cert = Certificate("schedule", {"moves": [[m.vertex, m.edge] for m in schedule]})
+        moves = [[v, e] for v, e in zip(schedule.vertices, schedule.edges)]
+        cert = Certificate("schedule", {"moves": moves})
         return Decision(True, MODE_ORACLE, cert)
     return Decision(False, MODE_ORACLE,
                     Certificate("orbit_exhausted", {"orbit_size": len(orbit)}))

@@ -6,6 +6,15 @@ increments every other vertex of the edge (all mod p).  Everything here
 works for any prime p >= 2 and any hypergraph; only the algebraic
 decision layer is pickier.
 
+The move rule, with its three checks and their messages (edge in range,
+vertex on the edge, mover charged), is stated once, in _play, which
+apply_move runs on one move and replay_schedule on a whole schedule,
+naming the failing move's step.  A Schedule is two int columns, the
+movers and the edge indices: synthesis records into them,
+extract_schedule and parse_schedule fill them, and replay_schedule and
+format_schedule read them, so no Move object is made per move.  A
+Schedule still iterates as Moves, built as they are read.
+
 The oracles in this module answer by exhaustive search, and selftest
 judges them, as it judges the algebra, against the enumerated state
 digraph in zp_algebra.  Their rules are plain: exact visited sets,
@@ -44,6 +53,10 @@ DEFAULT_MAX_STATES = 2_000_000
 #: instances with at most this many states (p^n) store their search rows
 TABLE_STATES = 2**16
 
+#: schedule text is split into lines this many characters at a time, and
+#: written this many moves at a time
+_PIECE = 2**16
+
 
 @dataclass(frozen=True)
 class Move:
@@ -51,15 +64,45 @@ class Move:
     edge: int
 
 
-@dataclass(frozen=True)
 class Schedule:
-    moves: tuple[Move, ...]
+    """A move sequence as two int columns: move s is (vertices[s], edges[s]).
+
+    Schedule(moves) takes Moves; the builders hand over their columns to
+    from_columns instead, and every reader reads the columns, so no Move
+    is built per move.  Iterating yields Moves, made as they are read.
+    """
+
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, moves):
+        moves = tuple(moves)
+        self.vertices = [move.vertex for move in moves]
+        self.edges = [move.edge for move in moves]
+
+    @classmethod
+    def from_columns(cls, vertices: list[int], edges: list[int]) -> Schedule:
+        """The schedule of these columns, kept as they are, not copied."""
+        schedule = cls.__new__(cls)
+        schedule.vertices, schedule.edges = vertices, edges
+        return schedule
+
+    @property
+    def moves(self) -> tuple[Move, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.moves)
+        return len(self.vertices)
 
     def __iter__(self):
-        return iter(self.moves)
+        return map(Move, self.vertices, self.edges)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __repr__(self) -> str:
+        return f"Schedule(moves={self.moves!r})"
 
 
 def validate_state(p: int, n: int, w) -> State:
@@ -87,58 +130,90 @@ def format_state(w: State) -> str:
     return ",".join(map(str, w))
 
 
-def _step(G: Hypergraph, p: int, w: list[int], move: Move) -> None:
-    """One step of the dynamics on w in place; raises IllegalMove when not applicable."""
-    v, i = move.vertex, move.edge
-    if not 0 <= i < G.m:
-        raise IllegalMove(f"edge {i} outside [0, {G.m})")
-    edge = G.edges[i]
-    if v not in edge:
-        raise IllegalMove(f"vertex {v} not in edge {i} {edge}")
-    if w[v] == 0:
-        raise IllegalMove(f"vertex {v} has zero units")
-    for u in edge:
-        w[u] = (w[u] + 1) % p
-    w[v] = (w[v] - 2) % p
+def _play(G: Hypergraph, p: int, w: list[int], moves, counted: bool) -> None:
+    """The move rule, on w in place: each (vertex, edge) pair of moves in turn.
+
+    A move needs its edge in range, its vertex on the edge and charge at
+    the vertex; it takes two units from the vertex and adds one at every
+    vertex of the edge, so the mover loses one and the others gain one
+    (mod p).  The first move that breaks the rule raises IllegalMove,
+    with its index in moves as the step when counted.
+    """
+    all_edges = G.edges
+    m = len(all_edges)
+    for step, (v, i) in enumerate(moves):
+        if not 0 <= i < m:
+            fault = f"edge {i} outside [0, {m})"
+        elif v not in (edge := all_edges[i]):
+            fault = f"vertex {v} not in edge {i} {edge}"
+        elif not w[v]:
+            fault = f"vertex {v} has zero units"
+        else:
+            for u in edge:
+                w[u] = (w[u] + 1) % p
+            w[v] = (w[v] - 2) % p
+            continue
+        raise IllegalMove(fault, step=step if counted else None)
 
 
 def apply_move(G: Hypergraph, p: int, w: State, move: Move) -> State:
     """One step of the dynamics; raises IllegalMove when not applicable."""
     out = list(w)
-    _step(G, p, out, move)
+    _play(G, p, out, ((move.vertex, move.edge),), False)
     return tuple(out)
 
 
 def replay_schedule(G: Hypergraph, p: int, w1: State, schedule: Schedule) -> State:
     """Apply the schedule's moves in turn; failures carry the step index."""
     w = list(w1)
-    for step, move in enumerate(schedule):
-        try:
-            _step(G, p, w, move)
-        except IllegalMove as err:
-            raise IllegalMove(str(err), step=step) from None
+    _play(G, p, w, zip(schedule.vertices, schedule.edges), True)
     return tuple(w)
 
 
 def parse_schedule(text: str) -> Schedule:
-    """One move per line: ``v <vertex> e <edge-index>``."""
-    moves = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 4 or fields[0] != "v" or fields[2] != "e":
-            raise ParseError(f"expected 'v <vertex> e <edge>', got {line!r}", lineno)
-        try:
-            moves.append(Move(int(fields[1]), int(fields[3])))
-        except ValueError:
-            raise ParseError(f"non-integer move field in {line!r}", lineno) from None
-    return Schedule(tuple(moves))
+    """One move per line: ``v <vertex> e <edge-index>``.
+
+    The lines are split a piece of text at a time (_whole_lines), so no
+    list of every line is held beside the columns.
+    """
+    vertices, edges = [], []
+    lineno = 0
+    for piece in _whole_lines(text):
+        for raw in piece.splitlines():
+            lineno += 1
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) != 4 or fields[0] != "v" or fields[2] != "e":
+                raise ParseError(f"expected 'v <vertex> e <edge>', got {line!r}", lineno)
+            try:
+                vertices.append(int(fields[1]))
+                edges.append(int(fields[3]))
+            except ValueError:
+                raise ParseError(f"non-integer move field in {line!r}", lineno) from None
+    return Schedule.from_columns(vertices, edges)
+
+
+def _whole_lines(text: str):
+    """text in pieces of about _PIECE characters, each cut just after a
+    newline, so the pieces' lines are text's lines (str.splitlines)."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def format_schedule(schedule: Schedule) -> str:
-    return "".join(f"v {m.vertex} e {m.edge}\n" for m in schedule)
+    """parse_schedule's lines, joined _PIECE moves at a time, so no list
+    of every line is held beside the text."""
+    vertices, edges = schedule.vertices, schedule.edges
+    pieces = []
+    for k in range(0, len(vertices), _PIECE):
+        moves = zip(vertices[k:k + _PIECE], edges[k:k + _PIECE])
+        pieces.append("".join([f"v {v} e {i}\n" for v, i in moves]))
+    return "".join(pieces)
 
 
 def all_moves(G: Hypergraph) -> tuple[Move, ...]:
@@ -348,13 +423,16 @@ def extract_schedule(orbit: OrbitResult, target: State) -> Schedule:
     if target not in orbit:
         raise ValueError(f"state {target} not in the explored orbit")
     links, space = orbit._links, orbit._space
-    path: list[Move] = []
+    vertices, edges = [], []
     key = space.key(target)
     while (parent := links[key]) is not None:
-        path.append(space.moves[space[parent].index(key)])
+        move = space.moves[space[parent].index(key)]
+        vertices.append(move.vertex)
+        edges.append(move.edge)
         key = parent
-    path.reverse()
-    return Schedule(tuple(path))
+    vertices.reverse()
+    edges.reverse()
+    return Schedule.from_columns(vertices, edges)
 
 
 def has_predecessor(G: Hypergraph, p: int, w: State) -> bool:

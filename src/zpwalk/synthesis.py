@@ -42,8 +42,12 @@ toolbox, bottom up:
 
 Every construction writes into one _Builder, which holds one mutable
 state in G's own ids, steps each move on it once, as it is added, and
-checks each construction's net effect on it.  Every move is taken from
-an edge's own vertices, so the builder checks only the mover's charge.
+checks each construction's net effect on it.  A move is a pair of ints,
+(vertex, edge), from the constructions through the walks to the
+builder, which records it into the schedule's two int columns; the
+finished columns become the Schedule as they are, with no Move object
+per move.  Every move is taken from an edge's own vertices, so the
+builder checks only the mover's charge.
 A single-edge phase reads and moves the edge's vertices in place; no
 piece of G is built as a hypergraph of its own.  synthesize_schedule
 replays the finished schedule once through dynamics as the full
@@ -68,7 +72,6 @@ from operator import ne
 from .decision import _algebraic_reach, _gate_algebraic, _lever
 from .dynamics import (
     DEFAULT_MAX_STATES,
-    Move,
     Schedule,
     State,
     replay_schedule,
@@ -91,19 +94,23 @@ class _Builder:
 
     state is one list over G's vertices, copied from the state given and
     never rebound, so a construction may hold on to it; emit steps it in
-    place before recording each move.
+    place before recording each move.  The moves are recorded as the
+    schedule's two int columns, the movers in vertices and the edge
+    indices in edges, and handed to the Schedule as they are: no Move is
+    built per move.
     """
 
     G: Hypergraph
     p: int
     state: list[int]
-    moves: list[Move] = field(default_factory=list)
+    vertices: list[int] = field(default_factory=list)
+    edges: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.state = list(self.state)
 
-    def emit(self, move: Move) -> None:
-        """Step the state in place, then record the move.
+    def emit(self, v: int, edge: int) -> None:
+        """Step the state in place, then record the move of v on edge.
 
         Only the mover's charge is checked, so a move at an uncharged
         vertex fails at the step that made it.  Every construction takes
@@ -111,17 +118,19 @@ class _Builder:
         vertex's membership go unchecked here; synthesize_schedule's
         final replay checks every move in full.
         """
-        w, v, p = self.state, move.vertex, self.p
+        w, p = self.state, self.p
         if not w[v]:
             raise IllegalMove(f"vertex {v} has zero units")
-        for u in self.G.edges[move.edge]:
+        for u in self.G.edges[edge]:
             w[u] = (w[u] + 1) % p
         w[v] = (w[v] - 2) % p
-        self.moves.append(move)
+        self.vertices.append(v)
+        self.edges.append(edge)
 
     def emit_all(self, moves) -> None:
-        for move in moves:
-            self.emit(move)
+        """emit each (vertex, edge) pair in turn."""
+        for v, edge in moves:
+            self.emit(v, edge)
 
     def trick(self, edge: int, a: int, b: int, direction: int) -> None:
         """Alternating rounds at anchors a, b: +direction (+1 or -1) at every
@@ -135,8 +144,9 @@ class _Builder:
         # Within a round the first mover needs charge and hands one unit to
         # the second; this order works unless both hold 0 or both p-1.
         first, second = (a, b) if w[a] != 0 and w[b] != p - 1 else (b, a)
-        for move in (Move(first, edge), Move(second, edge)) * rounds:
-            self.emit(move)
+        for _ in range(rounds):
+            self.emit(first, edge)
+            self.emit(second, edge)
         if tuple(map(w.__getitem__, e)) != tuple(
                 x if u == a or u == b else (x + direction) % p for u, x in zip(e, before)):
             raise InternalSynthesisFailure("alternating rounds missed their advertised net effect")
@@ -150,7 +160,7 @@ class _Builder:
         """
         self.trick(edge, a, c, -1)
         for _ in range(x):
-            self.emit(Move(v, edge))
+            self.emit(v, edge)
         self.trick(edge, a, c, +1)
 
 
@@ -178,7 +188,7 @@ def single_edge_schedule(G: Hypergraph, p: int, w1: State, w2: State) -> Schedul
         )
     alone = Hypergraph(len(e), (tuple(range(len(e))),))
     schedule = synthesize_schedule(alone, p, [w1[v] for v in e], [w2[v] for v in e])
-    return Schedule(tuple(Move(e[mv.vertex], 0) for mv in schedule.moves))
+    return Schedule.from_columns([e[i] for i in schedule.vertices], [0] * len(schedule))
 
 
 def _single_edge_counts(p: int, w1: State, w2: State) -> list[int]:
@@ -242,7 +252,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
             blocked = low if lows == 1 and w[e[low]] == 1 else None
             chosen = first if first != blocked or total == 1 else second
             if chosen is not None:
-                b.emit(Move(e[chosen], edge))
+                b.emit(e[chosen], edge)
                 counts[chosen] -= 1
                 continue
             # Only the blocked vertex is live, so it holds all remaining
@@ -253,7 +263,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
             for _ in range(2 * x):
                 b.trick(edge, e[v], e[j], +1)
             for _ in range(p - x):
-                b.emit(Move(e[j], edge))
+                b.emit(e[j], edge)
             counts[v] = 0
             continue
         # Some count remains but every counted vertex is empty: emulate a
@@ -271,7 +281,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
             # [0 @ i0, p-1 elsewhere]: drain a full vertex, then give two
             # rounds back.
             for _ in range(p - 1):
-                b.emit(Move(e[a], edge))
+                b.emit(e[a], edge)
             for _ in range(2):
                 b.trick(edge, e[i0], e[a], +1)
         elif value == p - 2:
@@ -283,7 +293,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
                 b.bracket(edge, e[i0], e[a], e[others[1]], x)
             elif p == 3:
                 b.trick(edge, e[i0], e[a], -1)
-                b.emit(Move(e[a], edge))
+                b.emit(e[a], edge)
                 b.trick(edge, e[i0], e[a], -1)
             else:
                 # x == 2, p >= 5: a move is as legal on the mirrored
@@ -293,7 +303,7 @@ def _on_edge(b: _Builder, edge: int, goal: State) -> None:
                 for i, v in enumerate(e):
                     scratch.state[v] = (p - 1 - w[v] + (x if i == i0 else -x)) % p
                 _on_edge(scratch, edge, tuple(p - 1 - w[v] for v in e))
-                b.emit_all(reversed(scratch.moves))
+                b.emit_all(zip(reversed(scratch.vertices), reversed(scratch.edges)))
             counts[i0] = 0
             continue
         else:
@@ -346,7 +356,7 @@ def synthesize_schedule(
             raise
         except ZpwalkError as err:  # an illegal move or a bad anchor pair included
             raise InternalSynthesisFailure(f"a phase checked valid was refused: {err}") from None
-    schedule = Schedule(tuple(b.moves))
+    schedule = Schedule.from_columns(b.vertices, b.edges)
     try:  # the end-to-end check, inside the same fault boundary
         end = replay_schedule(G, p, w1, schedule)
     except ZpwalkError as err:
@@ -450,7 +460,7 @@ def _peel(b: _Builder, w2: State) -> None:
     for r in range(len(levels) - 1, 0, -1):
         level = levels[r]
         l, e, shared = level[:3]
-        undo: list[Move] = []
+        undo: list[tuple[int, int]] = []
         for walked in (False, True):
             a_l = tuple(map(w.__getitem__, e))
             t_l = tuple(map(target.__getitem__, e))
@@ -465,7 +475,7 @@ def _peel(b: _Builder, w2: State) -> None:
             # of R, on the state or on the mirrored target.
             if not any(a_l):
                 moves = _walk(G, rank, r, shared, lambda v: w[v] != 0)
-                touched = {u for mv in moves for u in G.edges[mv.edge]}
+                touched = {u for _, f in moves for u in G.edges[f]}
                 recount(touched, -1)
                 b.emit_all(moves)
                 recount(touched, 1)
@@ -474,12 +484,12 @@ def _peel(b: _Builder, w2: State) -> None:
                 # mirrored target, un-moved here, is emitted reversed once
                 # the level has reached the new target.
                 undo = _walk(G, rank, r, shared, lambda v: target[v] != p - 1)
-                touched = {u for mv in undo for u in G.edges[mv.edge]}
+                touched = {u for _, f in undo for u in G.edges[f]}
                 recount(touched, -1)
-                for mv in undo:
-                    for u in G.edges[mv.edge]:
+                for v, f in undo:
+                    for u in G.edges[f]:
                         target[u] = (target[u] - 1) % p
-                    target[mv.vertex] = (target[mv.vertex] + 2) % p
+                    target[v] = (target[v] + 2) % p
                 recount(touched, 1)
         alpha, mid = plan
         _on_edge(b, l, alpha)
@@ -568,8 +578,9 @@ def _phase_ok(p: int, lever: bool, src: State, dst: State) -> bool:
 
 
 def _walk(G: Hypergraph, rank: Sequence[int], r: int, shared: Sequence[int],
-          charged) -> list[Move]:
-    """Moves carrying one unit from the charged vertex nearest to shared onto it.
+          charged) -> list[tuple[int, int]]:
+    """(vertex, edge) moves carrying one unit from the charged vertex
+    nearest to shared onto it.
 
     A breadth-first search from shared over the edges ranked below r;
     every vertex nearer than the one it finds is uncharged, so each move
@@ -585,7 +596,7 @@ def _walk(G: Hypergraph, rank: Sequence[int], r: int, shared: Sequence[int],
             moves = []
             while parent[u] is not None:
                 nearer, f = parent[u]
-                moves.append(Move(u, f))
+                moves.append((u, f))
                 u = nearer
             return moves
         for f in incidence[u]:

@@ -15,6 +15,7 @@ import pytest
 
 from zpwalk.decision import StateClass, build_system, classify_state
 from zpwalk.dynamics import (
+    Schedule,
     all_moves,
     apply_move,
     has_predecessor,
@@ -256,7 +257,8 @@ def test_criterion_5_schedule_soundness(sweep_report):
                 for direction in (+1, -1):
                     builder = _Builder(G4, p, w)
                     builder.trick(0, 0, 1, direction)
-                    out = replay_schedule(G4, p, w, builder.moves)
+                    out = replay_schedule(
+                        G4, p, w, Schedule.from_columns(builder.vertices, builder.edges))
                     assert out == tuple(
                         w[u] if u < 2 else (w[u] + direction) % p for u in range(4)
                     )

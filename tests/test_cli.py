@@ -6,8 +6,10 @@ Exit code map under test: 0 decided-positive, 1 decided-negative,
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from zpwalk import cli, generate, hypergraph
 from zpwalk.cli import EXIT_MISMATCH, build_parser, main
 from zpwalk.dynamics import parse_schedule, parse_state, replay_schedule
-from zpwalk.errors import InternalSynthesisFailure, MismatchError
+from zpwalk.errors import IllegalMove, InternalSynthesisFailure, MismatchError
 from zpwalk.hypergraph import format_hypergraph, make_hypergraph, parse_hypergraph
 
 TRIANGLE_FILE = "data/triangle.hg"  # three 2-edges: parses, is not well-shaped
@@ -309,6 +311,88 @@ def test_verify_json_names_the_target_of_a_failed_replay(e3, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["error"]["type"] == "IllegalMove"
     assert report["input"]["to"] == "0,1,1"
+
+
+#: a lever chain of three edges, small enough for the default mode's search
+GOLDEN_TEXT = "p 3\nvertices 9\nedge 0 1 2\nedge 2 3 4 5 6\nedge 6 7 8\n"
+GOLDEN_PAIR = ["--from", "0,0,0,0,0,0,0,0,1", "--to", "1,0,2,2,2,0,0,2,0"]
+#: sha256 of stdout per command line, JSON with elapsed_ms masked
+GOLDEN_STDOUT = {
+    "schedule":
+        "13faa815349deda828c9145b3e0593fa8744c203de8e4f446907dfcad7bdd670",
+    "--json schedule":
+        "3ce353e90615b754a79f6da8d14d0fd7692403f24ce5c22650087fcf75baa776",
+    "reach --witness":
+        "ceb62a3d1501261cc9be22887941e1d597012af376a2610bc6604fa7d960c133",
+    "--json reach --witness":
+        "13d3ce8c51b102f23cabadf5c96314cba28ab9458df13ffac6bfd58076484634",
+    "verify schedule":
+        "dc5fc9ef2c81985c2f79731b239f198516625efa2a1e0e49f15c65e2f5189bc0",
+    "--json verify schedule":
+        "5d2a91d9e0c549f70617d26533341a98502af7fce5be9c2be54bdeb938221e8c",
+    "verify witness":
+        "dc5fc9ef2c81985c2f79731b239f198516625efa2a1e0e49f15c65e2f5189bc0",
+    "--json verify witness":
+        "06643fca5f88840f008512113942637a0725831777a6824c50c464044ad084a5",
+}
+
+
+def _masked_run(argv, capsys) -> str:
+    """stdout of one successful command line that writes no stderr,
+    with the JSON elapsed_ms masked."""
+    assert main(argv) == 0, argv
+    out, err = capsys.readouterr()
+    assert err == "", argv
+    return re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": 0', out)
+
+
+def test_schedule_reach_and_verify_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    """The bytes of schedule, reach --witness (in the default mode, the
+    search's schedule) and verify of each, on one fixed instance."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "golden.hg").write_text(GOLDEN_TEXT)
+    seen = {}
+    for command, key in (("schedule", "schedule"), ("reach --witness", "witness")):
+        argv = [*command.split()[:1], "golden.hg", *GOLDEN_PAIR, *command.split()[1:]]
+        text = _masked_run(argv, capsys)
+        seen[command] = text
+        seen[f"--json {command}"] = _masked_run(["--json", *argv], capsys)
+        # reach prints its answer line before the schedule
+        (tmp_path / f"{key}.sched").write_text(text.removeprefix("reachable\n"))
+        for prefix in ("", "--json "):
+            seen[f"{prefix}verify {key}"] = _masked_run(
+                [*prefix.split(), "verify", "golden.hg", f"{key}.sched", *GOLDEN_PAIR], capsys)
+    digests = {k: hashlib.sha256(text.encode()).hexdigest() for k, text in seen.items()}
+    assert digests == GOLDEN_STDOUT
+
+
+#: a legal prefix on the chain from 1,0,0,0,0, leaving 0,1,0,1,1
+LEGAL_PREFIX = ((0, 0), (2, 1))
+
+
+@pytest.mark.parametrize("step, fault, reason", [
+    (0, (3, 5), "edge 5 outside [0, 2)"),
+    (2, (3, 5), "edge 5 outside [0, 2)"),
+    (0, (3, 0), "vertex 3 not in edge 0 (0, 1, 2)"),
+    (2, (0, 1), "vertex 0 not in edge 1 (2, 3, 4)"),
+    (0, (1, 0), "vertex 1 has zero units"),
+    (2, (2, 1), "vertex 2 has zero units"),
+], ids=[f"{kind}-step{step}" for kind in ("edge", "vertex", "charge")
+        for step in (0, 2)])
+def test_replay_faults_name_their_step(chain, tmp_path, capsys, step, fault, reason):
+    """Each kind of illegal move, first or after legal ones: replay_schedule
+    and verify report the same message and step."""
+    moves = [*LEGAL_PREFIX[:step], fault]
+    text = "".join(f"v {v} e {e}\n" for v, e in moves)
+    _, G = parse_hypergraph(CHAIN_TEXT)
+    with pytest.raises(IllegalMove) as err:
+        replay_schedule(G, 3, (1, 0, 0, 0, 0), parse_schedule(text))
+    assert err.value.step == step
+    assert str(err.value) == f"step {step}: {reason}"
+    sched = tmp_path / "fault.sched"
+    sched.write_text(text)
+    assert main(["verify", chain, str(sched), "--from", "1,0,0,0,0"]) == 1
+    assert capsys.readouterr() == ("", f"error (IllegalMove): step {step}: {reason}\n")
 
 
 def test_gen_deterministic_and_valid(tmp_path, capsys):

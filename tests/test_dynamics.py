@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zpwalk import dynamics
 from zpwalk.errors import IllegalMove, ParseError, StateSpaceTooLarge
 from zpwalk.generate import gen_good_hypergraph
 from zpwalk.hypergraph import make_hypergraph
@@ -186,6 +187,41 @@ def test_parse_schedule_parses_or_raises_parse_error(text):
     except ParseError:
         return
     assert all(isinstance(m.vertex, int) and isinstance(m.edge, int) for m in schedule)
+
+
+def _parsed(text):
+    """What parse_schedule makes of text: its columns, or its error and line."""
+    try:
+        schedule = parse_schedule(text)
+    except ParseError as err:
+        return str(err), err.line
+    return schedule.vertices, schedule.edges
+
+
+@pytest.mark.parametrize("bad", (None, "v 3 e x"), ids=("clean", "non_integer"))
+def test_schedule_text_is_read_and_written_in_pieces(bad, monkeypatch):
+    """Cut into pieces at newlines, the text has the lines str.splitlines
+    gives it, every separator and line number included; written a piece
+    of moves at a time, it has one line per move."""
+    rng = random.Random(7)
+    ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+    lines = [rng.choice([f"v {rng.randrange(50)} e {rng.randrange(9)}", "", "  # note",
+                         f"  v {rng.randrange(50)}  e {rng.randrange(9)} # why"])
+             for _ in range(300)]
+    if bad:
+        lines[200] = bad
+    text = "".join(line + rng.choice(ends) for line in lines) + "v 1 e 2"
+    whole = _parsed(text)
+    if bad:
+        assert whole[0].endswith(f"non-integer move field in {bad!r}") and whole[1] > 150
+    else:
+        assert len(whole[0]) > 100
+    for piece in (1, 2, 3, 5, 8, 13, 64):
+        monkeypatch.setattr(dynamics, "_PIECE", piece)
+        assert _parsed(text) == whole, piece
+        if not bad:
+            assert format_schedule(Schedule.from_columns(*whole)) == "".join(
+                f"v {v} e {e}\n" for v, e in zip(*whole)), piece
 
 
 def test_all_moves_order():

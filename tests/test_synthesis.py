@@ -63,7 +63,7 @@ def trick(G, p, w, edge, a, b, direction):
     """The double-move trick's rounds from w, as a schedule."""
     builder = _Builder(G, p, w)
     builder.trick(edge, a, b, direction)
-    return Schedule(tuple(builder.moves))
+    return Schedule.from_columns(builder.vertices, builder.edges)
 
 
 def refused_trick(G, p, w, edge, a, b, direction):
@@ -72,7 +72,7 @@ def refused_trick(G, p, w, edge, a, b, direction):
     builder = _Builder(G, p, w)
     with pytest.raises(IllegalMove):
         builder.trick(edge, a, b, direction)
-    assert len(builder.moves) <= 1
+    assert len(builder.vertices) <= 1
 
 
 def test_trick_worked_examples():
@@ -328,7 +328,7 @@ def test_synthesize_negative_cases():
 #: a construction's own fault on E5's one edge from (1, 0, 0, 0, 0), where
 #: vertices 1 and 2 hold 0: a move at vertex 1, or rounds anchored at both
 CONSTRUCTION_FAULTS = {
-    "illegal_move": lambda b, edge, goal: b.emit(Move(1, edge)),
+    "illegal_move": lambda b, edge, goal: b.emit(1, edge),
     "bad_anchor_pair": lambda b, edge, goal: b.trick(edge, 1, 2, +1),
 }
 
@@ -379,9 +379,9 @@ def test_an_internal_failure_passes_the_boundary_unwrapped(monkeypatch, tmp_path
 class _MisrecordingBuilder(_Builder):
     """Steps each move, then records it on CHAIN2's other edge."""
 
-    def emit(self, move):
-        super().emit(move)
-        self.moves[-1] = Move(move.vertex, 1 - move.edge)
+    def emit(self, v, edge):
+        super().emit(v, edge)
+        self.edges[-1] = 1 - edge
 
 
 def test_a_schedule_failing_the_final_replay_is_an_internal_failure(
@@ -436,7 +436,7 @@ def test_on_edge_at_its_goal_neither_moves_nor_counts(p, k, monkeypatch):
     for w in itertools.product(range(p), repeat=k):
         b = _Builder(single_edge(k), p, w)
         synthesis._on_edge(b, 0, w)
-        assert b.moves == [] and b.state == list(w)
+        assert b.vertices == b.edges == [] and b.state == list(w)
     assert counted == 0
 
 
@@ -500,14 +500,14 @@ def unit_chain(m: int):
     return G, w1, w1[::-1]
 
 
-def _stepped_moves(monkeypatch) -> list[Move]:
-    """Every move a _Builder steps, recorded by a spy on _Builder.emit."""
+def _stepped_moves(monkeypatch) -> list[tuple[int, int]]:
+    """Every move a _Builder steps, (vertex, edge), recorded by a spy on _Builder.emit."""
     stepped = []
     emit = _Builder.emit
 
-    def spy(self, move):
-        stepped.append(move)
-        emit(self, move)
+    def spy(self, v, edge):
+        stepped.append((v, edge))
+        emit(self, v, edge)
 
     monkeypatch.setattr(_Builder, "emit", spy)
     return stepped
@@ -525,6 +525,25 @@ def test_synthesize_long_chain(p, monkeypatch):
     # each move is simulated once where it is built (the final replay
     # goes through dynamics)
     assert len(stepped) == len(sched)
+
+
+def test_synthesis_builds_no_move_objects(monkeypatch):
+    """A schedule is built as two int columns; its Moves are made only
+    when it is iterated."""
+    built = []
+    init = Move.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Move, "__init__", counted)
+    assert Move(0, 0) == Move(0, 0) and len(built) == 2  # the spy sees a Move built
+    built.clear()
+    G, w1, w2 = unit_chain(60)
+    sched = synthesize_schedule(G, 3, w1, w2)
+    assert built == []
+    assert len(sched.moves) == len(built) == len(sched) > 0
 
 
 def test_synthesize_simulates_each_move_once(monkeypatch):
@@ -803,6 +822,8 @@ def test_text_to_answer_ladder_times_the_schedule(tmp_path, monkeypatch, capsys)
     for row in bench["rows"]:
         # the schedule stage is timed exactly when the rung's pair is reachable
         assert row["answer"] is (row["schedule_s"] is not None) is (row["moves"] is not None)
+        # and its text is parsed and replayed exactly when it is built
+        assert (row["verify_s"] is not None) is (row["schedule_s"] is not None)
     assert any(row["answer"] for row in bench["rows"])
 
 
